@@ -66,6 +66,7 @@ from .geometry import (
 from .egp import (
     EgpResult,
     GaussianTrace,
+    chain_traces,
     egp_component,
     egp_component_1d,
     egp_profile,

@@ -117,9 +117,11 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
 
 
 def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+    tabulated = cfg.build_state() if cfg.hfict_path else None
+    grid = tabulated.hfict_grid.grid if tabulated is not None else cfg.momentum_grid()
+
     def task():
         model = cfg.build_model()
-        grid = cfg.momentum_grid()
         kxs, kys = grid.kx_values(), grid.ky_values()
         files = []
         summary = {"h": [], "hfict": None}
@@ -130,7 +132,7 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
             serialize.curvature_to_csv(path, field, kxs, kys)
             files.append(path)
         if _has_state(cfg):
-            spec = cfg.build_state()
+            spec = tabulated if tabulated is not None else cfg.build_state()
             summary["hfict"] = []
             for band in range(spec.p):
                 states = states_on_grid(lambda kx, ky: fictitious_hamiltonian(spec, kx, ky),
@@ -148,20 +150,23 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
 
 
 def cmd_egp_profile(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
-    model = None if cfg.hfict_path else cfg.build_model()
-    for direction in cfg.directions:
-        transverse_count = cfg.grid_ny if direction == "x" else cfg.grid_nx
-        if cfg.hfict_path:
-            spec = cfg.build_state()
-            n = spec.hfict_grid.grid.nx if direction == "x" else spec.hfict_grid.grid.ny
+    if cfg.hfict_path:
+        spec = cfg.build_state()
+        grid = spec.hfict_grid.grid
+        for direction in cfg.directions:
+            n = grid.nx if direction == "x" else grid.ny
 
-            def task(spec=spec, direction=direction, n=n, count=transverse_count):
-                profile = egp_profile(spec, direction, n, count)
+            def task(direction=direction, n=n):
+                # chain length and transverse samples both come from the stored grid
+                profile = egp_profile(spec, direction, n, None)
                 base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_tabulated")
                 return [_emit_egp(base, profile, n, None, fmt)]
 
             runner.add(f"egp-profile:{direction}:tabulated", task)
-            continue
+        return
+    model = cfg.build_model()
+    for direction in cfg.directions:
+        transverse_count = cfg.grid_ny if direction == "x" else cfg.grid_nx
         for n in cfg.cells_list():
             for label, beta in cfg.betas_from_list():
                 def task(direction=direction, n=n, label=label, beta=beta,
@@ -190,11 +195,16 @@ def _emit_egp(base, profile, n, beta, fmt):
 
 
 def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+    tabulated = cfg.build_state() if cfg.hfict_path else None
+
     def task():
-        spec = cfg.build_state()
-        grid = cfg.momentum_grid()
-        n = cfg.chain_cells if spec.is_thermal else None  # tabulated: grid-fixed per direction
-        cx, cy = egp_windings(spec, n, max(grid.nx, grid.ny))
+        spec = tabulated if tabulated is not None else cfg.build_state()
+        if spec.is_thermal:
+            grid = cfg.momentum_grid()
+            n, count = cfg.chain_cells, max(grid.nx, grid.ny)
+        else:
+            n, count = None, None  # chains and transverse samples from the stored grid
+        cx, cy = egp_windings(spec, n, count)
         path = os.path.join(out_dir, "egp_windings.csv")
         serialize.write_csv(path, ["cx_egp", "cy_egp"], [[str(cx), str(cy)]])
         summary = os.path.join(out_dir, "egp_windings.json")

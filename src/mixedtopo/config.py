@@ -14,7 +14,8 @@ rejected):
     temperature      temperature in t_units (exclusive with beta; 0 = pure)
     t_units          gap | raw: unit of temperature-like inputs (default gap)
     mu               chemical potential                (default 0.0)
-    grid_nx, grid_ny Brillouin-zone grid               (default 64, 64)
+    grid_nx, grid_ny Brillouin-zone grid               (default 64, 64; with
+                     hfict_path the file's grid, which they must match)
     chain_cells      chain length N                    (default 10)
     chain_cells_list comma list of N values
     temperature_list comma list of temperatures in t_units (0 = pure state)
@@ -134,9 +135,14 @@ class RunConfig:
         if self.hfict_path:
             try:
                 grid, values = load_matrix_grid(self.hfict_path)
-                return GaussianStateSpec.from_grid(FictitiousHamiltonianGrid(grid, values))
+                spec = GaussianStateSpec.from_grid(FictitiousHamiltonianGrid(grid, values))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load hfict grid: {exc}", key="hfict_path") from exc
+            for key, stored in (("grid_nx", grid.nx), ("grid_ny", grid.ny)):
+                if key in self.raw_items and getattr(self, key) != stored:
+                    raise ConfigError(f"{key} = {getattr(self, key)} disagrees with the "
+                                      f"{stored} samples stored in hfict_path", key=key)
+            return spec
         return GaussianStateSpec.thermal(self.beta_raw(), self.mu, self.build_model())
 
     def cells_list(self) -> list:

@@ -2,8 +2,18 @@
 
 The trace of rho times the collective momentum-shift unitary reduces, for any
 Gaussian state with correlation matrix M, to det[1 + M(D - 1)] with
-D = diag(e^{i theta}). Determinants are accumulated in log space (phase +
-log-magnitude) so chains with thousands of modes cannot under- or overflow.
+D = diag(e^{i theta}); `gaussian_trace_diagonal_unitary` evaluates that
+dense form for any correlation matrix.
+
+A chain cut out of a translation-invariant state is diagonal in momentum:
+the Fourier transform over cells turns M into the block diagonal n of the
+covariance samples hfict(k_m) and D into the cyclic block shift
+S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `chain_traces` takes
+that determinant by block Householder elimination in O(N p^3) time and
+O(p^2) working memory per chain, batched over any leading axes; every chain
+EGP in this module goes through it. Determinants are kept in log space
+(phase + log-magnitude) so chains with thousands of modes cannot under- or
+overflow.
 """
 
 from __future__ import annotations
@@ -19,9 +29,9 @@ from .gaussian import (
     ChainCorrelationMatrix,
     ChainGaussianSpec,
     GaussianStateSpec,
-    correlation_from_hfict_line,
     hfict_line,
     hfict_line_1d,
+    hfict_lines,
 )
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
 from .model import momentum_line
@@ -70,6 +80,52 @@ def gaussian_trace_diagonal_unitary(correlation, thetas: np.ndarray) -> Gaussian
     return GaussianTrace(phase=float(np.angle(sign)), log_magnitude=float(logabs))
 
 
+def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, log magnitude) of det[1 - n + n S] for stacked chains.
+
+    `lines` holds hfict samples (..., N, p, p) on the chain momenta
+    k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
+    of the chain's real-space correlation matrix with `momentum_shift_angles`.
+    The N p x N p matrix is block bidiagonal, diagonal blocks 1 - n_m and
+    superdiagonal blocks n_m, plus the corner block n_{N-1} at (N-1, 0); it is
+    never formed. Each step takes a Householder QR of block column m, stacked
+    from block row m and the p "spike" rows carried up from the corner, and
+    carries the bottom p rows of Q^dag (rest) on as the next spike, which lives
+    in column m + 1 and the border column N - 1. Unitary row operations keep
+    the spike bounded, so the elimination is backward stable at any
+    temperature, projector blocks included. A closing 2p x 2p slogdet ends it.
+    An exactly vanishing determinant gives log magnitude -inf and phase 0.
+    """
+    lines = np.asarray(lines, dtype=complex)
+    n_cells, p = lines.shape[-3], lines.shape[-1]
+    if n_cells < 2:
+        raise ValueError(f"need n_cells >= 2, got {n_cells}")
+    eye = np.eye(p)
+    spike_col = lines[..., -1, :, :]
+    spike_border = eye - lines[..., -1, :, :]
+    log_magnitude = np.zeros(lines.shape[:-3])
+    unit = np.ones(lines.shape[:-3], dtype=complex)
+    # a zero pivot makes log|r| = -inf and r / |r| = nan; both are resolved below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(n_cells - 2):
+            n_m = lines[..., m, :, :]
+            q, r = np.linalg.qr(np.concatenate([eye - n_m, spike_col], axis=-2), mode="complete")
+            carry = q[..., p:].conj().swapaxes(-1, -2)
+            spike_col = carry[..., :p] @ n_m
+            spike_border = carry[..., p:] @ spike_border
+            pivots = np.diagonal(r, axis1=-2, axis2=-1)
+            moduli = np.abs(pivots)
+            log_magnitude += np.log(moduli).sum(axis=-1)
+            unit *= np.linalg.det(q) * (pivots / moduli).prod(axis=-1)
+        n_m = lines[..., -2, :, :]
+        closing = np.concatenate([np.concatenate([eye - n_m, n_m], axis=-1),
+                                  np.concatenate([spike_col, spike_border], axis=-1)], axis=-2)
+        sign, logdet = np.linalg.slogdet(closing)
+    log_magnitude = log_magnitude + logdet
+    phase = np.where(np.isfinite(log_magnitude), np.angle(unit * sign), 0.0)
+    return phase, log_magnitude
+
+
 @dataclass(frozen=True)
 class EgpResult:
     """Phase and amplitude of Tr[rho e^{(2 pi i / N) X}] for one chain."""
@@ -88,9 +144,8 @@ class EgpResult:
 
 
 def _trace_from_line(line: np.ndarray) -> GaussianTrace:
-    n_cells, p = line.shape[0], line.shape[-1]
-    corr = correlation_from_hfict_line(line)
-    return gaussian_trace_diagonal_unitary(corr, momentum_shift_angles(n_cells, p))
+    phase, log_magnitude = chain_traces(line)
+    return GaussianTrace(phase=float(phase), log_magnitude=float(log_magnitude))
 
 
 def _require_amplitude(trace: GaussianTrace, context: str) -> GaussianTrace:
@@ -110,6 +165,15 @@ def _cells_for(spec: GaussianStateSpec, direction: str, n_cells: Optional[int]) 
     if n_cells is not None and n_cells != fixed:
         raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
     return fixed
+
+
+def _transverse_for(spec: GaussianStateSpec, direction: str, count: Optional[int]) -> int:
+    """Transverse samples: as requested, or by default the stored grid's for tabulated specs."""
+    if count is not None:
+        return count
+    if spec.is_thermal:
+        raise ValueError("thermal specs need an explicit transverse_count")
+    return spec.hfict_grid.grid.ny if direction == "x" else spec.hfict_grid.grid.nx
 
 
 def egp_component(spec: GaussianStateSpec, direction: str, transverse_k: float,
@@ -136,27 +200,29 @@ def egp_component_1d(chain: ChainGaussianSpec, n_cells: int) -> EgpResult:
 
 
 def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
-                transverse_count: int) -> PhaseProfile:
+                transverse_count: Optional[int]) -> PhaseProfile:
     """Sample the EGP over the transverse Brillouin zone.
 
+    All chains of the profile go through one `chain_traces` call. Tabulated
+    specs fix n_cells and default transverse_count to their stored grid.
     Returns a PhaseProfile whose `moduli` carry |z| per sample (the
     gauge-reduction diagnostic).
     """
     n_cells = _cells_for(spec, direction, n_cells)
-    transverse = momentum_line(transverse_count)
-    results = [egp_component(spec, direction, tk, n_cells) for tk in transverse]
+    transverse = momentum_line(_transverse_for(spec, direction, transverse_count))
+    phases, log_magnitudes = chain_traces(hfict_lines(spec, direction, transverse, n_cells))
+    for tk, log_magnitude in zip(transverse, log_magnitudes):
+        _require_amplitude(GaussianTrace(0.0, log_magnitude), f"at transverse_k={tk:.6f}")
     beta = spec.beta if spec.is_thermal else None
     temperature = None
     if beta is not None:
         temperature = 0.0 if math.isinf(beta) else 1.0 / beta
-    return PhaseProfile(parameters=transverse,
-                        phases=np.array([r.phase for r in results]),
-                        moduli=np.array([r.magnitude for r in results]),
+    return PhaseProfile(parameters=transverse, phases=phases, moduli=np.exp(log_magnitudes),
                         label="egp", direction=direction, temperature=temperature)
 
 
 def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
-                 transverse_count: int) -> tuple[int, int]:
+                 transverse_count: Optional[int]) -> tuple[int, int]:
     """(C_x, C_y) from the EGP profile windings; equality is asserted.
 
     C_x = winding of phi_x over ky, C_y = -(winding of phi_y over kx). For a
@@ -187,8 +253,11 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     pure = spec.pure_limit()
     out = []
     for n in n_list:
-        phi = egp_component(spec, direction, transverse_k, n).phase
-        phi_ref = egp_component(pure, direction, transverse_k, n).phase
+        lines = np.stack([hfict_line(s, direction, transverse_k, n) for s in (spec, pure)])
+        (phi, phi_ref), log_magnitudes = chain_traces(lines)
+        for log_magnitude in log_magnitudes:
+            _require_amplitude(GaussianTrace(0.0, log_magnitude),
+                               f"at transverse_k={transverse_k:.6f}, N={n}")
         out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))
     return out
 

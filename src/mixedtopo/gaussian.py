@@ -13,7 +13,7 @@ invariants do not feel it, user-supplied non-equilibrium grids do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .model import (
     _check_hermitian,
     _grid_index,
     momentum_line,
-    restrict_model,
 )
 
 OCCUPATION_ATOL = 1e-10
@@ -49,6 +48,7 @@ class FictitiousHamiltonianGrid:
 
     grid: MomentumGrid
     values: np.ndarray  # (nx, ny, p, p)
+    _half_margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -62,15 +62,18 @@ class FictitiousHamiltonianGrid:
             raise ValueError(
                 f"occupation spectrum outside [0, 1]: [{occ.min():.3e}, {occ.max():.3e}]")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_half_margin", float(np.abs(occ - 0.5).min()))
 
     @property
     def p(self) -> int:
         return self.values.shape[-1]
 
     def half_margin(self) -> float:
-        """Distance of the occupation spectrum from 1/2 (generalized gap)."""
-        occ = np.linalg.eigvalsh(self.values)
-        return float(np.abs(occ - 0.5).min())
+        """Distance of the occupation spectrum from 1/2 (generalized gap).
+
+        Taken from the spectrum checked at construction; the grid is immutable.
+        """
+        return self._half_margin
 
     def require_generalized_gap(self, margin: float = HALF_MARGIN_DEFAULT):
         got = self.half_margin()
@@ -243,32 +246,36 @@ def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHa
     return FictitiousHamiltonianGrid(grid, _hfict_from_h(hs, spec.beta, spec.mu))
 
 
+def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
+                n_cells: int) -> np.ndarray:
+    """hfict samples (len(transverse_ks), n_cells, p, p) along parallel chains.
+
+    Thermal specs evaluate the model once over the (transverse, chain) mesh
+    of n_cells uniform chain samples; tabulated specs require n_cells and
+    every transverse momentum to match the stored grid, and must keep their
+    occupation spectrum away from 1/2 (no thermal gap information exists for
+    them, so the generalized gap is checked directly).
+    """
+    if direction not in ("x", "y"):
+        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    transverse_ks = np.asarray(transverse_ks, dtype=float)
+    if spec.is_thermal:
+        along, across = np.meshgrid(momentum_line(n_cells), transverse_ks)
+        kxs, kys = (along, across) if direction == "x" else (across, along)
+        return _hfict_from_h(spec.model.matrices(kxs, kys), spec.beta, spec.mu)
+    spec.hfict_grid.require_generalized_gap()
+    grid, values = spec.hfict_grid.grid, spec.hfict_grid.values
+    fixed, n_across = (grid.nx, grid.ny) if direction == "x" else (grid.ny, grid.nx)
+    if n_cells != fixed:
+        raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
+    index = [_grid_index(k, n_across) for k in transverse_ks]
+    return values[:, index].swapaxes(0, 1) if direction == "x" else values[index]
+
+
 def hfict_line(spec: GaussianStateSpec, direction: str, transverse_k: float,
                n_cells: int) -> np.ndarray:
-    """hfict samples (n_cells, p, p) along a chain through the BZ.
-
-    Thermal specs evaluate the model on n_cells uniform samples; tabulated
-    specs require n_cells and transverse_k to match the stored grid, and must
-    keep their occupation spectrum away from 1/2 (no thermal gap information
-    exists for them, so the generalized gap is checked directly).
-    """
-    ks = momentum_line(n_cells)
-    if spec.is_thermal:
-        model1d = restrict_model(spec.model, direction, transverse_k)
-        return _hfict_from_h(model1d.matrices(ks), spec.beta, spec.mu)
-    spec.hfict_grid.require_generalized_gap()
-    hgrid = spec.hfict_grid
-    if direction == "x":
-        if n_cells != hgrid.grid.nx:
-            raise ValueError(f"tabulated spec fixes n_cells = {hgrid.grid.nx} for x chains")
-        iy = _grid_index(transverse_k, hgrid.grid.ny)
-        return hgrid.values[:, iy]
-    if direction == "y":
-        if n_cells != hgrid.grid.ny:
-            raise ValueError(f"tabulated spec fixes n_cells = {hgrid.grid.ny} for y chains")
-        ix = _grid_index(transverse_k, hgrid.grid.nx)
-        return hgrid.values[ix, :]
-    raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    """hfict samples (n_cells, p, p) along one chain through the BZ; see hfict_lines."""
+    return hfict_lines(spec, direction, [transverse_k], n_cells)[0]
 
 
 def hfict_line_1d(beta: float, mu: float, model: BlochModel1D, n_cells: int) -> np.ndarray:
@@ -283,15 +290,17 @@ def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:
     """Real-space chain correlation matrix from hfict samples on the chain BZ.
 
     M[(j,lam),(j',lam')] = (1/N) sum_k e^{-ik(j-j')} hfict[lam,lam'](k) with the
-    composite index j-major. Direct O(N^2 p^2) Fourier sum.
+    composite index j-major. With k_m = -pi + 2 pi m / N the block for
+    d = j - j' is (-1)^d c[d mod N], where c is one DFT of the samples over
+    k: the matrix is block circulant up to that sign, and the gather costs
+    O(N^2 p^2) time and memory.
     """
     line = np.asarray(line, dtype=complex)
     n = line.shape[0]
     p = line.shape[-1]
-    ks = momentum_line(n)
-    j = np.arange(n)
-    phases = np.exp(-1j * np.subtract.outer(j, j)[:, :, None] * ks[None, None, :])
-    blocks = np.tensordot(phases, line, axes=([2], [0])) / n  # (n, n, p, p)
+    c = np.fft.fft(line, axis=0) / n
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    blocks = c[d % n] * np.where(d % 2 == 0, 1.0, -1.0)[:, :, None, None]  # (n, n, p, p)
     return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
 
 

@@ -256,6 +256,40 @@ def test_cli_tabulated_hfict_state(tmp_path, qwz):
     assert len(files) == 1
 
 
+def _save_state(tmp_path, qwz, nx, ny):
+    hgrid = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(nx, ny))
+    path = tmp_path / "state.dat"
+    mt.save_hfict_grid(path, hgrid)
+    return path
+
+
+def test_cli_tabulated_state_fixes_grid(tmp_path, qwz):
+    """With no grid keys, every command runs on the hfict_path file's grid."""
+    state_path = _save_state(tmp_path, qwz, 24, 20)
+    cfg = write_config(tmp_path / "c.txt", f"model = qwz\nhfict_path = {state_path}\n")
+    out = tmp_path / "out"
+    for command in ("chern", "egp-winding", "egp-profile"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "chern.json").read_text()) == {"h": [1, -1], "hfict": [1, -1]}
+    _, kxs, kys = serialize.curvature_from_csv(out / "curvature_hfict_band0.csv")
+    assert (len(kxs), len(kys)) == (24, 20)
+    windings = json.loads((out / "egp_windings.json").read_text())
+    assert windings["cx_egp"] == windings["cy_egp"] == 1
+    for name, count in (("egp_profile_x_N24_tabulated.csv", 20),
+                        ("egp_profile_y_N20_tabulated.csv", 24)):
+        _, rows = serialize.read_csv(out / name)
+        assert len(rows) == count
+
+
+def test_cli_tabulated_grid_mismatch_exit_2(tmp_path, capsys, qwz):
+    state_path = _save_state(tmp_path, qwz, 24, 20)
+    cfg = write_config(tmp_path / "c.txt",
+                       f"model = qwz\ngrid_nx = 24\ngrid_ny = 16\nhfict_path = {state_path}\n")
+    for command in ("chern", "egp-winding", "egp-profile"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "(key: grid_ny)" in capsys.readouterr().err
+
+
 def test_cli_format_json(tmp_path):
     cfg = write_config(tmp_path / "c.txt", BASE + "chain_cells_list = 9\ntemperature_list = 0\n"
                        + "directions = x\n")

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
+from mixedtopo.gaussian import correlation_from_hfict_line, hfict_line, hfict_lines
 
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
@@ -168,13 +170,112 @@ def test_zero_amplitude_error_arm():
         _require_amplitude(dead, "in test")
 
 
-def test_near_half_occupation_amplitude_is_tiny_but_defined():
-    """Occupations at 1/2 put the state on the generalized-gap edge: the
-    amplitude collapses with N but the phase remains computable."""
+def test_exact_half_occupation_amplitude_is_zero():
+    """Occupations exactly 1/2 give det[(1 + S) / 2] = 0 at even N: the
+    elimination meets an exact zero pivot and reports it without warnings."""
     model = mt.atomic_model((0.0, 0.0, 0.0))
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase, log_magnitude = mt.chain_traces(hfict_line(spec, "x", 0.1, 4))
+        with pytest.raises(mt.AmplitudeZeroError):
+            mt.egp_component(spec, "x", 0.1, 4)
+    assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
+
+
+def test_near_half_occupation_amplitude_is_tiny_but_defined():
+    """Occupations 1/2 -+ 1e-3 sit near the generalized-gap edge: the
+    amplitude collapses with N but the phase remains computable."""
+    beta = math.log(0.501 / 0.499)  # occupations 0.499 and 0.501 at d = (0, 0, 1)
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, mt.atomic_model())
     r = mt.egp_component(spec, "x", 0.1, 4)
-    assert r.magnitude < 1e-15
+    reference = mt.gaussian_trace_diagonal_unitary(
+        mt.chain_correlation_matrix(spec, "x", 0.1, 4), mt.momentum_shift_angles(4, 2))
+    assert 1e-7 < r.magnitude < 1e-5
+    assert r.magnitude * np.exp(1j * r.phase) == pytest.approx(
+        _atomic_closed_form([0.499, 0.501], 4), rel=1e-9)
+    assert abs(mt.principal_branch(r.phase - reference.phase)) <= 1e-10
+    assert abs(r.log_magnitude - reference.log_magnitude) <= 1e-10
+
+
+def _real_space_trace(line):
+    n_cells, p = line.shape[0], line.shape[-1]
+    return mt.gaussian_trace_diagonal_unitary(correlation_from_hfict_line(line),
+                                              mt.momentum_shift_angles(n_cells, p))
+
+
+def _assert_matches_real_space(line):
+    phase, log_magnitude = mt.chain_traces(line)
+    reference = _real_space_trace(line)
+    assert abs(mt.principal_branch(phase - reference.phase)) <= 1e-10
+    assert abs(log_magnitude - reference.log_magnitude) <= 1e-10
+
+
+def _gapped_line(rng, n_cells, p, filled):
+    """Random Gaussian chain: a random frame per k, `filled` occupations in
+    (1/2, 1] and the rest in [0, 1/2), with about a third of the k blocks
+    exact projectors. A fixed filled count along the chain is the generalized
+    gap condition; without it the exact determinant can vanish and both
+    evaluations return rounding noise."""
+    occ = np.concatenate([rng.uniform(0.0, 0.5, size=(n_cells, p - filled)),
+                          rng.uniform(0.5, 1.0, size=(n_cells, filled))], axis=1)
+    projectors = rng.random(n_cells) < 1 / 3
+    occ[projectors] = np.round(occ[projectors])
+    frames = np.stack([random_unitary(rng, p) for _ in range(n_cells)])
+    return np.einsum("nij,nj,nkj->nik", frames, occ, frames.conj())
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 6, 7, 10, 50])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_chain_traces_match_real_space_random_lines(p, n_cells):
+    rng = np.random.default_rng(100 * p + n_cells)
+    for filled in range(p + 1):
+        for _ in range(3):
+            _assert_matches_real_space(_gapped_line(rng, n_cells, p, filled))
+
+
+@pytest.mark.parametrize("beta", [0.025, 1.0, 5.0, math.inf])
+def test_chain_traces_match_real_space_qwz(qwz, beta):
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
+    for n_cells in (2, 3, 6, 7, 10, 50):
+        _assert_matches_real_space(hfict_line(spec, "y", 0.7, n_cells))
+
+
+def test_chain_traces_batch_equals_single_chains(qwz):
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
+    lines = hfict_lines(spec, "x", mt.momentum_line(6), 9)
+    batched = mt.chain_traces(lines.reshape(2, 3, 9, 2, 2))
+    single = np.array([mt.chain_traces(line) for line in lines])
+    assert batched[0].shape == batched[1].shape == (2, 3)
+    assert np.abs(batched[0].ravel() - single[:, 0]).max() <= 1e-13
+    assert np.abs(batched[1].ravel() - single[:, 1]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_egp_profile_equals_per_chain_components(qwz, direction):
+    thermal = mt.GaussianStateSpec.thermal(0.8, 0.0, qwz)
+    tabulated = mt.GaussianStateSpec.from_grid(mt.fictitious_grid(thermal, mt.MomentumGrid(12, 10)))
+    for spec, n_cells, count in ((thermal, 9, 16), (tabulated, None, None)):
+        profile = mt.egp_profile(spec, direction, n_cells, count)
+        assert len(profile.parameters) == (count or (10 if direction == "x" else 12))
+        for tk, phase, modulus in zip(profile.parameters, profile.phases, profile.moduli):
+            r = mt.egp_component(spec, direction, tk, n_cells)
+            assert abs(mt.principal_branch(phase - r.phase)) <= 1e-12
+            assert abs(modulus - r.magnitude) <= 1e-12
+
+
+def test_egp_pure_thermodynamic_limit_equals_zak(qwz):
+    """Odd N = 10001: the pure-state EGP is the Wilson-loop Zak phase."""
+    spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
+    r = mt.egp_component(spec, "x", np.pi / 3, 10001)
+    zak = _fict_filled_zak(spec, "x", np.pi / 3, 10001)
+    assert abs(mt.principal_branch(r.phase - zak)) <= 1e-9
+
+
+def test_gauge_reduction_falls_at_large_n(qwz, qwz_gap):
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20.0 * qwz_gap), 0.0, qwz)
+    devs = [d for _, d in mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [1000, 3000, 10000])]
+    assert devs[0] > devs[1] > devs[2] > 0
 
 
 def test_gauge_reduction_pure_reference_is_exact(qwz):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from conftest import random_hermitian
+from mixedtopo.gaussian import correlation_from_hfict_line
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -200,6 +201,42 @@ def test_chain_correlation_pure_state(qwz):
     corr = mt.chain_correlation_matrix(spec, "x", np.pi / 3, 6)
     occ = corr.occupation_spectrum()
     assert np.allclose(np.sort(occ), [0] * 6 + [1] * 6, atol=1e-10)
+
+
+def _direct_fourier_correlation(line):
+    """Reference: the Fourier sum through an (N, N, N) phase tensor."""
+    n, p = line.shape[0], line.shape[-1]
+    ks = mt.momentum_line(n)
+    j = np.arange(n)
+    phases = np.exp(-1j * np.subtract.outer(j, j)[:, :, None] * ks[None, None, :])
+    blocks = np.tensordot(phases, line, axes=([2], [0])) / n  # (n, n, p, p)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 16])
+@pytest.mark.parametrize("p", [1, 3])
+def test_correlation_build_matches_direct_fourier_sum(p, n):
+    rng = np.random.default_rng(10 * n + p)
+    line = np.stack([random_hermitian(rng, p) for _ in range(n)])
+    got = correlation_from_hfict_line(line)
+    assert np.abs(got - _direct_fourier_correlation(line)).max() <= 1e-13
+
+
+def test_tabulated_profile_reuses_construction_gap_check(qwz, monkeypatch):
+    hgrid = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(8, 6))
+    spec = mt.GaussianStateSpec.from_grid(hgrid)
+    eigvalsh = np.linalg.eigvalsh
+    assert hgrid.half_margin() == np.abs(eigvalsh(hgrid.values) - 0.5).min()
+    calls = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    mt.egp_profile(spec, "x", None, 6)
+    mt.egp_profile(spec, "y", None, 8)
+    assert calls == []
 
 
 def test_hfict_grid_file_roundtrip(tmp_path, qwz):
