@@ -22,26 +22,25 @@ from .errors import (
 from .model import (
     BandSystem,
     BlochModel,
-    BlochModel1D,
     MomentumGrid,
     atomic_model,
     band_gap,
     band_system,
     bloch_matrix_from_d,
+    boltzmann_weights,
+    fermi_weights,
     momentum_line,
     qwz_d_vector,
     qwz_model,
-    restrict_model,
+    spectral_sum,
     tabulated_model,
     wrap_momentum,
 )
 from .gaussian import (
     ChainCorrelationMatrix,
-    ChainGaussianSpec,
     FictitiousHamiltonianGrid,
     GaussianStateSpec,
     chain_correlation_matrix,
-    fermi_occupation,
     fictitious_grid,
     fictitious_hamiltonian,
     filled_band_count,
@@ -68,14 +67,12 @@ from .egp import (
     GaussianTrace,
     chain_traces,
     egp_component,
-    egp_component_1d,
     egp_profile,
     egp_windings,
     gauge_reduction_deviation,
     gauge_reduction_exponent,
     gaussian_trace_diagonal_unitary,
     momentum_shift_angles,
-    pump_winding,
 )
 from .uhlmann import (
     DensityMatrixPath,

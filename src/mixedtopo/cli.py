@@ -25,9 +25,9 @@ from . import serialize
 from .config import RunConfig, parse_config
 from .egp import EgpResult, egp_profile, egp_windings, gauge_reduction_deviation, gauge_reduction_exponent
 from .errors import ConfigError, MixedTopoError
-from .gaussian import GaussianStateSpec, fictitious_hamiltonian
-from .geometry import berry_curvature_plaquette, chern_number, states_on_grid
-from .model import band_gap
+from .gaussian import GaussianStateSpec, fictitious_grid
+from .geometry import berry_curvature_plaquette, chern_number
+from .model import band_gap, band_systems
 from .uhlmann import uhlmann_temperature_scan
 
 SUBCOMMANDS = ("spectrum", "egp-profile", "egp-winding", "invariant-scan",
@@ -99,7 +99,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
         model = cfg.build_model()
         grid = cfg.momentum_grid()
         kxs, kys = grid.kx_values(), grid.ky_values()
-        energies = np.linalg.eigvalsh(model.matrices(*np.meshgrid(kxs, kys, indexing="ij")))
+        energies = np.linalg.eigvalsh(model.matrix(*np.meshgrid(kxs, kys, indexing="ij")))
         header = ["kx", "ky"] + [f"e_{n + 1}" for n in range(model.p)]
         rows = []
         for i, kx in enumerate(kxs):
@@ -124,24 +124,24 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
         model = cfg.build_model()
         kxs, kys = grid.kx_values(), grid.ky_values()
         files = []
-        summary = {"h": [], "hfict": None}
-        for band in range(model.p):
-            field = berry_curvature_plaquette(states_on_grid(model.matrix, kxs, kys, band))
-            summary["h"].append(chern_number(field))
-            path = os.path.join(out_dir, f"curvature_h_band{band}.csv")
-            serialize.curvature_to_csv(path, field, kxs, kys)
-            files.append(path)
-        if _has_state(cfg):
-            spec = tabulated if tabulated is not None else cfg.build_state()
-            summary["hfict"] = []
-            for band in range(spec.p):
-                states = states_on_grid(lambda kx, ky: fictitious_hamiltonian(spec, kx, ky),
-                                        kxs, kys, band)
-                field = berry_curvature_plaquette(states)
-                summary["hfict"].append(chern_number(field))
-                path = os.path.join(out_dir, f"curvature_hfict_band{band}.csv")
+
+        def chern_numbers(name, hs):
+            """Curvature CSV and Chern number per band; frames from one band_systems call."""
+            _, frames = band_systems(hs)
+            numbers = []
+            for band in range(frames.shape[-1]):
+                field = berry_curvature_plaquette(frames[..., band])
+                numbers.append(chern_number(field))
+                path = os.path.join(out_dir, f"curvature_{name}_band{band}.csv")
                 serialize.curvature_to_csv(path, field, kxs, kys)
                 files.append(path)
+            return numbers
+
+        summary = {"h": chern_numbers("h", model.matrix(*np.meshgrid(kxs, kys, indexing="ij"))),
+                   "hfict": None}
+        if _has_state(cfg):
+            spec = tabulated if tabulated is not None else cfg.build_state()
+            summary["hfict"] = chern_numbers("hfict", fictitious_grid(spec, grid).values)
         summary_path = os.path.join(out_dir, "chern.json")
         serialize.write_json(summary_path, summary)
         return files + [summary_path]

@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AmplitudeZeroError, WindingMismatchError
 from .gaussian import (
     ChainCorrelationMatrix,
-    ChainGaussianSpec,
     GaussianStateSpec,
     hfict_line,
-    hfict_line_1d,
     hfict_lines,
 )
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
@@ -143,16 +141,13 @@ class EgpResult:
         return math.exp(self.log_magnitude) if math.isfinite(self.log_magnitude) else 0.0
 
 
-def _trace_from_line(line: np.ndarray) -> GaussianTrace:
-    phase, log_magnitude = chain_traces(line)
-    return GaussianTrace(phase=float(phase), log_magnitude=float(log_magnitude))
-
-
-def _require_amplitude(trace: GaussianTrace, context: str) -> GaussianTrace:
-    if not math.isfinite(trace.log_magnitude):
-        raise AmplitudeZeroError(f"EGP undefined (zero amplitude) {context}: "
-                                 "generalized gap condition violated")
-    return trace
+def _require_amplitude(log_magnitudes, transverse_ks, context: str = ""):
+    """AmplitudeZeroError at the first chain whose determinant vanished."""
+    bad = ~np.isfinite(np.atleast_1d(log_magnitudes))
+    if bad.any():
+        tk = np.broadcast_to(transverse_ks, bad.shape)[np.argmax(bad)]
+        raise AmplitudeZeroError(f"EGP undefined (zero amplitude) at transverse_k={tk:.6f}"
+                                 f"{context}: generalized gap condition violated")
 
 
 def _cells_for(spec: GaussianStateSpec, direction: str, n_cells: Optional[int]) -> int:
@@ -182,21 +177,11 @@ def egp_component(spec: GaussianStateSpec, direction: str, transverse_k: float,
     n_cells = _cells_for(spec, direction, n_cells)
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
-    line = hfict_line(spec, direction, transverse_k, n_cells)
-    trace = _require_amplitude(_trace_from_line(line),
-                               f"at transverse_k={transverse_k:.6f}")
-    return EgpResult(phase=trace.phase, log_magnitude=trace.log_magnitude,
+    phase, log_magnitude = chain_traces(hfict_line(spec, direction, transverse_k, n_cells))
+    _require_amplitude(log_magnitude, transverse_k)
+    return EgpResult(phase=float(phase), log_magnitude=float(log_magnitude),
                      n_cells=n_cells, direction=direction, transverse_k=float(transverse_k),
                      beta=spec.beta, mu=spec.mu if spec.is_thermal else None)
-
-
-def egp_component_1d(chain: ChainGaussianSpec, n_cells: int) -> EgpResult:
-    """EGP of a standalone thermal 1D chain (adiabatic pump building block)."""
-    line = hfict_line_1d(chain.beta, chain.mu, chain.model, n_cells)
-    trace = _require_amplitude(_trace_from_line(line), f"for chain {chain.model.name!r}")
-    return EgpResult(phase=trace.phase, log_magnitude=trace.log_magnitude,
-                     n_cells=n_cells, direction="k", transverse_k=math.nan,
-                     beta=chain.beta, mu=chain.mu)
 
 
 def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
@@ -211,8 +196,7 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     n_cells = _cells_for(spec, direction, n_cells)
     transverse = momentum_line(_transverse_for(spec, direction, transverse_count))
     phases, log_magnitudes = chain_traces(hfict_lines(spec, direction, transverse, n_cells))
-    for tk, log_magnitude in zip(transverse, log_magnitudes):
-        _require_amplitude(GaussianTrace(0.0, log_magnitude), f"at transverse_k={tk:.6f}")
+    _require_amplitude(log_magnitudes, transverse)
     beta = spec.beta if spec.is_thermal else None
     temperature = None
     if beta is not None:
@@ -255,9 +239,7 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     for n in n_list:
         lines = np.stack([hfict_line(s, direction, transverse_k, n) for s in (spec, pure)])
         (phi, phi_ref), log_magnitudes = chain_traces(lines)
-        for log_magnitude in log_magnitudes:
-            _require_amplitude(GaussianTrace(0.0, log_magnitude),
-                               f"at transverse_k={transverse_k:.6f}, N={n}")
+        _require_amplitude(log_magnitudes, transverse_k, f", N={n}")
         out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))
     return out
 
@@ -271,16 +253,3 @@ def gauge_reduction_exponent(deviations: Sequence[tuple[int, float]]) -> float:
     slope = np.polyfit(np.log(ns), np.log(ds), 1)[0]
     return float(slope)
 
-
-def pump_winding(spec_family: Callable[[float], ChainGaussianSpec], n_cells: int,
-                 t_grid: np.ndarray) -> int:
-    """Winding of the chain EGP along a closed adiabatic parameter loop.
-
-    `spec_family(t)` must trace a closed loop of gapped 1D Gaussian states
-    over the uniform t_grid; with t = ky on a 2D model this reduces to the
-    x-direction EGP winding.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    phases = [egp_component_1d(spec_family(t), n_cells).phase for t in t_grid]
-    profile = PhaseProfile(parameters=t_grid, phases=np.array(phases), label="egp-pump")
-    return winding_of_phase_profile(profile)

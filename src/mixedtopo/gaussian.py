@@ -21,25 +21,17 @@ import numpy as np
 from .errors import GapError
 from .model import (
     BlochModel,
-    BlochModel1D,
     MomentumGrid,
     _check_hermitian,
-    _grid_index,
+    fermi_weights,
+    grid_lookup,
+    line_momenta,
     momentum_line,
+    spectral_sum,
 )
 
 OCCUPATION_ATOL = 1e-10
 HALF_MARGIN_DEFAULT = 1e-3
-
-
-def fermi_occupation(x):
-    """1/(e^x + 1) evaluated on the overflow-safe branch for either sign."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = np.exp(-x[pos]) / (1.0 + np.exp(-x[pos]))
-    out[~pos] = 1.0 / (1.0 + np.exp(x[~pos]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -116,6 +108,10 @@ def load_matrix_grid(path) -> tuple[MomentumGrid, np.ndarray]:
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} numbers after header, got {data.size}")
     values = data.reshape(nx, ny, p, p, 2)
+    finite = np.isfinite(values).all(axis=(2, 3, 4))
+    if not finite.all():
+        ix, iy = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite entry at grid point (ix, iy) = ({ix}, {iy})")
     return MomentumGrid(nx, ny), values[..., 0] + 1j * values[..., 1]
 
 
@@ -173,21 +169,8 @@ class GaussianStateSpec:
         return replace(self, beta=math.inf)
 
 
-@dataclass(frozen=True)
-class ChainGaussianSpec:
-    """Thermal Gaussian state of a standalone 1D chain model."""
-
-    beta: float
-    mu: float
-    model: BlochModel1D
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"need beta > 0 (or inf), got {self.beta}")
-
-
-def g_matrix(spec: GaussianStateSpec, kx: float, ky: float) -> np.ndarray:
-    """g(k) = beta (h(k) - mu); finite temperature only."""
+def g_matrix(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
+    """g(k) = beta (h(k) - mu) at broadcast momenta; finite temperature only."""
     if not spec.is_thermal:
         raise ValueError("g_matrix requires a thermal spec")
     if spec.is_pure:
@@ -197,42 +180,20 @@ def g_matrix(spec: GaussianStateSpec, kx: float, ky: float) -> np.ndarray:
     return spec.beta * (h - spec.mu * np.eye(spec.p))
 
 
-def _occupations(energies: np.ndarray, beta: float, mu: float,
-                 atol: float = 1e-9) -> np.ndarray:
-    """Band occupation factors; beta = inf fills strictly below mu."""
-    if math.isinf(beta):
-        if np.abs(energies - mu).min() <= atol:
-            raise GapError(f"beta = inf with an eigenvalue within {atol:.0e} of mu={mu}: "
-                           "gapless projector limit")
-        return (energies < mu).astype(float)
-    return fermi_occupation(beta * (energies - mu))
+def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
+    """hfict(k) (..., p, p) at broadcast momenta, in the covariance index order.
 
-
-def _hfict_from_h(hs: np.ndarray, beta: float, mu: float) -> np.ndarray:
-    """Covariance matrices for stacked Bloch matrices (..., p, p).
-
-    Spectral evaluation of the Fermi factors, then the transposed index
-    order of the covariance: hfict = [V f V^dag]^T.
+    Thermal specs take the Fermi function of g(k) from one eigh of the Bloch
+    matrices: hfict = [V f V^dag]^T. For beta = inf this is the transpose of
+    the projector onto the bands of h(k) below mu; an eigenvalue of h within
+    1e-9 of mu raises GapError. Tabulated specs look the momenta up in the
+    stored grid and raise ValueError for the first one off it.
     """
-    energies, vectors = np.linalg.eigh(hs)
-    occ = _occupations(energies, beta, mu)
-    fermi_matrix = np.einsum("...ij,...j,...kj->...ik", vectors, occ, vectors.conj())
+    if not spec.is_thermal:
+        return grid_lookup(spec.hfict_grid.grid, spec.hfict_grid.values, kx, ky)
+    energies, vectors = np.linalg.eigh(spec.model.matrix(kx, ky))
+    fermi_matrix = spectral_sum(vectors, fermi_weights(energies, spec.beta, spec.mu))
     return np.swapaxes(fermi_matrix, -1, -2).copy()
-
-
-def fictitious_hamiltonian(spec: GaussianStateSpec, kx: float, ky: float) -> np.ndarray:
-    """hfict(k): Fermi function of g(k) in the covariance index order.
-
-    For beta = inf this is the transpose of the projector onto the bands of
-    h(k) below mu; an eigenvalue of h within 1e-9 of mu raises GapError.
-    """
-    if spec.is_thermal:
-        h = spec.model.matrix(kx, ky)
-        _check_hermitian(h, what=f"Bloch matrix at k=({kx:.6f}, {ky:.6f})")
-        return _hfict_from_h(h, spec.beta, spec.mu)
-    ix = _grid_index(kx, spec.hfict_grid.grid.nx)
-    iy = _grid_index(ky, spec.hfict_grid.grid.ny)
-    return spec.hfict_grid.values[ix, iy]
 
 
 def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHamiltonianGrid:
@@ -242,48 +203,34 @@ def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHa
             raise ValueError("requested grid does not match the tabulated one")
         return spec.hfict_grid
     kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
-    hs = spec.model.matrices(kxs, kys)
-    return FictitiousHamiltonianGrid(grid, _hfict_from_h(hs, spec.beta, spec.mu))
+    return FictitiousHamiltonianGrid(grid, fictitious_hamiltonian(spec, kxs, kys))
 
 
 def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
                 n_cells: int) -> np.ndarray:
     """hfict samples (len(transverse_ks), n_cells, p, p) along parallel chains.
 
-    Thermal specs evaluate the model once over the (transverse, chain) mesh
-    of n_cells uniform chain samples; tabulated specs require n_cells and
-    every transverse momentum to match the stored grid, and must keep their
+    One `fictitious_hamiltonian` call over the (transverse, chain) mesh of
+    n_cells uniform chain samples. Tabulated specs require n_cells and every
+    transverse momentum to match the stored grid, and must keep their
     occupation spectrum away from 1/2 (no thermal gap information exists for
     them, so the generalized gap is checked directly).
     """
-    if direction not in ("x", "y"):
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
     transverse_ks = np.asarray(transverse_ks, dtype=float)
-    if spec.is_thermal:
-        along, across = np.meshgrid(momentum_line(n_cells), transverse_ks)
-        kxs, kys = (along, across) if direction == "x" else (across, along)
-        return _hfict_from_h(spec.model.matrices(kxs, kys), spec.beta, spec.mu)
-    spec.hfict_grid.require_generalized_gap()
-    grid, values = spec.hfict_grid.grid, spec.hfict_grid.values
-    fixed, n_across = (grid.nx, grid.ny) if direction == "x" else (grid.ny, grid.nx)
-    if n_cells != fixed:
-        raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
-    index = [_grid_index(k, n_across) for k in transverse_ks]
-    return values[:, index].swapaxes(0, 1) if direction == "x" else values[index]
+    kxs, kys = line_momenta(direction, momentum_line(n_cells)[None, :], transverse_ks[:, None])
+    if not spec.is_thermal:
+        spec.hfict_grid.require_generalized_gap()
+        grid = spec.hfict_grid.grid
+        fixed = grid.nx if direction == "x" else grid.ny
+        if n_cells != fixed:
+            raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
+    return fictitious_hamiltonian(spec, kxs, kys)
 
 
 def hfict_line(spec: GaussianStateSpec, direction: str, transverse_k: float,
                n_cells: int) -> np.ndarray:
     """hfict samples (n_cells, p, p) along one chain through the BZ; see hfict_lines."""
     return hfict_lines(spec, direction, [transverse_k], n_cells)[0]
-
-
-def hfict_line_1d(beta: float, mu: float, model: BlochModel1D, n_cells: int) -> np.ndarray:
-    """Thermal hfict samples for a standalone 1D chain model."""
-    ks = momentum_line(n_cells)
-    if not beta > 0:
-        raise ValueError(f"beta must be positive (or inf), got {beta}")
-    return _hfict_from_h(model.matrices(ks), beta, mu)
 
 
 def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:

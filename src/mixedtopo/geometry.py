@@ -174,26 +174,27 @@ def chern_from_zak_windings(zak_x_profile: PhaseProfile,
     return cx, cy
 
 
+def _select_bands(vectors: np.ndarray, bands) -> np.ndarray:
+    if isinstance(bands, (int, np.integer)):
+        return vectors[..., int(bands)]
+    return vectors[..., list(bands)]
+
+
 def states_on_line(matrix_fn, ks: np.ndarray, bands) -> np.ndarray:
     """Gauge-fixed eigenvector frames along a k-line.
 
-    matrix_fn(k) -> p x p Hermitian; `bands` is an int (single band, returns
-    (M, p)) or a sequence of band indices (returns (M, p, nb)).
+    matrix_fn(ks) -> (M, p, p) Hermitian, called once on the whole line;
+    `bands` is an int (single band, returns (M, p)) or a sequence of band
+    indices (returns (M, p, nb)).
     """
-    ks = np.asarray(ks, dtype=float)
-    hs = np.stack([np.asarray(matrix_fn(k), dtype=complex) for k in ks])
-    _, vectors = band_systems(hs)
-    if np.isscalar(bands) or isinstance(bands, (int, np.integer)):
-        return vectors[:, :, int(bands)]
-    return vectors[:, :, list(bands)]
+    _, vectors = band_systems(matrix_fn(np.asarray(ks, dtype=float)))
+    return _select_bands(vectors, bands)
 
 
 def states_on_grid(matrix_fn, kxs: np.ndarray, kys: np.ndarray, bands) -> np.ndarray:
-    """Gauge-fixed eigenvector frames on the full (kx, ky) grid."""
-    hs = np.stack([
-        np.stack([np.asarray(matrix_fn(kx, ky), dtype=complex) for ky in kys])
-        for kx in kxs])
-    _, vectors = band_systems(hs)
-    if np.isscalar(bands) or isinstance(bands, (int, np.integer)):
-        return vectors[:, :, :, int(bands)]
-    return vectors[:, :, :, list(bands)]
+    """Gauge-fixed eigenvector frames on the full (kx, ky) grid.
+
+    matrix_fn(KX, KY) -> (nx, ny, p, p), called once on the "ij" mesh.
+    """
+    _, vectors = band_systems(matrix_fn(*np.meshgrid(kxs, kys, indexing="ij")))
+    return _select_bands(vectors, bands)

@@ -7,12 +7,13 @@ amplitude. Momenta live on [-pi, pi) and every built-in evaluator is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import GapError, NonHermitianError
+from .errors import GapError, NonHermitianError, RankDeficiencyError
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -72,50 +73,48 @@ def qwz_d_vector(kx, ky, alpha: float = 1.0, gamma: float = 3.0, m: float = 1.0)
 
 
 def bloch_matrix_from_d(d) -> np.ndarray:
-    """d . sigma = [[dz, dx - i dy], [dx + i dy, -dz]]."""
+    """d . sigma = [[dz, dx - i dy], [dx + i dy, -dz]], stacked over broadcast components."""
     dx, dy, dz = d
-    return np.array([[dz, dx - 1j * dy], [dx + 1j * dy, -dz]], dtype=complex)
+    out = np.empty(np.broadcast(dx, dy, dz).shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = dz
+    out[..., 0, 1] = dx - 1j * dy
+    out[..., 1, 0] = dx + 1j * dy
+    out[..., 1, 1] = -dz
+    return out
+
+
+def line_momenta(direction: str, along, across):
+    """(kx, ky) of straight BZ lines along `direction` at transverse momenta `across`."""
+    if direction == "x":
+        return along, across
+    if direction == "y":
+        return across, along
+    raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
 
 
 @dataclass(frozen=True)
 class BlochModel:
-    """p internal states and a map (kx, ky) -> p x p Hermitian Bloch matrix."""
+    """p internal states and an array-native map (kx, ky) -> Hermitian Bloch matrices.
+
+    The evaluator receives momentum arrays of one broadcast shape S and returns
+    (*S, p, p) matrices, or one p x p matrix for a k-independent model.
+    """
 
     p: int
-    evaluator: Callable[[float, float], np.ndarray]
+    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
     parameters: dict = field(default_factory=dict)
 
-    def matrix(self, kx: float, ky: float) -> np.ndarray:
-        return np.asarray(self.evaluator(kx, ky), dtype=complex)
+    def matrix(self, kx, ky) -> np.ndarray:
+        """Bloch matrices (*S, p, p) at momenta broadcast to shape S, in one evaluator call.
 
-    def matrices(self, kxs, kys) -> np.ndarray:
-        """Stack of Bloch matrices for paired momentum arrays (same shape)."""
-        kxs = np.atleast_1d(kxs)
-        kys = np.atleast_1d(kys)
-        out = np.empty(kxs.shape + (self.p, self.p), dtype=complex)
-        for idx in np.ndindex(kxs.shape):
-            out[idx] = self.matrix(kxs[idx], kys[idx])
-        return out
-
-
-@dataclass(frozen=True)
-class BlochModel1D:
-    """One-dimensional chain variant: k -> p x p Hermitian matrix."""
-
-    p: int
-    evaluator: Callable[[float], np.ndarray]
-    name: str = "custom-1d"
-
-    def matrix(self, k: float) -> np.ndarray:
-        return np.asarray(self.evaluator(k), dtype=complex)
-
-    def matrices(self, ks) -> np.ndarray:
-        ks = np.atleast_1d(ks)
-        out = np.empty(ks.shape + (self.p, self.p), dtype=complex)
-        for i, k in enumerate(ks):
-            out[i] = self.matrix(k)
-        return out
+        A non-Hermitian (or non-finite) result raises NonHermitianError naming k.
+        """
+        kx, ky = np.broadcast_arrays(kx, ky)
+        h = np.broadcast_to(np.asarray(self.evaluator(kx, ky), dtype=complex),
+                            kx.shape + (self.p, self.p))
+        _check_hermitian(h, what=f"Bloch matrix of model {self.name!r}", momenta=(kx, ky))
+        return h
 
 
 def qwz_model(alpha: float = 1.0, gamma: float = 3.0, m: float = 1.0) -> BlochModel:
@@ -131,7 +130,7 @@ def atomic_model(d=(0.0, 0.0, 1.0)) -> BlochModel:
     h = bloch_matrix_from_d(d)
 
     def evaluate(kx, ky):
-        return h
+        return h  # BlochModel.matrix broadcasts it over the momenta
 
     return BlochModel(p=2, evaluator=evaluate, name="atomic",
                       parameters={"d": tuple(float(c) for c in d)})
@@ -145,32 +144,27 @@ def tabulated_model(grid: MomentumGrid, values: np.ndarray, name: str = "tabulat
         raise ValueError(f"expected values of shape ({grid.nx}, {grid.ny}, p, p), got {values.shape}")
 
     def evaluate(kx, ky):
-        ix = _grid_index(kx, grid.nx)
-        iy = _grid_index(ky, grid.ny)
-        return values[ix, iy]
+        return grid_lookup(grid, values, kx, ky)
 
     return BlochModel(p=p, evaluator=evaluate, name=name)
 
 
-def restrict_model(model: BlochModel, direction: str, transverse_k: float) -> BlochModel1D:
-    """1D chain model along `direction` at fixed transverse momentum."""
-    if direction == "x":
-        return BlochModel1D(model.p, lambda k: model.matrix(k, transverse_k),
-                            name=f"{model.name}|ky={transverse_k:.6g}")
-    if direction == "y":
-        return BlochModel1D(model.p, lambda k: model.matrix(transverse_k, k),
-                            name=f"{model.name}|kx={transverse_k:.6g}")
-    raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+def _grid_index(k, n: int, atol: float = 1e-12) -> np.ndarray:
+    """Indices of momenta among the n uniform samples -pi + 2pi j/n.
+
+    Raises ValueError naming the first off-grid (or non-finite) momentum.
+    """
+    k = np.asarray(k, dtype=float)
+    j = np.rint((k + np.pi) * n / (2 * np.pi)) % n
+    off = ~(np.abs(wrap_momentum(k - (-np.pi + 2 * np.pi * j / n))) <= atol)
+    if off.any():
+        raise ValueError(f"momentum {k[off][0]!r} is not a grid sample (n={n})")
+    return j.astype(int)
 
 
-def _grid_index(k: float, n: int, atol: float = 1e-12) -> int:
-    """Index of k among the n uniform samples -pi + 2pi j/n; error off-grid."""
-    x = (float(k) + np.pi) * n / (2 * np.pi)
-    j = int(np.rint(x)) % n
-    k_j = -np.pi + 2 * np.pi * j / n
-    if abs(wrap_momentum(k - k_j)) > atol:
-        raise ValueError(f"momentum {k!r} is not a grid sample (n={n})")
-    return j
+def grid_lookup(grid: MomentumGrid, values: np.ndarray, kx, ky) -> np.ndarray:
+    """Stored samples values[ix, iy] at broadcast momenta that hit `grid` points."""
+    return values[_grid_index(kx, grid.nx), _grid_index(ky, grid.ny)]
 
 
 @dataclass(frozen=True)
@@ -181,11 +175,21 @@ class BandSystem:
     states: np.ndarray  # states[:, n] is the n-th band vector
 
 
-def _check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix"):
-    dev = np.abs(h - np.swapaxes(h, -1, -2).conj()).max()
-    if dev > atol:
+def _check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix",
+                     momenta=None):
+    """Raise NonHermitianError at the first stacked matrix off by more than atol (or NaN).
+
+    `momenta` = (kx, ky) arrays of the stack shape name the offending k.
+    """
+    dev = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1))
+    bad = ~(dev <= atol)
+    if bad.any():
+        idx = tuple(np.argwhere(bad)[0])
+        where = f" at index {idx}" if idx else ""
+        if momenta is not None:
+            where = f" at k=({momenta[0][idx]:.6f}, {momenta[1][idx]:.6f})"
         raise NonHermitianError(
-            f"{what} is not Hermitian: max |h - h^dagger| = {dev:.3e} > {atol:.0e}")
+            f"{what} is not Hermitian{where}: max |h - h^dagger| = {dev[idx]:.3e} > {atol:.0e}")
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
@@ -203,10 +207,8 @@ def band_system(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> BandSystem:
     component (lowest index on ties) is real and positive, making repeated
     calls bitwise reproducible.
     """
-    h = np.asarray(h, dtype=complex)
-    _check_hermitian(h, atol, "band_system input")
-    energies, vectors = np.linalg.eigh(h)
-    return BandSystem(energies=energies, states=_gauge_fix(vectors))
+    energies, states = band_systems(h, atol)
+    return BandSystem(energies=energies, states=states)
 
 
 def band_systems(hs: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -217,18 +219,14 @@ def band_systems(hs: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.nda
     return energies, _gauge_fix(vectors)
 
 
-def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
-             atol: float = FERMI_DEGENERACY_ATOL) -> float:
-    """Minimum over the grid of the direct gap straddling mu.
+def bands_below(energies: np.ndarray, mu: float, kxs, kys,
+                atol: float = FERMI_DEGENERACY_ATOL) -> int:
+    """Number of bands below mu, which must be the same at every grid point.
 
-    Requires mu to separate the same number of bands at every grid point;
-    otherwise (or if an eigenvalue sits within `atol` of mu) the chemical
-    potential is inside a band and the offending k is reported.
+    `energies` (nx, ny, p) belong to the momenta kxs, kys (nx, ny). GapError
+    names the first k where an eigenvalue sits within `atol` of mu or where
+    the count changes (mu inside a band), and mu outside the whole spectrum.
     """
-    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
-    hs = model.matrices(kxs, kys)
-    energies = np.linalg.eigvalsh(hs)
-
     close = np.abs(energies - mu) <= atol
     if close.any():
         ix, iy = np.argwhere(close.any(axis=-1))[0]
@@ -236,8 +234,8 @@ def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
             f"eigenvalue within {atol:.0e} of mu={mu} at k=({kxs[ix, iy]:.6f}, {kys[ix, iy]:.6f})")
 
     below = (energies < mu).sum(axis=-1)
-    n0 = below.flat[0]
-    if n0 == 0 or n0 == model.p:
+    n0 = int(below.flat[0])
+    if n0 == 0 or n0 == energies.shape[-1]:
         raise GapError(f"mu={mu} lies below/above the entire spectrum at "
                        f"k=({kxs.flat[0]:.6f}, {kys.flat[0]:.6f})")
     if (below != n0).any():
@@ -245,6 +243,64 @@ def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
         raise GapError(
             f"mu={mu} lies inside a band: occupation count changes at "
             f"k=({kxs[ix, iy]:.6f}, {kys[ix, iy]:.6f})")
+    return n0
 
+
+def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
+             atol: float = FERMI_DEGENERACY_ATOL) -> float:
+    """Minimum over the grid of the direct gap straddling mu (see bands_below)."""
+    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
+    energies = np.linalg.eigvalsh(model.matrix(kxs, kys))
+    n0 = bands_below(energies, mu, kxs, kys, atol)
     gap = (energies[..., n0] - energies[..., n0 - 1]).min()
     return float(gap)
+
+
+# ------------------------------------------------------------ spectral layer
+#
+# Every thermal quantity is V diag(w) V^dag over one eigh of the Bloch
+# matrices: Fermi occupations give the covariance (EGP, Chern), Boltzmann
+# weights the density matrix (Uhlmann).
+
+def fermi_weights(energies: np.ndarray, beta: float, mu: float,
+                  atol: float = FERMI_DEGENERACY_ATOL) -> np.ndarray:
+    """Occupations 1/(e^{beta (e - mu)} + 1); beta = inf fills strictly below mu.
+
+    The finite-beta branch is overflow safe for either sign of the exponent.
+    At beta = inf an eigenvalue within `atol` of mu raises GapError.
+    """
+    energies = np.asarray(energies, dtype=float)
+    if math.isinf(beta):
+        if np.abs(energies - mu).min() <= atol:
+            raise GapError(f"beta = inf with an eigenvalue within {atol:.0e} of mu={mu}: "
+                           "gapless projector limit")
+        return (energies < mu).astype(float)
+    x = beta * (energies - mu)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+def boltzmann_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """Normalized e^{-beta (e - mu)} over the last axis; finite beta only.
+
+    A weight that underflows to zero raises RankDeficiencyError: the state is
+    numerically pure and its density matrix rank deficient.
+    """
+    if math.isinf(beta):
+        raise RankDeficiencyError("beta = inf gives a rank-deficient density matrix; "
+                                  "probe low temperature at large finite beta instead")
+    if not beta > 0:
+        raise ValueError(f"need beta > 0, got {beta}")
+    logw = -beta * (energies - mu)
+    logw -= logw.max(axis=-1, keepdims=True)
+    weights = np.exp(logw)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    if weights.min() <= 0.0:
+        raise RankDeficiencyError(
+            f"Boltzmann weight underflowed at beta = {beta:g}: state numerically pure")
+    return weights
+
+
+def spectral_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """V diag(w) V^dag per stacked eigenbasis: vectors (..., p, p), weights (..., p)."""
+    return np.einsum("...ij,...j,...kj->...ik", vectors, weights, vectors.conj())

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    GapError,
     MixedTopoError,
     PhaseUndefinedError,
     RankDeficiencyError,
@@ -28,10 +27,18 @@ from .geometry import (
     PhaseProfile,
     berry_curvature_plaquette,
     chern_number,
-    states_on_grid,
     winding_of_phase_profile,
 )
-from .model import BlochModel, MomentumGrid, momentum_line
+from .model import (
+    BlochModel,
+    MomentumGrid,
+    band_systems,
+    bands_below,
+    boltzmann_weights,
+    line_momenta,
+    momentum_line,
+    spectral_sum,
+)
 
 # Below this floor an assembled density matrix is indistinguishable from an
 # exactly pure one at double precision: the polar transport factor would be
@@ -46,30 +53,10 @@ PATH_POINTS_CAP = 8192
 CAUCHY_TOL = 1e-4
 
 
-def thermal_density_k(model: BlochModel, beta: float, mu: float,
-                      kx: float, ky: float) -> np.ndarray:
-    """rho(k) = e^{-beta (h(k) - mu)} / Tr[...]; finite beta only."""
-    weights, vectors = _thermal_spectral_batch(
-        model.matrices(np.array([kx]), np.array([ky])), beta, mu)
-    return np.einsum("...ij,...j,...kj->...ik", vectors, weights, vectors.conj())[0]
-
-
-def _thermal_spectral_batch(hs: np.ndarray, beta: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Boltzmann weights and eigenvectors per stacked Bloch matrix."""
-    if math.isinf(beta):
-        raise RankDeficiencyError("beta = inf gives a rank-deficient density matrix; "
-                                  "probe low temperature at large finite beta instead")
-    if not beta > 0:
-        raise ValueError(f"need beta > 0, got {beta}")
-    energies, vectors = np.linalg.eigh(hs)
-    logw = -beta * (energies - mu)
-    logw -= logw.max(axis=-1, keepdims=True)
-    weights = np.exp(logw)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    if weights.min() <= 0.0:
-        raise RankDeficiencyError(
-            f"Boltzmann weight underflowed at beta = {beta:g}: state numerically pure")
-    return weights, vectors
+def thermal_density_k(model: BlochModel, beta: float, mu: float, kx, ky) -> np.ndarray:
+    """rho(k) = e^{-beta (h(k) - mu)} / Tr[...] at broadcast momenta; finite beta only."""
+    energies, vectors = np.linalg.eigh(model.matrix(kx, ky))
+    return spectral_sum(vectors, boltzmann_weights(energies, beta, mu))
 
 
 @dataclass(frozen=True)
@@ -115,13 +102,7 @@ class UhlmannHolonomy:
 
 def _sqrt_psd_batch(rhos: np.ndarray) -> np.ndarray:
     eig, vec = np.linalg.eigh(rhos)
-    eig = np.clip(eig, 0.0, None)
-    return np.einsum("...ij,...j,...kj->...ik", vec, np.sqrt(eig), vec.conj())
-
-
-def _sqrts_from_spectral(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """sqrt(rho) assembled from exact spectral weights (no precision loss)."""
-    return np.einsum("...ij,...j,...kj->...ik", vectors, np.sqrt(weights), vectors.conj())
+    return spectral_sum(vec, np.sqrt(np.clip(eig, 0.0, None)))
 
 
 def _check_rank(rhos: np.ndarray, floor: float = RANK_NOISE_FLOOR):
@@ -216,36 +197,22 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
     exact spectral weights instead and reach much larger beta.
     """
     ks = momentum_line(n_points)
-    if direction == "x":
-        hs = model.matrices(ks, np.full_like(ks, transverse_k))
-    elif direction == "y":
-        hs = model.matrices(np.full_like(ks, transverse_k), ks)
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    weights, vectors = _thermal_spectral_batch(hs, beta, mu)
-    rhos = np.einsum("...ij,...j,...kj->...ik", vectors, weights, vectors.conj())
+    rhos = thermal_density_k(model, beta, mu, *line_momenta(direction, ks, transverse_k))
     return DensityMatrixPath(parameters=ks, rhos=rhos)
 
 
 def _uhlmann_profile_raw(model: BlochModel, beta: float, mu: float, direction: str,
                          transverse: np.ndarray, n_points: int) -> np.ndarray:
     """Uhlmann phases over transverse momenta, batched over (transverse, path)."""
-    ks = momentum_line(n_points)
-    if direction == "x":
-        kxs = np.broadcast_to(ks, (len(transverse), n_points))
-        kys = np.broadcast_to(transverse[:, None], (len(transverse), n_points))
-    elif direction == "y":
-        kxs = np.broadcast_to(transverse[:, None], (len(transverse), n_points))
-        kys = np.broadcast_to(ks, (len(transverse), n_points))
-    else:
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
-    weights, vectors = _thermal_spectral_batch(model.matrices(kxs, kys), beta, mu)
-    holonomies, dev = _holonomy_from_sqrts(_sqrts_from_spectral(weights, vectors))
+    kxs, kys = line_momenta(direction, momentum_line(n_points)[None, :], transverse[:, None])
+    energies, vectors = np.linalg.eigh(model.matrix(kxs, kys))
+    weights = boltzmann_weights(energies, beta, mu)
+    holonomies, dev = _holonomy_from_sqrts(spectral_sum(vectors, np.sqrt(weights)))
     if dev >= LINK_IDENTITY_MAX:
         raise UnderResolvedError(
             f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
             "refine the path discretization")
-    rho0 = np.einsum("tij,tj,tkj->tik", vectors[:, 0], weights[:, 0], vectors[:, 0].conj())
+    rho0 = spectral_sum(vectors[:, 0], weights[:, 0])
     traces = np.einsum("tij,tji->t", rho0, holonomies)
     if np.abs(traces).min() < 1e-12:
         k_bad = transverse[np.argmin(np.abs(traces))]
@@ -330,14 +297,15 @@ class InvariantReport:
 
 
 def ground_state_chern(model: BlochModel, mu: float, grid: MomentumGrid) -> int:
-    """Chern number of the filled frame of h (all bands below mu)."""
-    energies = np.linalg.eigvalsh(model.matrix(grid.kx_values()[0], grid.ky_values()[0]))
-    n_filled = int((energies < mu).sum())
-    if n_filled == 0 or n_filled == model.p:
-        raise GapError(f"mu={mu} fills no band or all bands")
-    frame = states_on_grid(model.matrix, grid.kx_values(), grid.ky_values(),
-                           list(range(n_filled)))
-    return chern_number(berry_curvature_plaquette(frame))
+    """Chern number of the filled frame of h (all bands below mu).
+
+    Frames and the filled-band count come from one batched spectrum; mu
+    inside a band anywhere on the grid raises GapError naming k.
+    """
+    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
+    energies, frames = band_systems(model.matrix(kxs, kys))
+    n_filled = bands_below(energies, mu, kxs, kys)
+    return chern_number(berry_curvature_plaquette(frames[..., :n_filled]))
 
 
 def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,

@@ -8,6 +8,7 @@ import mixedtopo as mt
 from mixedtopo import serialize
 from mixedtopo.cli import main
 from mixedtopo.config import parse_config
+from per_k_oracle import frames_per_k
 
 
 def write_config(path, text):
@@ -288,6 +289,65 @@ def test_cli_tabulated_grid_mismatch_exit_2(tmp_path, capsys, qwz):
     for command in ("chern", "egp-winding", "egp-profile"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "(key: grid_ny)" in capsys.readouterr().err
+
+
+def test_cli_non_finite_state_file_exit_2(tmp_path, capsys, qwz):
+    state_path = _save_state(tmp_path, qwz, 8, 8)
+    lines = state_path.read_text().splitlines()
+    lines[7] = "nan " + lines[7].split(" ", 1)[1]  # grid point (0, 3), row 0
+    state_path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "c.txt", f"model = qwz\nhfict_path = {state_path}\n")
+    for command in ("chern", "egp-winding"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "(ix, iy) = (0, 3)" in err and "(key: hfict_path)" in err
+
+
+def _assert_chern_outputs_match_per_k(out, tmp_path, sources, kxs, kys):
+    """Curvature CSVs and chern.json equal those built from per-k oracle frames."""
+    expected = {}
+    for name, matrix_fn in sources.items():
+        frames = frames_per_k(matrix_fn, kxs, kys)
+        expected[name] = []
+        for band in range(frames.shape[-1]):
+            field = mt.berry_curvature_plaquette(frames[..., band])
+            expected[name].append(mt.chern_number(field))
+            reference = tmp_path / f"reference_{name}_{band}.csv"
+            serialize.curvature_to_csv(reference, field, kxs, kys)
+            got = out / f"curvature_{name}_band{band}.csv"
+            assert got.read_bytes() == reference.read_bytes()
+    assert json.loads((out / "chern.json").read_text()) == expected
+
+
+def test_cli_chern_thermal_matches_per_k_oracle(tmp_path, qwz):
+    cfg = write_config(tmp_path / "c.txt", BASE.replace("grid_ny = 16", "grid_ny = 12")
+                       + "temperature = 0.7\n")
+    out = tmp_path / "out"
+    assert main(["chern", "--config", cfg, "--out", str(out)]) == 0
+    spec = parse_config(cfg).build_state()
+    grid = mt.MomentumGrid(16, 12)
+    _assert_chern_outputs_match_per_k(
+        out, tmp_path,
+        {"h": qwz.matrix, "hfict": lambda kx, ky: mt.fictitious_hamiltonian(spec, kx, ky)},
+        grid.kx_values(), grid.ky_values())
+
+
+def test_cli_chern_tabulated_matches_per_k_oracle(tmp_path, qwz):
+    grid = mt.MomentumGrid(12, 10)
+    model_path = tmp_path / "model.dat"
+    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
+    mt.save_matrix_grid(model_path, grid, qwz.matrix(kxs, kys))
+    state_path = _save_state(tmp_path, qwz, grid.nx, grid.ny)
+    cfg = write_config(tmp_path / "c.txt", f"model = tabulated\nmodel_path = {model_path}\n"
+                       f"hfict_path = {state_path}\n")
+    out = tmp_path / "out"
+    assert main(["chern", "--config", cfg, "--out", str(out)]) == 0
+    model = mt.tabulated_model(*mt.load_matrix_grid(model_path))
+    spec = mt.GaussianStateSpec.from_grid(mt.load_hfict_grid(state_path))
+    _assert_chern_outputs_match_per_k(
+        out, tmp_path,
+        {"h": model.matrix, "hfict": lambda kx, ky: mt.fictitious_hamiltonian(spec, kx, ky)},
+        grid.kx_values(), grid.ky_values())
 
 
 def test_cli_format_json(tmp_path):

@@ -166,8 +166,8 @@ def test_zero_amplitude_error_arm():
     from mixedtopo.egp import _require_amplitude
     dead = mt.GaussianTrace(phase=0.0, log_magnitude=-math.inf)
     assert dead.magnitude == 0.0
-    with pytest.raises(mt.AmplitudeZeroError):
-        _require_amplitude(dead, "in test")
+    with pytest.raises(mt.AmplitudeZeroError, match="transverse_k=0.200000, N=4"):
+        _require_amplitude([0.0, dead.log_magnitude, -math.inf], [0.1, 0.2, 0.3], ", N=4")
 
 
 def test_exact_half_occupation_amplitude_is_zero():
@@ -298,25 +298,24 @@ def test_gauge_reduction_requires_ascending():
         mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 6])
 
 
-def test_pump_reduces_to_egp_winding(qwz):
-    beta = 0.5
+# A Thouless pump is a 2D model whose ky is the pump parameter, t = (ky + pi) / 2pi;
+# its winding is that of the x-direction EGP profile over ky.
 
-    def family(t):
-        return mt.ChainGaussianSpec(beta, 0.0, mt.restrict_model(qwz, "x", t))
+def pump_model(matrix_of_k_t, name):
+    def evaluate(kx, ky):
+        return matrix_of_k_t(kx, (ky + np.pi) / (2 * np.pi))
 
-    winding = mt.pump_winding(family, 10, mt.momentum_line(24))
-    spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    cx, _ = mt.egp_windings(spec, 10, 24)
-    assert winding == cx == 1
+    return mt.BlochModel(p=2, evaluator=evaluate, name=name)
+
+
+def pump_winding(model, beta, n_cells, t_count):
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, model)
+    return mt.winding_of_phase_profile(mt.egp_profile(spec, "x", n_cells, t_count))
 
 
 def test_pump_constant_family_is_trivial(qwz):
-    chain = mt.restrict_model(qwz, "x", 0.3)
-
-    def family(t):
-        return mt.ChainGaussianSpec(1.0, 0.0, chain)
-
-    assert mt.pump_winding(family, 8, np.linspace(0, 1, 12, endpoint=False)) == 0
+    constant = pump_model(lambda k, t: qwz.matrix(k, 0.3), "qwz|ky=0.3")
+    assert pump_winding(constant, 1.0, 8, 12) == 0
 
 
 def rice_mele_matrix(k, t):
@@ -326,18 +325,13 @@ def rice_mele_matrix(k, t):
 
 
 def test_pump_rice_mele_thermal_matches_pure_oracle():
-    t_grid = np.linspace(0, 1, 24, endpoint=False)
+    rice_mele = pump_model(rice_mele_matrix, "rice-mele")
 
     # oracle: plaquette Chern number of the pure lower band on the (k, t) torus
-    frame = mt.states_on_grid(lambda k, t: rice_mele_matrix(k, t),
-                              mt.momentum_line(32), t_grid, 0)
+    frame = mt.states_on_grid(rice_mele.matrix, mt.momentum_line(32), mt.momentum_line(24), 0)
     expected = mt.chern_number(mt.berry_curvature_plaquette(frame))
 
-    def family(t):
-        return mt.ChainGaussianSpec(2.0, 0.0, mt.BlochModel1D(
-            p=2, evaluator=lambda k, t=t: rice_mele_matrix(k, t), name="rice-mele"))
-
-    assert mt.pump_winding(family, 12, t_grid) == expected
+    assert pump_winding(rice_mele, 2.0, 12, 24) == expected
     assert expected != 0
 
 

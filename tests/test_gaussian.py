@@ -307,10 +307,15 @@ def test_spec_validation(qwz):
         mt.GaussianStateSpec.thermal(-1.0, 0.0, qwz)
 
 
-def test_hfict_line_1d_matches_restriction(qwz):
-    chain = mt.restrict_model(qwz, "x", 0.9)
-    spec = mt.GaussianStateSpec.thermal(1.1, 0.0, qwz)
-    from mixedtopo.gaussian import hfict_line, hfict_line_1d
-    a = hfict_line(spec, "x", 0.9, 5)
-    b = hfict_line_1d(1.1, 0.0, chain, 5)
-    assert np.abs(a - b).max() == 0.0
+
+def test_load_matrix_grid_rejects_non_finite_entry(tmp_path, qwz):
+    grid = mt.MomentumGrid(8, 8)
+    path = tmp_path / "state.dat"
+    mt.save_hfict_grid(path, mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), grid))
+    lines = path.read_text().splitlines()
+    ix, iy, row, p = 3, 5, 1, 2
+    line = 1 + (ix * grid.ny + iy) * p + row
+    lines[line] = "nan " + lines[line].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"grid point \(ix, iy\) = \(3, 5\)"):
+        mt.load_matrix_grid(path)

@@ -143,13 +143,6 @@ def test_tabulated_model_roundtrip(qwz):
         tab.matrix(0.1234, ky)
 
 
-def test_restrict_model(qwz):
-    chain = mt.restrict_model(qwz, "x", np.pi / 3)
-    assert np.array_equal(chain.matrix(0.7), qwz.matrix(0.7, np.pi / 3))
-    chain_y = mt.restrict_model(qwz, "y", 0.2)
-    assert np.array_equal(chain_y.matrix(-0.4), qwz.matrix(0.2, -0.4))
-
-
 def test_degenerate_eigenvalues_allowed_in_solver():
     bs = mt.band_system(np.zeros((3, 3), dtype=complex))
     assert np.allclose(bs.energies, 0.0)

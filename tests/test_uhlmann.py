@@ -185,6 +185,12 @@ def test_ground_state_chern(qwz):
     assert mt.ground_state_chern(qwz, 0.0, mt.MomentumGrid(24, 24)) == 1
 
 
+def test_ground_state_chern_rejects_metal(qwz):
+    # mu = 2 cuts the upper band: the filled count changes across the grid
+    with pytest.raises(mt.GapError, match=r"occupation count changes at k=\("):
+        mt.ground_state_chern(qwz, 2.0, mt.MomentumGrid(16, 16))
+
+
 def test_temperature_scan_structure(qwz, qwz_gap):
     grid = mt.MomentumGrid(12, 12)
     temps = np.array([0.05, 0.5, 5.0]) * qwz_gap
