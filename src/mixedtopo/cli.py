@@ -99,7 +99,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
         model = cfg.build_model()
         grid = cfg.momentum_grid()
         kxs, kys = grid.kx_values(), grid.ky_values()
-        energies = np.linalg.eigvalsh(model.matrix(*np.meshgrid(kxs, kys, indexing="ij")))
+        energies = np.linalg.eigvalsh(model.matrix(*grid.mesh()))
         header = ["kx", "ky"] + [f"e_{n + 1}" for n in range(model.p)]
         rows = []
         for i, kx in enumerate(kxs):
@@ -137,7 +137,7 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
                 files.append(path)
             return numbers
 
-        summary = {"h": chern_numbers("h", model.matrix(*np.meshgrid(kxs, kys, indexing="ij"))),
+        summary = {"h": chern_numbers("h", model.matrix(*grid.mesh())),
                    "hfict": None}
         if _has_state(cfg):
             spec = tabulated if tabulated is not None else cfg.build_state()

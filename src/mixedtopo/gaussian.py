@@ -31,7 +31,7 @@ from .model import (
 )
 
 OCCUPATION_ATOL = 1e-10
-HALF_MARGIN_DEFAULT = 1e-3
+HALF_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,11 @@ class FictitiousHamiltonianGrid:
         """
         return self._half_margin
 
-    def require_generalized_gap(self, margin: float = HALF_MARGIN_DEFAULT):
+    def require_generalized_gap(self):
         got = self.half_margin()
-        if got <= margin:
+        if got <= HALF_MARGIN:
             raise GapError(
-                f"occupation spectrum approaches 1/2 within {got:.3e} <= margin {margin:.0e}; "
+                f"occupation spectrum approaches 1/2 within {got:.3e} <= margin {HALF_MARGIN:.0e}; "
                 "generalized gap condition violated")
 
 
@@ -202,8 +202,7 @@ def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHa
         if (spec.hfict_grid.grid.nx, spec.hfict_grid.grid.ny) != (grid.nx, grid.ny):
             raise ValueError("requested grid does not match the tabulated one")
         return spec.hfict_grid
-    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
-    return FictitiousHamiltonianGrid(grid, fictitious_hamiltonian(spec, kxs, kys))
+    return FictitiousHamiltonianGrid(grid, fictitious_hamiltonian(spec, *grid.mesh()))
 
 
 def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
@@ -289,9 +288,9 @@ def chain_correlation_matrix(spec: GaussianStateSpec, direction: str, transverse
                                   entries=correlation_from_hfict_line(line))
 
 
-def filled_band_count(occupations: np.ndarray, margin: float = HALF_MARGIN_DEFAULT) -> int:
+def filled_band_count(occupations: np.ndarray) -> int:
     """Number of occupation eigenvalues above 1/2; rejects spectra near 1/2."""
     occupations = np.asarray(occupations)
-    if np.abs(occupations - 0.5).min() <= margin:
-        raise GapError(f"occupation within {margin:.0e} of 1/2: filled frame ill-defined")
+    if np.abs(occupations - 0.5).min() <= HALF_MARGIN:
+        raise GapError(f"occupation within {HALF_MARGIN:.0e} of 1/2: filled frame ill-defined")
     return int((occupations > 0.5).sum())

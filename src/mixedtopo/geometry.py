@@ -19,7 +19,7 @@ from .errors import QuantizationError, UnderResolvedError
 from .model import band_systems
 
 OVERLAP_MIN_MODULUS = 1e-8
-JUMP_MARGIN_DEFAULT = 0.1
+JUMP_MARGIN = 0.1
 CHERN_RESIDUE_ATOL = 1e-6
 
 
@@ -57,8 +57,8 @@ class PhaseProfile:
     def max_jump(self) -> float:
         return float(np.abs(self.jumps()).max())
 
-    def under_resolved(self, margin: float = JUMP_MARGIN_DEFAULT) -> bool:
-        return self.max_jump() >= np.pi - margin
+    def under_resolved(self) -> bool:
+        return self.max_jump() >= np.pi - JUMP_MARGIN
 
 
 @dataclass
@@ -135,24 +135,23 @@ def berry_curvature_plaquette(state_grid: np.ndarray) -> CurvatureField:
     return CurvatureField(values=np.angle(loop))
 
 
-def chern_number(curvature: CurvatureField, residue_atol: float = CHERN_RESIDUE_ATOL) -> int:
+def chern_number(curvature: CurvatureField) -> int:
     """Round the plaquette sum / 2pi to an integer; large residue means trouble."""
     total = curvature.total() / (2 * np.pi)
     rounded = int(np.rint(total))
     residue = abs(total - rounded)
-    if residue > residue_atol:
+    if residue > CHERN_RESIDUE_ATOL:
         raise QuantizationError(
             f"plaquette sum / 2pi = {total:.9f} misses an integer by {residue:.3e} "
             "(gap closing or under-resolved grid)")
     return rounded
 
 
-def winding_of_phase_profile(profile: PhaseProfile,
-                             margin: float = JUMP_MARGIN_DEFAULT) -> int:
+def winding_of_phase_profile(profile: PhaseProfile) -> int:
     """Integer winding (1/2pi) sum of principal-value steps around the loop."""
-    if profile.under_resolved(margin):
+    if profile.under_resolved():
         raise UnderResolvedError(
-            f"max phase step {profile.max_jump():.3f} rad >= pi - {margin}: "
+            f"max phase step {profile.max_jump():.3f} rad >= pi - {JUMP_MARGIN}: "
             "profile under-resolved; refine the parameter grid")
     total = profile.jumps().sum() / (2 * np.pi)
     rounded = int(np.rint(total))

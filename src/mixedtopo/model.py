@@ -48,12 +48,9 @@ class MomentumGrid:
     def ky_values(self) -> np.ndarray:
         return -np.pi + 2 * np.pi * np.arange(self.ny) / self.ny
 
-    def axis_values(self, direction: str) -> np.ndarray:
-        if direction == "x":
-            return self.kx_values()
-        if direction == "y":
-            return self.ky_values()
-        raise ValueError(f"direction must be 'x' or 'y', got {direction!r}")
+    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(kxs, kys) of shape (nx, ny) on the "ij" mesh: kxs[ix, iy] = kx_ix."""
+        return np.meshgrid(self.kx_values(), self.ky_values(), indexing="ij")
 
 
 def momentum_line(n: int) -> np.ndarray:
@@ -200,38 +197,38 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()
 
 
-def band_system(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> BandSystem:
+def band_system(h: np.ndarray) -> BandSystem:
     """Diagonalize a Hermitian Bloch matrix with a deterministic gauge.
 
     Eigenvalues ascend; each eigenvector is rephased so its largest-magnitude
     component (lowest index on ties) is real and positive, making repeated
     calls bitwise reproducible.
     """
-    energies, states = band_systems(h, atol)
+    energies, states = band_systems(h)
     return BandSystem(energies=energies, states=states)
 
 
-def band_systems(hs: np.ndarray, atol: float = HERMITICITY_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def band_systems(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched band_system over stacked matrices (..., p, p)."""
     hs = np.asarray(hs, dtype=complex)
-    _check_hermitian(hs, atol, "band_systems input")
+    _check_hermitian(hs, what="band_systems input")
     energies, vectors = np.linalg.eigh(hs)
     return energies, _gauge_fix(vectors)
 
 
-def bands_below(energies: np.ndarray, mu: float, kxs, kys,
-                atol: float = FERMI_DEGENERACY_ATOL) -> int:
+def bands_below(energies: np.ndarray, mu: float, kxs, kys) -> int:
     """Number of bands below mu, which must be the same at every grid point.
 
     `energies` (nx, ny, p) belong to the momenta kxs, kys (nx, ny). GapError
-    names the first k where an eigenvalue sits within `atol` of mu or where
-    the count changes (mu inside a band), and mu outside the whole spectrum.
+    names the first k where an eigenvalue sits within FERMI_DEGENERACY_ATOL of
+    mu or where the count changes (mu inside a band), and mu outside the whole
+    spectrum.
     """
-    close = np.abs(energies - mu) <= atol
+    close = np.abs(energies - mu) <= FERMI_DEGENERACY_ATOL
     if close.any():
         ix, iy = np.argwhere(close.any(axis=-1))[0]
-        raise GapError(
-            f"eigenvalue within {atol:.0e} of mu={mu} at k=({kxs[ix, iy]:.6f}, {kys[ix, iy]:.6f})")
+        raise GapError(f"eigenvalue within {FERMI_DEGENERACY_ATOL:.0e} of mu={mu} "
+                       f"at k=({kxs[ix, iy]:.6f}, {kys[ix, iy]:.6f})")
 
     below = (energies < mu).sum(axis=-1)
     n0 = int(below.flat[0])
@@ -246,12 +243,11 @@ def bands_below(energies: np.ndarray, mu: float, kxs, kys,
     return n0
 
 
-def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
-             atol: float = FERMI_DEGENERACY_ATOL) -> float:
+def band_gap(model: BlochModel, grid: MomentumGrid, mu: float) -> float:
     """Minimum over the grid of the direct gap straddling mu (see bands_below)."""
-    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
+    kxs, kys = grid.mesh()
     energies = np.linalg.eigvalsh(model.matrix(kxs, kys))
-    n0 = bands_below(energies, mu, kxs, kys, atol)
+    n0 = bands_below(energies, mu, kxs, kys)
     gap = (energies[..., n0] - energies[..., n0 - 1]).min()
     return float(gap)
 
@@ -262,18 +258,17 @@ def band_gap(model: BlochModel, grid: MomentumGrid, mu: float,
 # matrices: Fermi occupations give the covariance (EGP, Chern), Boltzmann
 # weights the density matrix (Uhlmann).
 
-def fermi_weights(energies: np.ndarray, beta: float, mu: float,
-                  atol: float = FERMI_DEGENERACY_ATOL) -> np.ndarray:
+def fermi_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
     """Occupations 1/(e^{beta (e - mu)} + 1); beta = inf fills strictly below mu.
 
     The finite-beta branch is overflow safe for either sign of the exponent.
-    At beta = inf an eigenvalue within `atol` of mu raises GapError.
+    At beta = inf an eigenvalue within FERMI_DEGENERACY_ATOL of mu raises GapError.
     """
     energies = np.asarray(energies, dtype=float)
     if math.isinf(beta):
-        if np.abs(energies - mu).min() <= atol:
-            raise GapError(f"beta = inf with an eigenvalue within {atol:.0e} of mu={mu}: "
-                           "gapless projector limit")
+        if np.abs(energies - mu).min() <= FERMI_DEGENERACY_ATOL:
+            raise GapError(f"beta = inf with an eigenvalue within {FERMI_DEGENERACY_ATOL:.0e} "
+                           f"of mu={mu}: gapless projector limit")
         return (energies < mu).astype(float)
     x = beta * (energies - mu)
     e = np.exp(-np.abs(x))

@@ -22,10 +22,7 @@ from .uhlmann import InvariantReport
 
 def fmt(x) -> str:
     """17-significant-digit decimal rendering (round-trip exact for float64)."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 def _opt(x) -> str:

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .egp import egp_windings
 from .errors import (
     MixedTopoError,
     PhaseUndefinedError,
@@ -61,10 +62,15 @@ def thermal_density_k(model: BlochModel, beta: float, mu: float, kx, ky) -> np.n
 
 @dataclass(frozen=True)
 class DensityMatrixPath:
-    """Closed loop of full-rank density matrices; rho(M+1) is rho(1)."""
+    """Closed loop of density matrices; rho(M+1) is rho(1).
+
+    The spectrum of every point is taken once, at construction; the holonomy
+    and the phase read it and diagonalize nothing again.
+    """
 
     parameters: np.ndarray
     rhos: np.ndarray  # (M, p, p)
+    _spectrum: tuple = field(init=False, repr=False, compare=False)  # (vectors, weights)
 
     def __post_init__(self):
         rhos = np.asarray(self.rhos, dtype=complex)
@@ -73,18 +79,20 @@ class DensityMatrixPath:
             raise ValueError("rhos must be (M, p, p)")
         if params.shape != (rhos.shape[0],):
             raise ValueError("parameters must match the number of path points")
-        traces = np.einsum("kii->k", rhos)
-        if np.abs(traces - 1).max() > 1e-12:
+        # `not dev <= tol` refuses NaN entries too
+        trace_dev = np.abs(np.einsum("kii->k", rhos) - 1).max()
+        if not trace_dev <= 1e-12:
             raise ValueError(f"path matrices must have unit trace "
-                             f"(worst deviation {np.abs(traces - 1).max():.3e})")
-        if np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() > 1e-12:
+                             f"(worst deviation {trace_dev:.3e})")
+        if not np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12:
             raise ValueError("path matrices must be Hermitian")
-        eig = np.linalg.eigvalsh(rhos)
-        if eig.min() < -1e-12:
+        weights, vectors = np.linalg.eigh(rhos)
+        if not weights.min() >= -1e-12:
             raise ValueError(f"path matrices must be positive semi-definite "
-                             f"(min eigenvalue {eig.min():.3e})")
+                             f"(min eigenvalue {weights.min():.3e})")
         object.__setattr__(self, "rhos", rhos)
         object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "_spectrum", (vectors, weights))
 
     def __len__(self) -> int:
         return self.rhos.shape[0]
@@ -97,21 +105,19 @@ class UhlmannHolonomy:
     matrix: np.ndarray
     n_points: int
     max_link_deviation: float = math.nan
-    metadata: dict = field(default_factory=dict)
 
 
-def _sqrt_psd_batch(rhos: np.ndarray) -> np.ndarray:
-    eig, vec = np.linalg.eigh(rhos)
-    return spectral_sum(vec, np.sqrt(np.clip(eig, 0.0, None)))
-
-
-def _check_rank(rhos: np.ndarray, floor: float = RANK_NOISE_FLOOR):
-    smallest = np.linalg.eigvalsh(rhos)[..., 0].min()
-    if smallest <= floor:
+def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray]:
+    """The stored (vectors, weights) of a path; refused at the rank noise floor."""
+    vectors, weights = path._spectrum
+    smallest = weights[..., 0].min()
+    if smallest <= RANK_NOISE_FLOOR:
         raise RankDeficiencyError(
             f"density matrix numerically rank deficient (min eigenvalue {smallest:.3e} "
-            f"<= {floor:.0e}); mixed-state holonomy undefined at exact purity. For cold "
-            "thermal states use the thermal entry points, which work with exact weights")
+            f"<= {RANK_NOISE_FLOOR:.0e}); mixed-state holonomy undefined at exact purity. "
+            "For cold thermal states use the thermal entry points, which work with exact "
+            "weights")
+    return vectors, weights
 
 
 def _polar_unitary(products: np.ndarray) -> np.ndarray:
@@ -119,18 +125,18 @@ def _polar_unitary(products: np.ndarray) -> np.ndarray:
     return w @ zh
 
 
-def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray,
-                 rank_floor: float = RANK_NOISE_FLOOR) -> np.ndarray:
+def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """Discrete parallel-transport unitary from rho_a to rho_b.
 
     V = W Z^dag from the SVD sqrt(rho_b) sqrt(rho_a) = W S Z^dag; equivalently
     the unitary maximizing Re Tr[V^dag sqrt(rho_b) sqrt(rho_a)], which is the
-    w_b^dag w_a > 0 transport condition.
+    w_b^dag w_a > 0 transport condition. The pair is validated as a
+    two-point DensityMatrixPath.
     """
-    pair = np.stack([np.asarray(rho_a, dtype=complex), np.asarray(rho_b, dtype=complex)])
-    _check_rank(pair, rank_floor)
-    sq = _sqrt_psd_batch(pair)
-    return _polar_unitary(sq[1] @ sq[0])
+    pair = DensityMatrixPath(np.arange(2.0), np.stack([rho_a, rho_b]))
+    vectors, weights = _full_rank_spectrum(pair)
+    amplitudes = spectral_sum(vectors, np.sqrt(weights))
+    return _polar_unitary(amplitudes[1] @ amplitudes[0])
 
 
 def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
@@ -151,41 +157,52 @@ def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
     return prod[..., 0, :, :]
 
 
-def _holonomy_from_sqrts(sqrts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Holonomy (and max transport-link deviation) from stacked sqrt(rho).
+def _transport(vectors: np.ndarray, weights: np.ndarray,
+               transverse: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(holonomies, phases, max link deviation) of closed loops given by their spectra.
 
-    Works batched: sqrts has shape (..., M, p, p). The near-identity
-    diagnostic is ||(V_i - 1) sqrt(rho_i)||_F: for nearly pure states the
-    polar factor is numerically arbitrary (and physically irrelevant) on the
-    vanishing-weight subspace, so the deviation is weighted by the amplitude
-    each link actually transports.
+    vectors (..., M, p, p) and weights (..., M, p) are the eigenbases and
+    eigenvalues of the M points of each loop; the amplitudes
+    sqrt(rho) = V diag(sqrt w) V^dag give the links, H = V_M ... V_1 and
+    phi_U = Im ln Tr[rho(0) H]. The near-identity diagnostic is
+    ||(V_i - 1) sqrt(rho_i)||_F: for nearly pure states the polar factor is
+    numerically arbitrary (and physically irrelevant) on the vanishing-weight
+    subspace, so the deviation is weighted by the amplitude each link
+    actually transports. `transverse` (one momentum per loop) names the loop
+    whose phase is undefined.
     """
-    nxt = np.roll(sqrts, -1, axis=-3)
-    links = _polar_unitary(nxt @ sqrts)
+    amplitudes = spectral_sum(vectors, np.sqrt(weights))
+    links = _polar_unitary(np.roll(amplitudes, -1, axis=-3) @ amplitudes)
     p = links.shape[-1]
-    dev = np.linalg.norm((links - np.eye(p)) @ sqrts, axis=(-2, -1)).max()
-    return _ordered_product_reversed(links), float(dev)
-
-
-def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
-    """H = V_M ... V_1 along the closed path; refuses badly resolved paths."""
-    _check_rank(path.rhos)
-    holonomy, dev = _holonomy_from_sqrts(_sqrt_psd_batch(path.rhos))
+    dev = float(np.linalg.norm((links - np.eye(p)) @ amplitudes, axis=(-2, -1)).max())
     if dev >= LINK_IDENTITY_MAX:
         raise UnderResolvedError(
             f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
             "refine the path discretization")
+    holonomies = _ordered_product_reversed(links)
+    rho0 = spectral_sum(vectors[..., 0, :, :], weights[..., 0, :])
+    traces = np.einsum("...ij,...ji->...", rho0, holonomies)
+    moduli = np.abs(traces)
+    if moduli.min() < 1e-12:
+        where = "" if transverse is None else f" at transverse_k={transverse[moduli.argmin()]:.6f}"
+        raise PhaseUndefinedError(f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12{where}: "
+                                  "Uhlmann phase undefined")
+    return holonomies, np.angle(traces), dev
+
+
+def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
+    """H = V_M ... V_1 along the closed path; refuses badly resolved paths.
+
+    Raises PhaseUndefinedError where Tr[rho(0) H] vanishes, like uhlmann_phase.
+    """
+    holonomy, _, dev = _transport(*_full_rank_spectrum(path))
     return UhlmannHolonomy(matrix=holonomy, n_points=len(path), max_link_deviation=dev)
 
 
 def uhlmann_phase(path: DensityMatrixPath) -> float:
     """phi_U = Im ln Tr[rho(0) H] on the principal branch."""
-    hol = uhlmann_holonomy(path)
-    trace = np.trace(path.rhos[0] @ hol.matrix)
-    if abs(trace) < 1e-12:
-        raise PhaseUndefinedError(f"|Tr[rho(0) H]| = {abs(trace):.3e} < 1e-12: "
-                                  "Uhlmann phase undefined")
-    return float(np.angle(trace))
+    _, phase, _ = _transport(*_full_rank_spectrum(path))
+    return float(phase)
 
 
 def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
@@ -203,77 +220,66 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
 
 def _uhlmann_profile_raw(model: BlochModel, beta: float, mu: float, direction: str,
                          transverse: np.ndarray, n_points: int) -> np.ndarray:
-    """Uhlmann phases over transverse momenta, batched over (transverse, path)."""
+    """Uhlmann phases over transverse momenta, batched over (transverse, path).
+
+    The spectra keep their exact Boltzmann weights: no density matrix is
+    assembled, so no rank floor applies.
+    """
     kxs, kys = line_momenta(direction, momentum_line(n_points)[None, :], transverse[:, None])
     energies, vectors = np.linalg.eigh(model.matrix(kxs, kys))
-    weights = boltzmann_weights(energies, beta, mu)
-    holonomies, dev = _holonomy_from_sqrts(spectral_sum(vectors, np.sqrt(weights)))
-    if dev >= LINK_IDENTITY_MAX:
-        raise UnderResolvedError(
-            f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
-            "refine the path discretization")
-    rho0 = spectral_sum(vectors[:, 0], weights[:, 0])
-    traces = np.einsum("tij,tji->t", rho0, holonomies)
-    if np.abs(traces).min() < 1e-12:
-        k_bad = transverse[np.argmin(np.abs(traces))]
-        raise PhaseUndefinedError(f"|Tr[rho H]| < 1e-12 at transverse_k={k_bad:.6f}")
-    return np.angle(traces)
+    _, phases, _ = _transport(vectors, boltzmann_weights(energies, beta, mu), transverse)
+    return phases
 
 
 def _refined_phases(model: BlochModel, beta: float, mu: float, direction: str,
-                    transverse: np.ndarray, n_points: int, refine: bool,
-                    cauchy_tol: float, n_cap: int) -> tuple[np.ndarray, int]:
+                    transverse: np.ndarray, n_points: int, refine: bool) -> tuple[np.ndarray, int]:
     m = n_points
     phases = _uhlmann_profile_raw(model, beta, mu, direction, transverse, m)
     while refine:
-        if 2 * m > n_cap:
+        if 2 * m > PATH_POINTS_CAP:
             raise UnderResolvedError(
-                f"Uhlmann path not Cauchy-converged below {n_cap} points")
+                f"Uhlmann path not Cauchy-converged below {PATH_POINTS_CAP} points")
         refined = _uhlmann_profile_raw(model, beta, mu, direction, transverse, 2 * m)
         delta = np.abs((refined - phases + np.pi) % (2 * np.pi) - np.pi).max()
         phases, m = refined, 2 * m
-        if delta < cauchy_tol:
+        if delta < CAUCHY_TOL:
             break
     return phases, m
 
 
 def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
                      transverse_k: float, n_points: int = PATH_POINTS_DEFAULT,
-                     refine: bool = True, cauchy_tol: float = CAUCHY_TOL,
-                     n_cap: int = PATH_POINTS_CAP) -> tuple[float, int]:
+                     refine: bool = True) -> tuple[float, int]:
     """phi_U for one straight Brillouin-zone loop; returns (phase, points used)."""
     phases, m = _refined_phases(model, beta, mu, direction,
-                                np.array([float(transverse_k)]), n_points,
-                                refine, cauchy_tol, n_cap)
+                                np.array([float(transverse_k)]), n_points, refine)
     return float(phases[0]), m
 
 
 def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: str,
                           transverse: np.ndarray, n_points: int = PATH_POINTS_DEFAULT,
-                          refine: bool = True, cauchy_tol: float = CAUCHY_TOL,
-                          n_cap: int = PATH_POINTS_CAP) -> tuple[PhaseProfile, int]:
+                          refine: bool = True) -> tuple[PhaseProfile, int]:
     """Profile of phi_U over the transverse BZ with automatic path refinement.
 
     The path resolution doubles until the profile changes pointwise by less
-    than `cauchy_tol` (Cauchy criterion), capped at `n_cap` points.
+    than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points.
     """
     transverse = np.asarray(transverse, dtype=float)
-    phases, m = _refined_phases(model, beta, mu, direction, transverse, n_points,
-                                refine, cauchy_tol, n_cap)
+    phases, m = _refined_phases(model, beta, mu, direction, transverse, n_points, refine)
     profile = PhaseProfile(parameters=transverse, phases=phases, label="uhlmann",
                            direction=direction, temperature=1.0 / beta)
     return profile, m
 
 
 def uhlmann_windings(model: BlochModel, beta: float, mu: float, grid: MomentumGrid,
-                     n_points: int = PATH_POINTS_DEFAULT, refine: bool = True) -> tuple[int, int]:
+                     n_points: int = PATH_POINTS_DEFAULT) -> tuple[int, int]:
     """(C_x^U, C_y^U): windings of phi_U_x over ky and -(phi_U_y over kx).
 
     No equality is asserted; directional disagreement at intermediate
     temperature is a physical finding, not an error.
     """
-    prof_x, _ = uhlmann_phase_profile(model, beta, mu, "x", grid.ky_values(), n_points, refine)
-    prof_y, _ = uhlmann_phase_profile(model, beta, mu, "y", grid.kx_values(), n_points, refine)
+    prof_x, _ = uhlmann_phase_profile(model, beta, mu, "x", grid.ky_values(), n_points)
+    prof_y, _ = uhlmann_phase_profile(model, beta, mu, "y", grid.kx_values(), n_points)
     return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y)
 
 
@@ -302,7 +308,7 @@ def ground_state_chern(model: BlochModel, mu: float, grid: MomentumGrid) -> int:
     Frames and the filled-band count come from one batched spectrum; mu
     inside a band anywhere on the grid raises GapError naming k.
     """
-    kxs, kys = np.meshgrid(grid.kx_values(), grid.ky_values(), indexing="ij")
+    kxs, kys = grid.mesh()
     energies, frames = band_systems(model.matrix(kxs, kys))
     n_filled = bands_below(energies, mu, kxs, kys)
     return chern_number(berry_curvature_plaquette(frames[..., :n_filled]))
@@ -320,8 +326,6 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     hot end of a sweep (near-pi kinks develop toward maximal mixing), hence
     the separate `egp_transverse` resolution.
     """
-    from .egp import egp_windings
-
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = ground_state_chern(model, mu, grid)

@@ -287,17 +287,17 @@ def test_hfict_grid_rejects_bad_spectrum():
 def test_generalized_gap_margin(qwz):
     spec = mt.GaussianStateSpec.thermal(2.0, 0.0, qwz)
     hgrid = mt.fictitious_grid(spec, mt.MomentumGrid(8, 8))
-    hgrid.require_generalized_gap(1e-3)  # far from 1/2 at beta = 2
+    hgrid.require_generalized_gap()  # far from 1/2 at beta = 2
     hot = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1e-4, 0.0, qwz), mt.MomentumGrid(8, 8))
     with pytest.raises(mt.GapError):
-        hot.require_generalized_gap(1e-3)
+        hot.require_generalized_gap()
 
 
 def test_filled_band_count():
     assert mt.filled_band_count(np.array([0.1, 0.9])) == 1
     assert mt.filled_band_count(np.array([0.9, 0.8, 0.2])) == 2
     with pytest.raises(mt.GapError):
-        mt.filled_band_count(np.array([0.5005, 0.9]), margin=1e-3)
+        mt.filled_band_count(np.array([0.5005, 0.9]))
 
 
 def test_spec_validation(qwz):

@@ -85,6 +85,42 @@ def test_path_validation():
         mt.DensityMatrixPath(np.arange(4.0), bad)  # not Hermitian
 
 
+@pytest.mark.parametrize("entry", [(2, 0, 0), (2, 0, 1)])
+def test_path_rejects_nan_entries(entry):
+    rhos = np.tile(np.diag([0.6, 0.4]).astype(complex), (4, 1, 1))
+    rhos[entry] = np.nan
+    with pytest.raises(ValueError):
+        mt.DensityMatrixPath(np.arange(4.0), rhos)
+
+
+@pytest.mark.parametrize("bad", [np.array([[0.6, 0.3], [0.0, 0.4]]),  # not Hermitian
+                                 np.diag([0.9, 0.9])])                # trace 1.8
+def test_link_validates_its_pair_as_a_path(bad):
+    good = np.diag([0.7, 0.3])
+    for pair in ((good, bad), (bad, good)):
+        with pytest.raises(ValueError):
+            mt.uhlmann_link(*pair)
+
+
+def test_path_diagonalizes_once(qwz, monkeypatch):
+    """One eigh over the path at construction; holonomy, phase and link reuse it."""
+    rhos = mt.bz_loop_path(qwz, 2.0, 0.0, "x", 0.4, 64).rhos
+    calls = {"eigh": [], "eigvalsh": []}
+    for name in calls:
+        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name].append(int(np.prod(np.shape(a)[:-2])))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    path = mt.DensityMatrixPath(np.arange(64.0), rhos)
+    assert calls == {"eigh": [64], "eigvalsh": []}
+    mt.uhlmann_holonomy(path)
+    mt.uhlmann_phase(path)
+    assert calls == {"eigh": [64], "eigvalsh": []}
+    mt.uhlmann_link(rhos[0], rhos[1])
+    assert calls == {"eigh": [64, 2], "eigvalsh": []}
+
+
 def test_holonomy_rejects_projector_path():
     rhos = np.tile(np.diag([1.0, 0.0]).astype(complex), (8, 1, 1))
     path = mt.DensityMatrixPath(np.arange(8.0), rhos)
@@ -109,10 +145,13 @@ def test_holonomy_unitary(qwz):
     assert np.abs(hol.matrix.conj().T @ hol.matrix - np.eye(2)).max() <= 1e-10
 
 
-def test_phase_path_object_matches_profile_machinery(qwz):
-    path = thermal_path(qwz, 2.0, np.pi / 3, m=512)
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("beta", [0.1, 2.0, 3.0])
+def test_phase_path_object_matches_profile_machinery(qwz, beta, direction):
+    path = thermal_path(qwz, beta, np.pi / 3, m=512, direction=direction)
     phase_path = mt.uhlmann_phase(path)
-    phase_prof, _ = mt.uhlmann_phase_bz(qwz, 2.0, 0.0, "x", np.pi / 3, 512, refine=False)
+    phase_prof, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, direction, np.pi / 3, 512,
+                                        refine=False)
     assert abs(mt.principal_branch(phase_path - phase_prof)) <= 1e-12
 
 
@@ -130,7 +169,7 @@ def test_refinement_reports_points_used(qwz):
 
 def test_under_resolved_coarse_path(qwz):
     with pytest.raises(mt.UnderResolvedError):
-        mt.uhlmann_phase_bz(qwz, 20.0, 0.0, "y", np.pi / 2, 4, refine=False, n_cap=4)
+        mt.uhlmann_phase_bz(qwz, 20.0, 0.0, "y", np.pi / 2, 4, refine=False)
 
 
 def test_cold_phase_matches_fictitious_band_zak(qwz, qwz_gap):
