@@ -13,6 +13,7 @@ invariants do not feel it, user-supplied non-equilibrium grids do.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -95,15 +96,11 @@ def save_matrix_grid(path, grid: MomentumGrid, values: np.ndarray):
 def load_matrix_grid(path) -> tuple[MomentumGrid, np.ndarray]:
     """Parse a matrix-grid file; see save_matrix_grid for the layout."""
     with open(path, encoding="utf-8") as f:
-        tokens = []
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
+        tokens = re.sub("#[^\n]*", "", f.read()).split()
     if len(tokens) < 3:
         raise ValueError(f"{path}: missing 'p nx ny' header")
     p, nx, ny = (int(t) for t in tokens[:3])
-    data = np.array([float(t) for t in tokens[3:]])
+    data = np.array(tokens[3:], dtype=float)  # float() of each token, in C
     expected = nx * ny * p * p * 2
     if data.size != expected:
         raise ValueError(f"{path}: expected {expected} numbers after header, got {data.size}")

@@ -97,11 +97,14 @@ def profile_from_json(path) -> PhaseProfile:
 # ---------------------------------------------------------------- curvature
 
 def curvature_to_csv(path, field: CurvatureField, kx_values, ky_values):
-    rows = []
-    for i, kx in enumerate(kx_values):
-        for j, ky in enumerate(ky_values):
-            rows.append([fmt(kx), fmt(ky), fmt(field.values[i, j])])
-    write_csv(path, ["kx", "ky", "value"], rows)
+    """One "kx,ky,value" row per grid point, kx outer; the text write_csv would give."""
+    kys = [fmt(ky) for ky in ky_values]
+    lines = ["kx,ky,value"]
+    for kx, row in zip(kx_values, field.values.tolist()):
+        kx = fmt(kx)
+        lines.extend(f"{kx},{ky},{value:.17g}" for ky, value in zip(kys, row))
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def curvature_from_csv(path) -> tuple[CurvatureField, np.ndarray, np.ndarray]:

@@ -120,9 +120,50 @@ def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray
     return vectors, weights
 
 
-def _polar_unitary(products: np.ndarray) -> np.ndarray:
-    w, _, zh = np.linalg.svd(products)
-    return w @ zh
+def _polar_unitary(products: np.ndarray, det: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unitary factor U of the polar decompositions M = U sqrt(M^dag M), batched.
+
+    For p = 2, Cayley-Hamilton for P = sqrt(M^dag M) gives, with d = det M,
+    U = (M + (|d| / conj d) adj(M)^dag) / sqrt(||M||_F^2 + 2|d|). Where d is
+    exactly 0 (a rank-1 product, as in deep-cold rows) any unit phase gives a
+    polar factor; 1 is used. `det` passes d when the caller knows it better
+    than the entries do: from the entries its relative error grows with the
+    condition number of M. Other p go through the SVD M = W S Z^dag, U = W Z^dag.
+    """
+    if products.shape[-1] != 2:
+        w, _, zh = np.linalg.svd(products)
+        return w @ zh
+    if det is None:
+        det = products[..., 0, 0] * products[..., 1, 1] - products[..., 0, 1] * products[..., 1, 0]
+    det = np.asarray(det, dtype=complex)
+    modulus = np.abs(det)
+    phase = np.divide(det, modulus, out=np.ones_like(det), where=modulus > 0)
+    norm2 = (np.einsum("...ij,...ij->...", products.real, products.real)
+             + np.einsum("...ij,...ij->...", products.imag, products.imag))
+    # adj(M)^dag = [[conj m11, -conj m10], [-conj m01, conj m00]], then U in place
+    unitary = np.conj(products[..., ::-1, ::-1], order="C")
+    unitary[..., 0, 1] *= -1
+    unitary[..., 1, 0] *= -1
+    unitary *= phase[..., None, None]
+    unitary += products
+    unitary /= np.sqrt(norm2 + 2 * modulus)[..., None, None]
+    return unitary
+
+
+def _loop_links(vectors: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes sqrt(rho_i) and links V_i, the polar factors of sqrt(rho_{i+1}) sqrt(rho_i).
+
+    vectors (..., M, p, p) and weights (..., M, p) are the spectra of the M
+    points of each closed loop (i + 1 wraps to 0). det sqrt(rho) is the
+    product of sqrt(w), which the spectrum gives exactly; the link
+    determinants use it.
+    """
+    roots = np.sqrt(weights)
+    amplitudes = spectral_sum(vectors, roots)
+    root_dets = roots.prod(axis=-1)
+    links = _polar_unitary(np.roll(amplitudes, -1, axis=-3) @ amplitudes,
+                           np.roll(root_dets, -1, axis=-1) * root_dets)
+    return amplitudes, links
 
 
 def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
@@ -134,9 +175,8 @@ def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     two-point DensityMatrixPath.
     """
     pair = DensityMatrixPath(np.arange(2.0), np.stack([rho_a, rho_b]))
-    vectors, weights = _full_rank_spectrum(pair)
-    amplitudes = spectral_sum(vectors, np.sqrt(weights))
-    return _polar_unitary(amplitudes[1] @ amplitudes[0])
+    _, links = _loop_links(*_full_rank_spectrum(pair))
+    return links[0]
 
 
 def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
@@ -171,8 +211,7 @@ def _transport(vectors: np.ndarray, weights: np.ndarray,
     actually transports. `transverse` (one momentum per loop) names the loop
     whose phase is undefined.
     """
-    amplitudes = spectral_sum(vectors, np.sqrt(weights))
-    links = _polar_unitary(np.roll(amplitudes, -1, axis=-3) @ amplitudes)
+    amplitudes, links = _loop_links(vectors, weights)
     p = links.shape[-1]
     dev = float(np.linalg.norm((links - np.eye(p)) @ amplitudes, axis=(-2, -1)).max())
     if dev >= LINK_IDENTITY_MAX:
@@ -218,28 +257,72 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
     return DensityMatrixPath(parameters=ks, rhos=rhos)
 
 
-def _uhlmann_profile_raw(model: BlochModel, beta: float, mu: float, direction: str,
-                         transverse: np.ndarray, n_points: int) -> np.ndarray:
+class _LoopSpectra:
+    """Spectra of h(k) on the straight loops along `direction` at the transverse momenta.
+
+    Only the finest path diagonalized so far is kept. A coarser path whose
+    momenta are bitwise a stride of it is served as a strided view, and a path
+    of twice the points diagonalizes only its new odd points. Only the
+    Boltzmann weights depend on beta, so one instance serves a whole scan.
+    """
+
+    def __init__(self, model: BlochModel, direction: str, transverse: np.ndarray):
+        self.model, self.direction, self.transverse = model, direction, transverse
+        self._ks = None  # momenta of the stored path
+        self._energies = self._vectors = None
+
+    def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kxs, kys = line_momenta(self.direction, ks[None, :], self.transverse[:, None])
+        return np.linalg.eigh(self.model.matrix(kxs, kys))
+
+    def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """(energies (T, M, p), vectors (T, M, p, p)) of the n_points-point loops."""
+        ks = momentum_line(n_points)
+        stored = 0 if self._ks is None else len(self._ks)
+        stride = stored // n_points
+        if stride and _same_bits(self._ks[::stride], ks):
+            return self._energies[:, ::stride], self._vectors[:, ::stride]
+        if n_points == 2 * stored and _same_bits(ks[::2], self._ks):
+            odd_energies, odd_vectors = self._eigh(ks[1::2])
+            energies = _interleave(self._energies, odd_energies)
+            vectors = _interleave(self._vectors, odd_vectors)
+        else:
+            energies, vectors = self._eigh(ks)
+        if n_points > stored:
+            self._ks, self._energies, self._vectors = ks, energies, vectors
+        return energies, vectors
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """(T, M, ...) samples at the even and odd points of a (T, 2M, ...) path."""
+    return np.stack([even, odd], axis=2).reshape(even.shape[0], -1, *even.shape[2:])
+
+
+def _uhlmann_profile_raw(spectra: _LoopSpectra, beta: float, mu: float,
+                         n_points: int) -> np.ndarray:
     """Uhlmann phases over transverse momenta, batched over (transverse, path).
 
     The spectra keep their exact Boltzmann weights: no density matrix is
     assembled, so no rank floor applies.
     """
-    kxs, kys = line_momenta(direction, momentum_line(n_points)[None, :], transverse[:, None])
-    energies, vectors = np.linalg.eigh(model.matrix(kxs, kys))
-    _, phases, _ = _transport(vectors, boltzmann_weights(energies, beta, mu), transverse)
+    energies, vectors = spectra(n_points)
+    _, phases, _ = _transport(vectors, boltzmann_weights(energies, beta, mu), spectra.transverse)
     return phases
 
 
-def _refined_phases(model: BlochModel, beta: float, mu: float, direction: str,
-                    transverse: np.ndarray, n_points: int, refine: bool) -> tuple[np.ndarray, int]:
+def _refined_phases(spectra: _LoopSpectra, beta: float, mu: float, n_points: int,
+                    refine: bool) -> tuple[np.ndarray, int]:
     m = n_points
-    phases = _uhlmann_profile_raw(model, beta, mu, direction, transverse, m)
+    phases = _uhlmann_profile_raw(spectra, beta, mu, m)
     while refine:
         if 2 * m > PATH_POINTS_CAP:
             raise UnderResolvedError(
                 f"Uhlmann path not Cauchy-converged below {PATH_POINTS_CAP} points")
-        refined = _uhlmann_profile_raw(model, beta, mu, direction, transverse, 2 * m)
+        refined = _uhlmann_profile_raw(spectra, beta, mu, 2 * m)
         delta = np.abs((refined - phases + np.pi) % (2 * np.pi) - np.pi).max()
         phases, m = refined, 2 * m
         if delta < CAUCHY_TOL:
@@ -251,8 +334,8 @@ def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
                      transverse_k: float, n_points: int = PATH_POINTS_DEFAULT,
                      refine: bool = True) -> tuple[float, int]:
     """phi_U for one straight Brillouin-zone loop; returns (phase, points used)."""
-    phases, m = _refined_phases(model, beta, mu, direction,
-                                np.array([float(transverse_k)]), n_points, refine)
+    spectra = _LoopSpectra(model, direction, np.array([float(transverse_k)]))
+    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
     return float(phases[0]), m
 
 
@@ -264,10 +347,15 @@ def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: 
     The path resolution doubles until the profile changes pointwise by less
     than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points.
     """
-    transverse = np.asarray(transverse, dtype=float)
-    phases, m = _refined_phases(model, beta, mu, direction, transverse, n_points, refine)
-    profile = PhaseProfile(parameters=transverse, phases=phases, label="uhlmann",
-                           direction=direction, temperature=1.0 / beta)
+    spectra = _LoopSpectra(model, direction, np.asarray(transverse, dtype=float))
+    return _uhlmann_profile(spectra, beta, mu, n_points, refine)
+
+
+def _uhlmann_profile(spectra: _LoopSpectra, beta: float, mu: float, n_points: int,
+                     refine: bool = True) -> tuple[PhaseProfile, int]:
+    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
+    profile = PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
+                           direction=spectra.direction, temperature=1.0 / beta)
     return profile, m
 
 
@@ -278,8 +366,19 @@ def uhlmann_windings(model: BlochModel, beta: float, mu: float, grid: MomentumGr
     No equality is asserted; directional disagreement at intermediate
     temperature is a physical finding, not an error.
     """
-    prof_x, _ = uhlmann_phase_profile(model, beta, mu, "x", grid.ky_values(), n_points)
-    prof_y, _ = uhlmann_phase_profile(model, beta, mu, "y", grid.kx_values(), n_points)
+    return _uhlmann_windings(_grid_loops(model, grid), beta, mu, n_points)
+
+
+def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LoopSpectra, _LoopSpectra]:
+    """The x loops (over ky) and the y loops (over kx) of the grid."""
+    return (_LoopSpectra(model, "x", grid.ky_values()),
+            _LoopSpectra(model, "y", grid.kx_values()))
+
+
+def _uhlmann_windings(loops: tuple[_LoopSpectra, _LoopSpectra], beta: float, mu: float,
+                      n_points: int) -> tuple[int, int]:
+    prof_x, _ = _uhlmann_profile(loops[0], beta, mu, n_points)
+    prof_y, _ = _uhlmann_profile(loops[1], beta, mu, n_points)
     return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y)
 
 
@@ -329,13 +428,14 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = ground_state_chern(model, mu, grid)
+    loops = _grid_loops(model, grid)  # h(k) spectra shared by every temperature
     reports = []
     for t in np.asarray(temperatures, dtype=float):
         beta = 1.0 / t
         errors = []
         cx_u = cy_u = cx_e = cy_e = None
         try:
-            cx_u, cy_u = uhlmann_windings(model, beta, mu, grid, n_points)
+            cx_u, cy_u = _uhlmann_windings(loops, beta, mu, n_points)
         except MixedTopoError as exc:
             errors.append(f"uhlmann: {exc}")
         try:

@@ -380,6 +380,27 @@ def test_serialize_curvature_roundtrip(tmp_path, qwz):
     assert np.allclose(bkx, kxs)
 
 
+def curvature_to_csv_per_row(path, field, kx_values, ky_values):
+    """The writer curvature_to_csv replaced: one csv row per grid point."""
+    rows = []
+    for i, kx in enumerate(kx_values):
+        for j, ky in enumerate(ky_values):
+            rows.append([serialize.fmt(kx), serialize.fmt(ky), serialize.fmt(field.values[i, j])])
+    serialize.write_csv(path, ["kx", "ky", "value"], rows)
+
+
+def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
+    kxs = mt.momentum_line(96)
+    field = mt.berry_curvature_plaquette(mt.states_on_grid(qwz.matrix, kxs, kxs, 0))
+    special = field.values.copy()
+    special[0, :6] = [0.0, -0.0, 5e-324, math.nan, math.inf, -1e300]
+    for values in (field.values, special):
+        field = mt.CurvatureField(values=values)
+        serialize.curvature_to_csv(tmp_path / "new.csv", field, kxs, kxs[::-1])
+        curvature_to_csv_per_row(tmp_path / "old.csv", field, kxs, kxs[::-1])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_serialize_reports_roundtrip(tmp_path):
     reports = [
         mt.InvariantReport(temperature=0.5, beta=2.0, cx_uhlmann=1, cy_uhlmann=0,

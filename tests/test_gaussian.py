@@ -319,3 +319,73 @@ def test_load_matrix_grid_rejects_non_finite_entry(tmp_path, qwz):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"grid point \(ix, iy\) = \(3, 5\)"):
         mt.load_matrix_grid(path)
+
+
+def load_matrix_grid_per_token(path):
+    """The parser load_matrix_grid replaced: one float() call per token."""
+    with open(path, encoding="utf-8") as f:
+        tokens = []
+        for line in f:
+            line = line.split("#", 1)[0].strip()
+            if line:
+                tokens.extend(line.split())
+    if len(tokens) < 3:
+        raise ValueError(f"{path}: missing 'p nx ny' header")
+    p, nx, ny = (int(t) for t in tokens[:3])
+    data = np.array([float(t) for t in tokens[3:]])
+    expected = nx * ny * p * p * 2
+    if data.size != expected:
+        raise ValueError(f"{path}: expected {expected} numbers after header, got {data.size}")
+    values = data.reshape(nx, ny, p, p, 2)
+    finite = np.isfinite(values).all(axis=(2, 3, 4))
+    if not finite.all():
+        ix, iy = np.argwhere(~finite)[0]
+        raise ValueError(f"{path}: non-finite entry at grid point (ix, iy) = ({ix}, {iy})")
+    return mt.MomentumGrid(nx, ny), values[..., 0] + 1j * values[..., 1]
+
+
+def _grid_file_lines(tmp_path, qwz):
+    path = tmp_path / "state.dat"
+    spec = mt.GaussianStateSpec.thermal(1.3, 0.0, qwz)
+    mt.save_hfict_grid(path, mt.fictitious_grid(spec, mt.MomentumGrid(6, 5)))
+    return path, path.read_text().splitlines()
+
+
+def test_load_matrix_grid_matches_per_token_parser(tmp_path, qwz):
+    path, lines = _grid_file_lines(tmp_path, qwz)
+    lines[0] += "  # p nx ny"
+    lines[3] = lines[3].replace(" ", "\t", 1) + "#trailing comment"
+    lines.insert(1, "# a comment line")
+    lines.insert(5, "")
+    path.write_text("\r\n".join(lines) + "\r\n")
+    grid, values = mt.load_matrix_grid(path)
+    ref_grid, ref_values = load_matrix_grid_per_token(path)
+    assert grid == ref_grid == mt.MomentumGrid(6, 5)
+    assert values.tobytes() == ref_values.tobytes()
+
+
+@pytest.mark.parametrize("damage", ["no header", "short header", "wrong count", "non-finite",
+                                    "malformed token", "malformed header", "underscore token"])
+def test_load_matrix_grid_errors_match_per_token_parser(tmp_path, qwz, damage):
+    path, lines = _grid_file_lines(tmp_path, qwz)
+    if damage == "no header":
+        lines = ["# nothing but a comment"]
+    elif damage == "short header":
+        lines = ["2 6"]
+    elif damage == "wrong count":
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+    elif damage == "non-finite":
+        lines[7] = "inf " + lines[7].split(" ", 1)[1]
+    elif damage == "malformed token":
+        lines[4] = lines[4].split(" ", 1)[0] + " 0.5.1 " + lines[4].split(" ", 2)[2]
+    elif damage == "malformed header":
+        lines[0] = "2 6.0 5"
+    else:  # Python float() reads "1_0" as 10: still the count check decides
+        lines[-1] += " 1_0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(Exception) as expected:
+        load_matrix_grid_per_token(path)
+    with pytest.raises(type(expected.value)) as got:
+        mt.load_matrix_grid(path)
+    assert type(got.value) is type(expected.value) is ValueError
+    assert str(got.value) == str(expected.value)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from conftest import random_unitary
+from mixedtopo import uhlmann
+from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary
 
 
 def thermal_path(model, beta, ky, m=64, direction="x"):
@@ -119,6 +123,148 @@ def test_path_diagonalizes_once(qwz, monkeypatch):
     assert calls == {"eigh": [64], "eigvalsh": []}
     mt.uhlmann_link(rhos[0], rhos[1])
     assert calls == {"eigh": [64, 2], "eigvalsh": []}
+
+
+def _count_uhlmann_eigh(monkeypatch) -> list:
+    """Matrix counts of the np.linalg.eigh calls made from mixedtopo.uhlmann itself."""
+    counts = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "mixedtopo.uhlmann":
+            counts.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counts
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_profile_refinement_diagonalizes_each_point_once(qwz, monkeypatch, direction):
+    """512 -> 1024 over 32 lines: the doubling diagonalizes only its new odd points."""
+    counts = _count_uhlmann_eigh(monkeypatch)
+    _, used = mt.uhlmann_phase_profile(qwz, 1.0, 0.0, direction, mt.momentum_line(32), 512)
+    assert used == 1024
+    assert counts == [32 * 512, 32 * 512]  # 32,768 matrices; 49,152 when each path was whole
+
+
+def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch):
+    """Only the Boltzmann weights depend on beta: more temperatures, no more Uhlmann eigh."""
+    counts = _count_uhlmann_eigh(monkeypatch)
+    grid = mt.MomentumGrid(12, 12)
+    per_scan = []
+    for temperatures in ([0.5], [0.05, 0.5, 5.0]):
+        counts.clear()
+        reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array(temperatures) * qwz_gap, grid,
+                                              n_points=128, n_cells=6)
+        assert all(r.status == "ok" for r in reports)
+        per_scan.append(sum(counts))
+    # each direction: 12 lines of 128 points, then the odd points of 256 and of 512
+    assert per_scan == [2 * 12 * 512, 2 * 12 * 512]
+
+
+# ------------------------------------------------------------------ polar factor
+
+def _assert_polar_factor(products, unitary):
+    """U unitary and U^dag M Hermitian positive semidefinite, to rounding."""
+    scale = np.linalg.norm(products, axis=(-2, -1))[..., None, None]
+    assert np.isfinite(unitary).all()
+    assert np.abs(unitary.conj().swapaxes(-1, -2) @ unitary - np.eye(2)).max() <= 1e-14
+    positive = unitary.conj().swapaxes(-1, -2) @ products
+    assert (np.abs(positive - positive.conj().swapaxes(-1, -2)) / scale).max() <= 1e-14
+    assert (np.linalg.eigvalsh(positive) / scale[..., 0]).min() >= -1e-14
+
+
+def test_polar_closed_form_matches_svd_on_random_matrices():
+    rng = np.random.default_rng(5)
+    products = rng.normal(size=(4096, 2, 2)) + 1j * rng.normal(size=(4096, 2, 2))
+    products *= 10.0 ** rng.uniform(-3, 3, size=(4096, 1, 1))
+    closed = uhlmann._polar_unitary(products)
+    assert np.abs(closed - svd_polar_unitary(products)).max() <= 1e-12
+    _assert_polar_factor(products, closed)
+
+
+def _near_singular(ratio, rng):
+    unitaries = [random_unitary(rng, 2) @ np.diag([1.0, ratio]) @ random_unitary(rng, 2)
+                 for _ in range(64)]
+    return np.stack(unitaries)
+
+
+def _rank_one(rng):
+    u = rng.normal(size=(64, 2, 1)) + 1j * rng.normal(size=(64, 2, 1))
+    v = rng.normal(size=(64, 2, 1)) + 1j * rng.normal(size=(64, 2, 1))
+    return u @ v.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("case", ["ratio 1e-8", "ratio 1e-14", "rank one", "all ones",
+                                  "nilpotent", "diagonal"])
+def test_polar_closed_form_on_singular_inputs(case):
+    """Near-singular and exactly singular products, as deep-cold rows give.
+
+    The polar factor is not unique on the null space, so the SVD is no
+    reference here (the two differ by O(1)); the defining properties are.
+    """
+    rng = np.random.default_rng(13)
+    products = {
+        "ratio 1e-8": lambda: _near_singular(1e-8, rng),
+        "ratio 1e-14": lambda: _near_singular(1e-14, rng),
+        "rank one": lambda: _rank_one(rng),
+        "all ones": lambda: np.ones((1, 2, 2), dtype=complex),
+        "nilpotent": lambda: np.array([[[0, 1], [0, 0]]], dtype=complex),
+        "diagonal": lambda: np.array([[[2, 0], [0, 0]]], dtype=complex),
+    }[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unitary = uhlmann._polar_unitary(products)
+    _assert_polar_factor(products, unitary)
+
+
+def test_polar_closed_form_uses_given_determinant():
+    """A determinant passed by the caller replaces the one from the entries."""
+    products = np.array([[[2.0, 0.0], [0.0, 1e-20]]], dtype=complex)
+    exact = uhlmann._polar_unitary(products, np.array([2e-20]))
+    assert np.abs(exact - np.eye(2)).max() <= 1e-15
+    flipped = uhlmann._polar_unitary(products, np.array([-2e-20]))
+    assert np.abs(flipped - np.diag([1.0, -1.0])).max() <= 1e-15
+
+
+def _svd_route(monkeypatch):
+    monkeypatch.setattr(uhlmann, "_polar_unitary", lambda products, det=None:
+                        svd_polar_unitary(products))
+
+
+# The SVD route is the less accurate one. The link products sqrt(rho_{i+1})
+# sqrt(rho_i) have condition numbers up to e^{2 beta |d|}, and for a complex
+# M the polar factor moves by up to |dM| / sigma_min, so the SVD of the
+# rounded product errs by about eps * cond. The closed form takes det M from
+# the exact Boltzmann weights and does not. Against qwz_phases_extended on
+# these 32 lines the SVD route is off by up to 2.9e-13 (beta = 2, y), 5.4e-12
+# (beta = 3, y) and 1.5e-8 (beta = 5, y, 1024 points); the closed form by at
+# most 1e-14 at every beta (test_profile_matches_extended_precision). The
+# bounds below sit above the SVD route's own error.
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("beta, tol", [(0.1, 1e-12), (1.0, 1e-12), (2.0, 1e-12),
+                                       (3.0, 1e-11), (5.0, 3e-8)])
+def test_profile_closed_form_matches_svd_route(qwz, monkeypatch, beta, tol, direction, refine):
+    transverse = mt.momentum_line(32)
+    closed, used = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, 512, refine)
+    _svd_route(monkeypatch)
+    svd, svd_used = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, 512, refine)
+    assert used == svd_used
+    assert np.abs(mt.principal_branch(closed.phases - svd.phases)).max() <= tol
+
+
+@pytest.mark.skipif(not EXTENDED, reason="long double is not wider than double here")
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("beta", [0.1, 1.0, 3.0, 5.0])
+def test_profile_matches_extended_precision(qwz, beta, direction):
+    transverse = mt.momentum_line(32)
+    for n_points in (512, 1024):
+        profile, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, n_points,
+                                              refine=False)
+        reference = qwz_phases_extended(beta, direction, transverse, n_points)
+        assert np.abs(mt.principal_branch(profile.phases - reference)).max() <= 1e-13
 
 
 def test_holonomy_rejects_projector_path():
