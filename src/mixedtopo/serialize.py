@@ -100,9 +100,9 @@ def curvature_to_csv(path, field: CurvatureField, kx_values, ky_values):
     """One "kx,ky,value" row per grid point, kx outer; the text write_csv would give."""
     kys = [fmt(ky) for ky in ky_values]
     lines = ["kx,ky,value"]
-    for kx, row in zip(kx_values, field.values.tolist()):
+    for kx, row in zip(kx_values, field.values.tolist(), strict=True):
         kx = fmt(kx)
-        lines.extend(f"{kx},{ky},{value:.17g}" for ky, value in zip(kys, row))
+        lines.extend(f"{kx},{ky},{value:.17g}" for ky, value in zip(kys, row, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("\n".join(lines) + "\n")
 

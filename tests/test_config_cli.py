@@ -399,6 +399,9 @@ def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
         serialize.curvature_to_csv(tmp_path / "new.csv", field, kxs, kxs[::-1])
         curvature_to_csv_per_row(tmp_path / "old.csv", field, kxs, kxs[::-1])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for kx_values, ky_values in ((kxs[:-1], kxs), (kxs, kxs[:-1])):
+        with pytest.raises(ValueError):  # momenta that do not match the field
+            serialize.curvature_to_csv(tmp_path / "bad.csv", field, kx_values, ky_values)
 
 
 def test_serialize_reports_roundtrip(tmp_path):

@@ -145,7 +145,7 @@ def test_profile_refinement_diagonalizes_each_point_once(qwz, monkeypatch, direc
     counts = _count_uhlmann_eigh(monkeypatch)
     _, used = mt.uhlmann_phase_profile(qwz, 1.0, 0.0, direction, mt.momentum_line(32), 512)
     assert used == 1024
-    assert counts == [32 * 512, 32 * 512]  # 32,768 matrices; 49,152 when each path was whole
+    assert counts == [32 * 512, 32 * 512]  # each of the 32 x 1024 points once
 
 
 def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch):
