@@ -64,13 +64,15 @@ def thermal_density_k(model: BlochModel, beta: float, mu: float, kx, ky) -> np.n
 class DensityMatrixPath:
     """Closed loop of density matrices; rho(M+1) is rho(1).
 
-    The spectrum of every point is taken once, at construction; the holonomy
-    and the phase read it and diagonalize nothing again.
+    The spectrum of every point is taken once, at construction, and kept as
+    entry planes in the transport kernel's layout; the holonomy and the phase
+    read it and diagonalize nothing again.
     """
 
     parameters: np.ndarray
     rhos: np.ndarray  # (M, p, p)
-    _spectrum: tuple = field(init=False, repr=False, compare=False)  # (vectors, weights)
+    # (vectors (p, p, M), weights (p, M)) as entry planes
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rhos = np.asarray(self.rhos, dtype=complex)
@@ -92,7 +94,7 @@ class DensityMatrixPath:
                              f"(min eigenvalue {weights.min():.3e})")
         object.__setattr__(self, "rhos", rhos)
         object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "_spectrum", (vectors, weights))
+        object.__setattr__(self, "_spectrum", (_planes(vectors), np.ascontiguousarray(weights.T)))
 
     def __len__(self) -> int:
         return self.rhos.shape[0]
@@ -108,9 +110,9 @@ class UhlmannHolonomy:
 
 
 def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray]:
-    """The stored (vectors, weights) of a path; refused at the rank noise floor."""
+    """The stored (vector, weight) planes of a path; refused at the rank noise floor."""
     vectors, weights = path._spectrum
-    smallest = weights[..., 0].min()
+    smallest = weights[0].min()
     if smallest <= RANK_NOISE_FLOOR:
         raise RankDeficiencyError(
             f"density matrix numerically rank deficient (min eigenvalue {smallest:.3e} "
@@ -120,50 +122,136 @@ def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray
     return vectors, weights
 
 
-def _polar_unitary(products: np.ndarray, det: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unitary factor U of the polar decompositions M = U sqrt(M^dag M), batched.
+# ------------------------------------------------------------ entry planes
+#
+# The transport kernel keeps a stack of p x p matrices as entry planes: an
+# array (p, p, ..., M) whose [i, j] is entry (i, j) of every matrix, one
+# contiguous array per entry. Every product is a multiply-add of whole planes
+# over explicit loops on the entry indices, which numpy runs several times
+# faster than batched matmul or einsum on (..., p, p) stacks of small p.
+# Eigenvalues and weights are planes (p, ..., M) in the same way. The path
+# axis stays last and is never reduced away inside the kernel, so a plane is
+# at least 1-d even for one unbatched loop.
 
-    For p = 2, Cayley-Hamilton for P = sqrt(M^dag M) gives, with d = det M,
+def _planes(matrices: np.ndarray) -> np.ndarray:
+    """(..., p, p) matrices as a contiguous copy in (p, p, ...) entry planes."""
+    return np.moveaxis(matrices, (-2, -1), (0, 1)).copy()
+
+
+def _matrices(planes: np.ndarray) -> np.ndarray:
+    """(p, p, ...) entry planes as a (..., p, p) view."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+def _plane_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i, k] = sum_j a[i, j] b[j, k] over entry planes; out must not overlap a or b."""
+    p = a.shape[0]
+    scratch = np.empty(out.shape[2:], dtype=out.dtype)
+    for i in range(p):
+        for k in range(p):
+            np.multiply(a[i, 0], b[0, k], out=out[i, k])
+            for j in range(1, p):
+                out[i, k] += np.multiply(a[i, j], b[j, k], out=scratch)
+    return out
+
+
+def _spectral_planes(vectors: np.ndarray, weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = V diag(w) V^dag over vector planes (p, p, ...) and weight planes (p, ...).
+
+    The result is Hermitian: the diagonal is summed in real arithmetic and the
+    lower triangle is the conjugate of the upper one.
+    """
+    p = vectors.shape[0]
+    scaled = np.empty(out.shape[2:], dtype=complex)
+    scratch = np.empty(out.shape[2:], dtype=complex)
+    for i in range(p):
+        out[i, i] = 0.0
+        diagonal = out[i, i].real
+        for j in range(p):
+            entry = vectors[i, j]
+            diagonal += (np.square(entry.real) + np.square(entry.imag)) * weights[j]
+        for k in range(i + 1, p):
+            out[i, k] = 0.0
+            for j in range(p):
+                np.multiply(vectors[i, j], weights[j], out=scaled)
+                out[i, k] += np.multiply(scaled, np.conj(vectors[k, j], out=scratch), out=scaled)
+            np.conj(out[i, k], out=out[k, i])
+    return out
+
+
+def _polar_unitary(products: np.ndarray, det: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unitary factors U of the polar decompositions M = U sqrt(M^dag M), in place.
+
+    `products` are entry planes (p, p, ...) and are overwritten by U. For
+    p = 2, Cayley-Hamilton for P = sqrt(M^dag M) gives, with d = det M,
     U = (M + (|d| / conj d) adj(M)^dag) / sqrt(||M||_F^2 + 2|d|). Where d is
     exactly 0 (a rank-1 product, as in deep-cold rows) any unit phase gives a
     polar factor; 1 is used. `det` passes d when the caller knows it better
     than the entries do: from the entries its relative error grows with the
     condition number of M. Other p go through the SVD M = W S Z^dag, U = W Z^dag.
     """
-    if products.shape[-1] != 2:
-        w, _, zh = np.linalg.svd(products)
-        return w @ zh
+    if products.shape[0] != 2:
+        w, _, zh = np.linalg.svd(_matrices(products))
+        products[...] = np.moveaxis(w @ zh, (-2, -1), (0, 1))
+        return products
+    m00, m01, m10, m11 = products[0, 0], products[0, 1], products[1, 0], products[1, 1]
     if det is None:
-        det = products[..., 0, 0] * products[..., 1, 1] - products[..., 0, 1] * products[..., 1, 0]
-    det = np.asarray(det, dtype=complex)
+        det = m00 * m11 - m01 * m10
     modulus = np.abs(det)
-    phase = np.divide(det, modulus, out=np.ones_like(det), where=modulus > 0)
-    norm2 = (np.einsum("...ij,...ij->...", products.real, products.real)
-             + np.einsum("...ij,...ij->...", products.imag, products.imag))
-    # adj(M)^dag = [[conj m11, -conj m10], [-conj m01, conj m00]], then U in place
-    unitary = np.conj(products[..., ::-1, ::-1], order="C")
-    unitary[..., 0, 1] *= -1
-    unitary[..., 1, 0] *= -1
-    unitary *= phase[..., None, None]
-    unitary += products
-    unitary /= np.sqrt(norm2 + 2 * modulus)[..., None, None]
-    return unitary
+    if np.isrealobj(det) and not (det < 0).any():
+        phase = 1.0  # d / |d| where d > 0, and the choice 1 where d = 0
+    else:
+        det = np.asarray(det, dtype=complex)
+        phase = np.divide(det, modulus, out=np.ones_like(det), where=modulus > 0)
+    norm2 = 2 * modulus
+    for entry in (m00, m01, m10, m11):
+        norm2 += np.square(entry.real)
+        norm2 += np.square(entry.imag)
+    # adj(M)^dag = [[conj m11, -conj m10], [-conj m01, conj m00]]
+    for first, second, factor in ((m00, m11, phase), (m01, m10, -phase)):
+        new_first = first + factor * np.conj(second)
+        second += factor * np.conj(first)
+        first[...] = new_first
+    products *= 1 / np.sqrt(norm2)
+    return products
 
 
 def _loop_links(vectors: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes sqrt(rho_i) and links V_i, the polar factors of sqrt(rho_{i+1}) sqrt(rho_i).
 
-    vectors (..., M, p, p) and weights (..., M, p) are the spectra of the M
-    points of each closed loop (i + 1 wraps to 0). det sqrt(rho) is the
-    product of sqrt(w), which the spectrum gives exactly; the link
-    determinants use it.
+    vectors (p, p, ..., M) and weights (p, ..., M) are the spectra of the M
+    points of each closed loop (i + 1 wraps to 0), as planes. The amplitudes
+    come back with M + 1 points, the last a copy of the first, so that
+    [..., 1:] is the following point of [..., :-1] without a rolled copy.
+    det sqrt(rho) is the product of sqrt(w), which the spectrum gives exactly;
+    the link determinants use it.
     """
+    p, m = vectors.shape[0], vectors.shape[-1]
     roots = np.sqrt(weights)
-    amplitudes = spectral_sum(vectors, roots)
-    root_dets = roots.prod(axis=-1)
-    links = _polar_unitary(np.roll(amplitudes, -1, axis=-3) @ amplitudes,
-                           np.roll(root_dets, -1, axis=-1) * root_dets)
+    amplitudes = np.empty(vectors.shape[:-1] + (m + 1,), dtype=complex)
+    _spectral_planes(vectors, roots, amplitudes[..., :m])
+    amplitudes[..., m] = amplitudes[..., 0]
+    root_dets = roots.prod(axis=0)
+    products = _plane_product(amplitudes[..., 1:], amplitudes[..., :m],
+                              np.empty((p, p) + roots.shape[1:], dtype=complex))
+    links = _polar_unitary(products, np.roll(root_dets, -1, axis=-1) * root_dets)
     return amplitudes, links
+
+
+def _link_deviation(links: np.ndarray, amplitudes: np.ndarray) -> float:
+    """max over links of ||(V_i - 1) sqrt(rho_i)||_F, accumulated entry by entry."""
+    p = links.shape[0]
+    total = np.zeros(links.shape[2:])
+    entry = np.empty(links.shape[2:], dtype=complex)
+    scratch = np.empty(links.shape[2:], dtype=complex)
+    for i in range(p):
+        for k in range(p):
+            np.negative(amplitudes[i, k], out=entry)
+            for j in range(p):
+                entry += np.multiply(links[i, j], amplitudes[j, k], out=scratch)
+            total += np.square(entry.real)
+            total += np.square(entry.imag)
+    return float(np.sqrt(total.max()))
 
 
 def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
@@ -176,33 +264,34 @@ def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
     """
     pair = DensityMatrixPath(np.arange(2.0), np.stack([rho_a, rho_b]))
     _, links = _loop_links(*_full_rank_spectrum(pair))
-    return links[0]
+    return links[..., 0].copy()
 
 
 def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
-    """V_M ... V_1 for links stacked along the leading axis in path order.
+    """V_M ... V_1 for link planes (p, p, ..., M) in path order, as planes (p, p, ..., 1).
 
     Pairwise reduction with a fixed combination order: deterministic and
-    O(log M) batched matmuls.
+    O(log M) plane products.
     """
     prod = links
-    while prod.shape[-3] > 1:
-        m = prod.shape[-3]
-        even = prod[..., 0:m - 1:2, :, :]
-        odd = prod[..., 1:m:2, :, :]
-        combined = odd @ even  # later path point acts on the left
+    while prod.shape[-1] > 1:
+        m = prod.shape[-1]
+        combined = np.empty(prod.shape[:-1] + ((m + 1) // 2,), dtype=prod.dtype)
+        # later path point acts on the left
+        _plane_product(prod[..., 1:m:2], prod[..., 0:m - 1:2], combined[..., :m // 2])
         if m % 2 == 1:
-            combined = np.concatenate([combined, prod[..., m - 1:m, :, :]], axis=-3)
+            combined[..., -1] = prod[..., -1]
         prod = combined
-    return prod[..., 0, :, :]
+    return prod
 
 
 def _transport(vectors: np.ndarray, weights: np.ndarray,
                transverse: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, float]:
     """(holonomies, phases, max link deviation) of closed loops given by their spectra.
 
-    vectors (..., M, p, p) and weights (..., M, p) are the eigenbases and
-    eigenvalues of the M points of each loop; the amplitudes
+    vectors (p, p, ..., M) and weights (p, ..., M) are the eigenbases and
+    eigenvalues of the M points of each loop, as entry planes; the holonomies
+    come back as (..., p, p) matrices. The amplitudes
     sqrt(rho) = V diag(sqrt w) V^dag give the links, H = V_M ... V_1 and
     phi_U = Im ln Tr[rho(0) H]. The near-identity diagnostic is
     ||(V_i - 1) sqrt(rho_i)||_F: for nearly pure states the polar factor is
@@ -212,21 +301,22 @@ def _transport(vectors: np.ndarray, weights: np.ndarray,
     whose phase is undefined.
     """
     amplitudes, links = _loop_links(vectors, weights)
-    p = links.shape[-1]
-    dev = float(np.linalg.norm((links - np.eye(p)) @ amplitudes, axis=(-2, -1)).max())
+    dev = _link_deviation(links, amplitudes[..., :-1])
+    del amplitudes
     if dev >= LINK_IDENTITY_MAX:
         raise UnderResolvedError(
             f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
             "refine the path discretization")
     holonomies = _ordered_product_reversed(links)
-    rho0 = spectral_sum(vectors[..., 0, :, :], weights[..., 0, :])
-    traces = np.einsum("...ij,...ji->...", rho0, holonomies)
+    p = holonomies.shape[0]
+    rho0 = _spectral_planes(vectors[..., :1], weights[..., :1], np.empty_like(holonomies))
+    traces = sum(rho0[i, j] * holonomies[j, i] for i in range(p) for j in range(p))[..., 0]
     moduli = np.abs(traces)
     if moduli.min() < 1e-12:
         where = "" if transverse is None else f" at transverse_k={transverse[moduli.argmin()]:.6f}"
         raise PhaseUndefinedError(f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12{where}: "
                                   "Uhlmann phase undefined")
-    return holonomies, np.angle(traces), dev
+    return _matrices(holonomies[..., 0]), np.angle(traces), dev
 
 
 def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
@@ -260,7 +350,9 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
 class _LoopSpectra:
     """Spectra of h(k) on the straight loops along `direction` at the transverse momenta.
 
-    Only the finest path diagonalized so far is kept. A coarser path whose
+    The spectra are kept as entry planes, the transport kernel's layout, so
+    each diagonalization is transposed once and no temperature transposes
+    again. Only the finest path diagonalized so far is kept. A coarser path whose
     momenta are bitwise a stride of it is served as a strided view, and a path
     of twice the points diagonalizes only its new odd points. Only the
     Boltzmann weights depend on beta, so one instance serves a whole scan.
@@ -273,15 +365,16 @@ class _LoopSpectra:
 
     def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kxs, kys = line_momenta(self.direction, ks[None, :], self.transverse[:, None])
-        return np.linalg.eigh(self.model.matrix(kxs, kys))
+        energies, vectors = np.linalg.eigh(self.model.matrix(kxs, kys))
+        return np.ascontiguousarray(np.moveaxis(energies, -1, 0)), _planes(vectors)
 
     def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-        """(energies (T, M, p), vectors (T, M, p, p)) of the n_points-point loops."""
+        """(energies (p, T, M), vectors (p, p, T, M)) of the n_points-point loops, as planes."""
         ks = momentum_line(n_points)
         stored = 0 if self._ks is None else len(self._ks)
         stride = stored // n_points
         if stride and _same_bits(self._ks[::stride], ks):
-            return self._energies[:, ::stride], self._vectors[:, ::stride]
+            return self._energies[..., ::stride], self._vectors[..., ::stride]
         if n_points == 2 * stored and _same_bits(ks[::2], self._ks):
             odd_energies, odd_vectors = self._eigh(ks[1::2])
             energies = _interleave(self._energies, odd_energies)
@@ -298,8 +391,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """(T, M, ...) samples at the even and odd points of a (T, 2M, ...) path."""
-    return np.stack([even, odd], axis=2).reshape(even.shape[0], -1, *even.shape[2:])
+    """(..., M) samples at the even and odd points of a (..., 2M) path."""
+    return np.stack([even, odd], axis=-1).reshape(*even.shape[:-1], -1)
 
 
 def _uhlmann_profile_raw(spectra: _LoopSpectra, beta: float, mu: float,
@@ -307,10 +400,13 @@ def _uhlmann_profile_raw(spectra: _LoopSpectra, beta: float, mu: float,
     """Uhlmann phases over transverse momenta, batched over (transverse, path).
 
     The spectra keep their exact Boltzmann weights: no density matrix is
-    assembled, so no rank floor applies.
+    assembled, so no rank floor applies. The weights of the energy planes
+    (p, T, M) are normalized over p through a (T, M, p) view, which leaves
+    them as planes in memory.
     """
     energies, vectors = spectra(n_points)
-    _, phases, _ = _transport(vectors, boltzmann_weights(energies, beta, mu), spectra.transverse)
+    weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
+    _, phases, _ = _transport(vectors, weights, spectra.transverse)
     return phases
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ def test_temperature_gap_units(tmp_path):
     cfg = parse_config(write_config(tmp_path / "c.txt",
                                     BASE + "temperature = 20\nt_units = raw\n"))
     assert cfg.beta_raw() == pytest.approx(1.0 / 20.0)
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name, command", [("egp_profiles.cfg", "egp-profile"),
+                                           ("invariant_scan.cfg", "invariant-scan")])
+def test_experiment_configs_parse(name, command):
+    """The experiment configs under scripts/ parse, and README runs each of them."""
+    cfg = parse_config(ROOT / "scripts" / name)
+    assert cfg.model == "qwz"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert f"mixedtopo {command} --config scripts/{name}" in readme
 
 
 def test_temperature_zero_means_pure(tmp_path):

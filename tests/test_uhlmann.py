@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from conftest import random_unitary
+from conftest import random_hermitian, random_unitary
 from mixedtopo import uhlmann
-from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary
+from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary, transport
 
 
 def thermal_path(model, beta, ky, m=64, direction="x"):
@@ -163,7 +164,108 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
     assert per_scan == [2 * 12 * 512, 2 * 12 * 512]
 
 
+# ------------------------------------------------------------------ transport kernel
+
+def _qwz_loop_spectra(qwz, direction, n_points, beta):
+    """Entry-plane spectra (vectors (2, 2, 32, M), weights (2, 32, M)) of 32 qwz loops."""
+    energies, vectors = uhlmann._LoopSpectra(qwz, direction, mt.momentum_line(32))(n_points)
+    weights = mt.boltzmann_weights(np.moveaxis(energies, 0, -1), beta, 0.0)
+    return vectors, np.moveaxis(weights, -1, 0)
+
+
+def _random_loop_spectra(p, loops, n_points, seed):
+    """Planes of smooth random p-band loops h(t) = C + A cos t + B sin t at beta = 1."""
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(rng, p), random_hermitian(rng, p)
+    c = np.stack([random_hermitian(rng, p) for _ in range(loops)])[:, None]
+    t = mt.momentum_line(n_points)[None, :, None, None]
+    energies, vectors = np.linalg.eigh(c + a * np.cos(t) + b * np.sin(t))
+    return uhlmann._planes(vectors), np.moveaxis(mt.boltzmann_weights(energies, 1.0, 0.0), -1, 0)
+
+
+def _oracle_transport(vectors, weights):
+    """The matmul oracle on the same spectra, given as (..., M, p, p) and (..., M, p)."""
+    return transport(uhlmann._matrices(vectors), np.moveaxis(weights, 0, -1))
+
+
+def _assert_transport_matches(result, reference, tol):
+    (holonomies, phases, dev), (ref_holonomies, ref_phases, ref_dev) = result, reference
+    assert holonomies.shape == ref_holonomies.shape
+    assert np.abs(mt.principal_branch(phases - ref_phases)).max() <= tol
+    assert np.abs(holonomies - ref_holonomies).max() <= tol
+    assert abs(dev - ref_dev) <= tol * ref_dev
+
+
+@pytest.mark.parametrize("n_points", [512, 1024])
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("beta", [0.1, 1.0, 3.0, 5.0, 50.0])
+def test_transport_matches_matmul_oracle(qwz, beta, direction, n_points):
+    spectra = _qwz_loop_spectra(qwz, direction, n_points, beta)
+    _assert_transport_matches(uhlmann._transport(*spectra), _oracle_transport(*spectra), 1e-12)
+
+
+def test_transport_matches_matmul_oracle_svd_route():
+    """p = 3 takes the batched SVD polar factor in both kernels."""
+    spectra = _random_loop_spectra(3, 4, 256, seed=21)
+    _assert_transport_matches(uhlmann._transport(*spectra), _oracle_transport(*spectra), 1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_transport_independent_of_batch_shape(p):
+    """One loop gives the same results unbatched (M, p, p), in (T, M) and in (A, B, M)."""
+    vectors, weights = _random_loop_spectra(p, 6, 128, seed=p)
+    stacked = uhlmann._transport(vectors, weights)
+    grid = uhlmann._transport(vectors.reshape(p, p, 2, 3, -1), weights.reshape(p, 2, 3, -1))
+    assert stacked[0].shape == (6, p, p) and grid[0].shape == (2, 3, p, p)
+    _assert_transport_matches(grid, (stacked[0].reshape(2, 3, p, p),
+                                     stacked[1].reshape(2, 3), stacked[2]), 1e-14)
+    devs = []
+    for t in range(6):
+        holonomy, phase, dev = uhlmann._transport(vectors[:, :, t], weights[:, t])
+        assert holonomy.shape == (p, p) and np.shape(phase) == ()
+        _assert_transport_matches((holonomy, phase, dev),
+                                  (stacked[0][t], stacked[1][t], dev), 1e-14)
+        devs.append(dev)
+    assert max(devs) == pytest.approx(stacked[2], rel=1e-14)
+
+    # the public routes: a path of assembled matrices and the two-point link
+    rhos = mt.spectral_sum(uhlmann._matrices(vectors[:, :, 0]), weights[:, 0].T)
+    path = mt.DensityMatrixPath(mt.momentum_line(128), rhos)
+    holonomy = mt.uhlmann_holonomy(path)
+    assert holonomy.matrix.shape == (p, p)
+    assert np.abs(holonomy.matrix - stacked[0][0]).max() <= 1e-12
+    assert mt.uhlmann_phase(path) == pytest.approx(stacked[1][0], abs=1e-12)
+    _, links = uhlmann._loop_links(vectors, weights)
+    link = mt.uhlmann_link(rhos[0], rhos[1])
+    assert link.shape == (p, p)
+    assert np.abs(link - links[:, :, 0, 0]).max() <= 1e-12
+
+
+def _traced_peak(fn, *args) -> int:
+    fn(*args)  # warm up
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transport_transient_memory_within_oracle(qwz):
+    """The plane kernel allocates no more than the matmul kernel on a (32, 1024) stack."""
+    vectors, weights = _qwz_loop_spectra(qwz, "x", 1024, 1.0)
+    matrices = np.ascontiguousarray(uhlmann._matrices(vectors))
+    matrix_weights = np.ascontiguousarray(np.moveaxis(weights, 0, -1))
+    peak = _traced_peak(uhlmann._transport, vectors, weights)
+    assert peak <= _traced_peak(transport, matrices, matrix_weights)
+
+
 # ------------------------------------------------------------------ polar factor
+
+def _polar(products, det=None):
+    """The kernel's polar factor on (..., p, p) matrices; the input is left as it was."""
+    return uhlmann._matrices(uhlmann._polar_unitary(uhlmann._planes(products), det))
+
 
 def _assert_polar_factor(products, unitary):
     """U unitary and U^dag M Hermitian positive semidefinite, to rounding."""
@@ -179,7 +281,7 @@ def test_polar_closed_form_matches_svd_on_random_matrices():
     rng = np.random.default_rng(5)
     products = rng.normal(size=(4096, 2, 2)) + 1j * rng.normal(size=(4096, 2, 2))
     products *= 10.0 ** rng.uniform(-3, 3, size=(4096, 1, 1))
-    closed = uhlmann._polar_unitary(products)
+    closed = _polar(products)
     assert np.abs(closed - svd_polar_unitary(products)).max() <= 1e-12
     _assert_polar_factor(products, closed)
 
@@ -215,22 +317,22 @@ def test_polar_closed_form_on_singular_inputs(case):
     }[case]()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        unitary = uhlmann._polar_unitary(products)
+        unitary = _polar(products)
     _assert_polar_factor(products, unitary)
 
 
 def test_polar_closed_form_uses_given_determinant():
     """A determinant passed by the caller replaces the one from the entries."""
     products = np.array([[[2.0, 0.0], [0.0, 1e-20]]], dtype=complex)
-    exact = uhlmann._polar_unitary(products, np.array([2e-20]))
+    exact = _polar(products, np.array([2e-20]))
     assert np.abs(exact - np.eye(2)).max() <= 1e-15
-    flipped = uhlmann._polar_unitary(products, np.array([-2e-20]))
+    flipped = _polar(products, np.array([-2e-20]))
     assert np.abs(flipped - np.diag([1.0, -1.0])).max() <= 1e-15
 
 
 def _svd_route(monkeypatch):
     monkeypatch.setattr(uhlmann, "_polar_unitary", lambda products, det=None:
-                        svd_polar_unitary(products))
+                        uhlmann._planes(svd_polar_unitary(uhlmann._matrices(products))))
 
 
 # The SVD route is the less accurate one. The link products sqrt(rho_{i+1})
