@@ -37,10 +37,8 @@ from .model import (
     wrap_momentum,
 )
 from .gaussian import (
-    ChainCorrelationMatrix,
     FictitiousHamiltonianGrid,
     GaussianStateSpec,
-    chain_correlation_matrix,
     fictitious_grid,
     fictitious_hamiltonian,
     filled_band_count,

@@ -58,8 +58,7 @@ def _profile_suffix(label, beta) -> str:
 class TaskRunner:
     """Bounded worker pool; results collected in submission order."""
 
-    def __init__(self, out_dir: str, jobs: int):
-        self.out_dir = out_dir
+    def __init__(self, jobs: int):
         self.jobs = max(1, jobs)
         self.tasks = []
 
@@ -246,6 +245,9 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: s
     if len(cells) < 2:
         raise ConfigError("gauge-reduction needs chain_cells_list with >= 2 entries",
                           key="chain_cells_list")
+    if cells != sorted(cells):
+        raise ConfigError("gauge-reduction needs an ascending chain_cells_list",
+                          key="chain_cells_list")
     model = cfg.build_model()
     beta = cfg.beta_raw()
     if math.isinf(beta):
@@ -299,7 +301,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        runner = TaskRunner(args.out, args.jobs)
+        runner = TaskRunner(args.jobs)
         _COMMANDS[args.command](cfg, args.out, runner, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

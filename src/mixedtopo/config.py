@@ -29,6 +29,7 @@ rejected):
     path_points      initial Uhlmann path resolution   (default 512)
 
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
+Every number must be finite; only beta may be inf.
 """
 
 from __future__ import annotations
@@ -215,6 +216,14 @@ def parse_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
+    for key in sorted(_FLOAT_KEYS - {"beta"}):  # beta = inf is the pure state; checked below
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite", key=key)
+    for key in ("atomic_d", "temperature_list"):
+        values = getattr(cfg, key)
+        if values is not None and not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} entries must be finite", key=key)
     if cfg.model not in ("qwz", "atomic", "tabulated"):
         raise ConfigError(f"unknown model {cfg.model!r}", key="model")
     if cfg.t_units not in ("gap", "raw"):
@@ -237,5 +246,3 @@ def _validate(cfg: RunConfig):
         raise ConfigError("chain_cells_list entries must be >= 2", key="chain_cells_list")
     if not 0 < cfg.scan_t_min < cfg.scan_t_max:
         raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min")
-    if not math.isfinite(cfg.mu):
-        raise ConfigError("mu must be finite", key="mu")

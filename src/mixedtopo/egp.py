@@ -25,12 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeZeroError, WindingMismatchError
-from .gaussian import (
-    ChainCorrelationMatrix,
-    GaussianStateSpec,
-    hfict_line,
-    hfict_lines,
-)
+from .gaussian import GaussianStateSpec, hfict_line, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
 from .model import momentum_line
 
@@ -62,12 +57,12 @@ def momentum_shift_angles(n_cells: int, p: int) -> np.ndarray:
 def gaussian_trace_diagonal_unitary(correlation, thetas: np.ndarray) -> GaussianTrace:
     """Tr[rho exp(i sum_a theta_a n_a)] = det[1 + M(D - 1)] in log space.
 
-    `correlation` is a ChainCorrelationMatrix or a raw L x L array of
-    <c^dag_a c_b>; the determinant is transpose invariant, so the covariance
-    index convention cannot change the result. A vanishing determinant is
+    `correlation` is any L x L array of <c^dag_a c_b>, translation invariant
+    or not; the determinant is transpose invariant, so the covariance index
+    convention cannot change the result. A vanishing determinant is
     legitimate and simply reported with log magnitude -inf.
     """
-    matrix = correlation.entries if isinstance(correlation, ChainCorrelationMatrix) else np.asarray(correlation)
+    matrix = np.asarray(correlation)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (matrix.shape[0],):
         raise ValueError(f"need {matrix.shape[0]} angles, got {thetas.shape}")

@@ -1,4 +1,4 @@
-"""Gaussian-state data: g(k), the fictitious Hamiltonian, and chain correlations.
+"""Gaussian-state data: g(k), the fictitious Hamiltonian, and its chain samples.
 
 A number-conserving Gaussian state is fixed by a p x p Hermitian matrix g(k);
 its covariance matrix of single-particle correlations
@@ -8,6 +8,9 @@ its covariance matrix of single-particle correlations
 is the spectral Fermi function of g(k) read in transposed index order. That
 transpose is fixed here once and honored everywhere downstream; thermal
 invariants do not feel it, user-supplied non-equilibrium grids do.
+
+`hfict_lines` samples hfict along the chains whose EGP `egp.chain_traces`
+takes in momentum space; no real-space chain correlation matrix is built.
 """
 
 from __future__ import annotations
@@ -227,62 +230,6 @@ def hfict_line(spec: GaussianStateSpec, direction: str, transverse_k: float,
                n_cells: int) -> np.ndarray:
     """hfict samples (n_cells, p, p) along one chain through the BZ; see hfict_lines."""
     return hfict_lines(spec, direction, [transverse_k], n_cells)[0]
-
-
-def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:
-    """Real-space chain correlation matrix from hfict samples on the chain BZ.
-
-    M[(j,lam),(j',lam')] = (1/N) sum_k e^{-ik(j-j')} hfict[lam,lam'](k) with the
-    composite index j-major. With k_m = -pi + 2 pi m / N the block for
-    d = j - j' is (-1)^d c[d mod N], where c is one DFT of the samples over
-    k: the matrix is block circulant up to that sign, and the gather costs
-    O(N^2 p^2) time and memory.
-    """
-    line = np.asarray(line, dtype=complex)
-    n = line.shape[0]
-    p = line.shape[-1]
-    c = np.fft.fft(line, axis=0) / n
-    d = np.subtract.outer(np.arange(n), np.arange(n))
-    blocks = c[d % n] * np.where(d % 2 == 0, 1.0, -1.0)[:, :, None, None]  # (n, n, p, p)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * p, n * p)
-
-
-@dataclass(frozen=True)
-class ChainCorrelationMatrix:
-    """L x L (L = p N) correlation matrix of a chain at fixed transverse momentum.
-
-    entries[(j,lam),(j',lam')] = <c^dag_{j lam} c_{j' lam'}>, j-major ordering.
-    """
-
-    direction: str
-    transverse_k: float
-    n_cells: int
-    p: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        L = self.n_cells * self.p
-        if self.entries.shape != (L, L):
-            raise ValueError(f"expected {L}x{L} entries, got {self.entries.shape}")
-        _check_hermitian(self.entries, atol=1e-10, what="chain correlation matrix")
-
-    @property
-    def n_modes(self) -> int:
-        return self.n_cells * self.p
-
-    def occupation_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
-
-def chain_correlation_matrix(spec: GaussianStateSpec, direction: str, transverse_k: float,
-                             n_cells: int) -> ChainCorrelationMatrix:
-    """Correlation matrix of the 1D chain cut out of a 2D Gaussian state."""
-    if n_cells < 2:
-        raise ValueError(f"need n_cells >= 2, got {n_cells}")
-    line = hfict_line(spec, direction, transverse_k, n_cells)
-    return ChainCorrelationMatrix(direction=direction, transverse_k=float(transverse_k),
-                                  n_cells=n_cells, p=spec.p,
-                                  entries=correlation_from_hfict_line(line))
 
 
 def filled_band_count(occupations: np.ndarray) -> int:

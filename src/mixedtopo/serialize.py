@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -56,21 +55,6 @@ def write_json_atomic(path, payload):
 
 
 # ---------------------------------------------------------------- profiles
-
-def profile_to_csv(path, profile: PhaseProfile):
-    rows = [[fmt(p), fmt(v)] for p, v in zip(profile.parameters, profile.phases)]
-    write_csv(path, ["parameter", "value"], rows)
-
-
-def profile_from_csv(path, label: str = "", direction: str = "",
-                     temperature: Optional[float] = None) -> PhaseProfile:
-    header, rows = read_csv(path)
-    if header != ["parameter", "value"]:
-        raise ValueError(f"{path}: not a phase-profile CSV (header {header})")
-    data = np.array([[float(a), float(b)] for a, b in rows])
-    return PhaseProfile(parameters=data[:, 0], phases=data[:, 1], label=label,
-                        direction=direction, temperature=temperature)
-
 
 def profile_to_json(path, profile: PhaseProfile):
     write_json(path, {

@@ -395,35 +395,29 @@ def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     return np.stack([even, odd], axis=-1).reshape(*even.shape[:-1], -1)
 
 
-def _uhlmann_profile_raw(spectra: _LoopSpectra, beta: float, mu: float,
-                         n_points: int) -> np.ndarray:
-    """Uhlmann phases over transverse momenta, batched over (transverse, path).
-
-    The spectra keep their exact Boltzmann weights: no density matrix is
-    assembled, so no rank floor applies. The weights of the energy planes
-    (p, T, M) are normalized over p through a (T, M, p) view, which leaves
-    them as planes in memory.
-    """
-    energies, vectors = spectra(n_points)
-    weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
-    _, phases, _ = _transport(vectors, weights, spectra.transverse)
-    return phases
-
-
 def _refined_phases(spectra: _LoopSpectra, beta: float, mu: float, n_points: int,
                     refine: bool) -> tuple[np.ndarray, int]:
-    m = n_points
-    phases = _uhlmann_profile_raw(spectra, beta, mu, m)
-    while refine:
+    """(Uhlmann phases over the transverse momenta, path points used).
+
+    Each pass evaluates the loops of m points, batched over (transverse,
+    path), and transports them. The spectra keep their exact Boltzmann
+    weights: no density matrix is assembled, so no rank floor applies. The
+    weights of the energy planes (p, T, M) are normalized over p through a
+    (T, M, p) view, which leaves them as planes in memory. With `refine`, m
+    doubles until the phases change pointwise by less than CAUCHY_TOL.
+    """
+    m, previous = n_points, None
+    while True:
+        energies, vectors = spectra(m)
+        weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
+        _, phases, _ = _transport(vectors, weights, spectra.transverse)
+        if not refine or (previous is not None and np.abs(
+                (phases - previous + np.pi) % (2 * np.pi) - np.pi).max() < CAUCHY_TOL):
+            return phases, m
         if 2 * m > PATH_POINTS_CAP:
             raise UnderResolvedError(
                 f"Uhlmann path not Cauchy-converged below {PATH_POINTS_CAP} points")
-        refined = _uhlmann_profile_raw(spectra, beta, mu, 2 * m)
-        delta = np.abs((refined - phases + np.pi) % (2 * np.pi) - np.pi).max()
-        phases, m = refined, 2 * m
-        if delta < CAUCHY_TOL:
-            break
-    return phases, m
+        previous, m = phases, 2 * m
 
 
 def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,

@@ -148,6 +148,31 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys):
     assert any(t["status"] == "error" for t in manifest["tasks"])
 
 
+@pytest.mark.parametrize("command,key,value,extra", [
+    ("egp-winding", "alpha", "inf", {}),
+    ("egp-winding", "alpha", "nan", {}),
+    ("egp-winding", "gamma", "inf", {}),
+    ("egp-winding", "gamma", "nan", {}),
+    ("egp-winding", "mass", "inf", {}),
+    ("egp-winding", "mass", "nan", {}),
+    ("egp-winding", "atomic_d", "0,nan,1", {"model": "atomic"}),
+    ("egp-winding", "temperature", "nan", {}),
+    ("egp-winding", "temperature", "inf", {}),
+    ("egp-profile", "temperature_list", "0,inf", {}),
+    ("egp-profile", "temperature_list", "nan", {}),
+    ("invariant-scan", "scan_t_max", "inf", {}),
+    ("gauge-reduction", "transverse_k", "nan", {"chain_cells_list": "4,8"}),
+    ("gauge-reduction", "chain_cells_list", "8,4", {}),
+])
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
+    """A non-finite number, or a descending gauge-reduction list, exits 2 naming its key."""
+    items = {"model": "qwz", "grid_nx": "8", "grid_ny": "8", "temperature": "20", **extra,
+             key: value}
+    cfg = write_config(tmp_path / "c.txt", "".join(f"{k} = {v}\n" for k, v in items.items()))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+
+
 def test_cli_chern(tmp_path):
     cfg = write_config(tmp_path / "c.txt", BASE + "beta = 1.0\n")
     out = tmp_path / "out"
@@ -372,16 +397,6 @@ def test_cli_format_json(tmp_path):
     profile = serialize.profile_from_json(out / "egp_profile_x_N9_T0.json")
     assert len(profile.phases) == 16
     assert profile.moduli is not None
-
-
-def test_serialize_profile_roundtrip(tmp_path):
-    prof = mt.PhaseProfile(mt.momentum_line(8), np.linspace(-3, 3, 8), label="zak",
-                           direction="x", temperature=0.7)
-    path = tmp_path / "p.csv"
-    serialize.profile_to_csv(path, prof)
-    back = serialize.profile_from_csv(path, label="zak", direction="x", temperature=0.7)
-    assert np.array_equal(back.parameters, prof.parameters)
-    assert np.array_equal(back.phases, prof.phases)
 
 
 def test_serialize_curvature_roundtrip(tmp_path, qwz):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
+from chain_oracle import chain_correlation_matrix, correlation_from_hfict_line
 from conftest import random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
-from mixedtopo.gaussian import correlation_from_hfict_line, hfict_line, hfict_lines
+from mixedtopo.gaussian import hfict_line, hfict_lines
 
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
@@ -32,7 +33,7 @@ def test_trace_matches_fock_oracle_qwz_chain(qwz):
     """L = 6 thermal chain state against the 2^6 Fock-space enumeration."""
     beta, n_cells = 1.0, 3
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    corr = mt.chain_correlation_matrix(spec, "x", 0.7, n_cells)
+    corr = chain_correlation_matrix(spec, "x", 0.7, n_cells)
     thetas = mt.momentum_shift_angles(n_cells, 2)
     got = mt.gaussian_trace_diagonal_unitary(corr, thetas).value
 
@@ -154,7 +155,7 @@ def test_egp_amplitude_bound_random_states():
 def test_egp_translation_leaves_modulus_invariant(qwz):
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
     n_cells, p = 6, 2
-    corr = mt.chain_correlation_matrix(spec, "x", 0.4, n_cells)
+    corr = chain_correlation_matrix(spec, "x", 0.4, n_cells)
     thetas = mt.momentum_shift_angles(n_cells, p)
     shifted = np.roll(thetas, p)  # cyclic relabeling j -> j + 1
     a = mt.gaussian_trace_diagonal_unitary(corr, thetas)
@@ -190,7 +191,7 @@ def test_near_half_occupation_amplitude_is_tiny_but_defined():
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, mt.atomic_model())
     r = mt.egp_component(spec, "x", 0.1, 4)
     reference = mt.gaussian_trace_diagonal_unitary(
-        mt.chain_correlation_matrix(spec, "x", 0.1, 4), mt.momentum_shift_angles(4, 2))
+        chain_correlation_matrix(spec, "x", 0.1, 4), mt.momentum_shift_angles(4, 2))
     assert 1e-7 < r.magnitude < 1e-5
     assert r.magnitude * np.exp(1j * r.phase) == pytest.approx(
         _atomic_closed_form([0.499, 0.501], 4), rel=1e-9)

@@ -1,4 +1,4 @@
-"""The README's "Public API" list names exactly what the package exports."""
+"""The README names exactly what the package exports and the config keys it accepts."""
 
 import ast
 import inspect
@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import mixedtopo as mt
-from mixedtopo import errors
+from mixedtopo import config, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +33,11 @@ def test_readme_public_api_matches_exports():
     exported = _exported_names()
     assert exported == _readme_names()
     assert all(hasattr(mt, name) for name in exported)
+
+
+def test_readme_config_keys_match_parser():
+    """The key column of README "Config file" lists every key parse_config accepts."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("### Matrix-grid files", 1)[0]
+    key_cells = re.findall(r"^\| ([^|]*) \|", section, flags=re.MULTILINE)
+    assert {name for cell in key_cells for name in re.findall(r"`(\w+)`", cell)} == config._ALL_KEYS
