@@ -9,11 +9,10 @@ A chain cut out of a translation-invariant state is diagonal in momentum:
 the Fourier transform over cells turns M into the block diagonal n of the
 covariance samples hfict(k_m) and D into the cyclic block shift
 S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `chain_traces` takes
-that determinant by block Householder elimination in O(N p^3) time and
-O(p^2) working memory per chain, batched over any leading axes; every chain
-EGP in this module goes through it. Determinants are kept in log space
-(phase + log-magnitude) so chains with thousands of modes cannot under- or
-overflow.
+that determinant by block cyclic reduction, about log2 N batched Householder
+QRs in O(N p^3) time and O(N p^2) memory per chain, batched over any leading
+axes; every chain EGP in this module goes through it. Determinants are kept
+in log space (phase + log-magnitude) so long chains cannot under- or overflow.
 """
 
 from __future__ import annotations
@@ -25,9 +24,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeZeroError, WindingMismatchError
-from .gaussian import GaussianStateSpec, hfict_line, hfict_lines
+from .gaussian import GaussianStateSpec, _fermi_covariance, hfict_line, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
-from .model import momentum_line
+from .model import BlochModel, line_momenta, momentum_line
+
+PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
 
 
 class GaussianTrace(NamedTuple):
@@ -79,44 +80,50 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     `lines` holds hfict samples (..., N, p, p) on the chain momenta
     k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
     of the chain's real-space correlation matrix with `momentum_shift_angles`.
-    The N p x N p matrix is block bidiagonal, diagonal blocks 1 - n_m and
-    superdiagonal blocks n_m, plus the corner block n_{N-1} at (N-1, 0); it is
-    never formed. Each step takes a Householder QR of block column m, stacked
-    from block row m and the p "spike" rows carried up from the corner, and
-    carries the bottom p rows of Q^dag (rest) on as the next spike, which lives
-    in column m + 1 and the border column N - 1. Unitary row operations keep
-    the spike bounded, so the elimination is backward stable at any
-    temperature, projector blocks included. A closing 2p x 2p slogdet ends it.
-    An exactly vanishing determinant gives log magnitude -inf and phase 0.
+    The N p x N p matrix is block-cyclic bidiagonal, A_i = 1 - n_i at (i, i)
+    and B_i = n_i at (i, i + 1 mod N); it is never formed. Each level of block
+    cyclic reduction pairs rows (j - 1, j) for odd j, takes one batched
+    Householder QR of the columns [B_{j-1}; A_j] and keeps the bottom p rows of
+    Q^dag times the pair, (Q^dag)[p:, :p] A_{j-1} and (Q^dag)[p:, p:] B_j: the
+    system of half the size. Each pair adds det Q (-1)^p prod r_ii to the
+    determinant; an odd count carries its last row on unpaired. A 2p x 2p QR
+    closes at two blocks. The row operations are unitary, so the reduction is
+    backward stable at any temperature, projector blocks included. A pivot
+    |r_ii| bounds the smallest singular value from above: one below
+    PIVOT_FLOOR N p eps times the largest block norm marks a determinant that
+    rounding cannot tell from 0, reported as log magnitude -inf and phase 0.
     """
     lines = np.asarray(lines, dtype=complex)
-    n_cells, p = lines.shape[-3], lines.shape[-1]
+    n_cells, p, batch = lines.shape[-3], lines.shape[-1], lines.shape[:-3]
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
-    eye = np.eye(p)
-    spike_col = lines[..., -1, :, :]
-    spike_border = eye - lines[..., -1, :, :]
-    log_magnitude = np.zeros(lines.shape[:-3])
-    unit = np.ones(lines.shape[:-3], dtype=complex)
-    # a zero pivot makes log|r| = -inf and r / |r| = nan; both are resolved below
+    diag, upper = np.moveaxis(np.eye(p) - lines, -3, 0), np.moveaxis(lines, -3, 0)  # cells first
+    floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.linalg.norm(
+        np.stack([diag, upper]), axis=(-2, -1)).max(axis=(0, 1))
+    log_magnitude, smallest = np.zeros(batch), np.full(batch, np.inf)
+    unit = np.full(batch, (-1.0) ** (p * n_cells), dtype=complex)  # (-1)^p per pair, N - 2 pairs
+
+    def factor(columns, mode="reduced"):
+        """Q of a QR stacked (pairs, *batch, ...); det Q and the pivots r_ii go into the result."""
+        q, r = np.linalg.qr(columns, mode=mode)
+        pivots = np.diagonal(r, axis1=-2, axis2=-1)
+        moduli = np.abs(pivots)
+        np.minimum(smallest, moduli.min(axis=(0, -1)), out=smallest)
+        log_magnitude[...] += np.log(moduli).sum(axis=(0, -1))
+        unit[...] *= (np.linalg.det(q) * (pivots / moduli).prod(axis=-1)).prod(axis=0)
+        return q
+
+    # a zero pivot makes log|r| = -inf and r / |r| = nan; the floor below masks both
     with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(n_cells - 2):
-            n_m = lines[..., m, :, :]
-            q, r = np.linalg.qr(np.concatenate([eye - n_m, spike_col], axis=-2), mode="complete")
-            carry = q[..., p:].conj().swapaxes(-1, -2)
-            spike_col = carry[..., :p] @ n_m
-            spike_border = carry[..., p:] @ spike_border
-            pivots = np.diagonal(r, axis1=-2, axis2=-1)
-            moduli = np.abs(pivots)
-            log_magnitude += np.log(moduli).sum(axis=-1)
-            unit *= np.linalg.det(q) * (pivots / moduli).prod(axis=-1)
-        n_m = lines[..., -2, :, :]
-        closing = np.concatenate([np.concatenate([eye - n_m, n_m], axis=-1),
-                                  np.concatenate([spike_col, spike_border], axis=-1)], axis=-2)
-        sign, logdet = np.linalg.slogdet(closing)
-    log_magnitude = log_magnitude + logdet
-    phase = np.where(np.isfinite(log_magnitude), np.angle(unit * sign), 0.0)
-    return phase, log_magnitude
+        while len(diag) > 2:
+            tail = len(diag) - len(diag) % 2  # an odd count's unpaired last row
+            q = factor(np.concatenate([upper[:-1:2], diag[1::2]], axis=-2), "complete")
+            rest = q[..., p:].conj().swapaxes(-1, -2)  # bottom p rows of Q^dag
+            diag = np.concatenate([rest[..., :p] @ diag[:-1:2], diag[tail:]])
+            upper = np.concatenate([rest[..., p:] @ upper[1::2], upper[tail:]])
+        factor(np.block([[diag[0], upper[0]], [upper[1], diag[1]]])[None])
+    exact_zero = smallest < floor
+    return np.where(exact_zero, 0.0, np.angle(unit)), np.where(exact_zero, -np.inf, log_magnitude)
 
 
 @dataclass(frozen=True)
@@ -190,12 +197,14 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     """
     n_cells = _cells_for(spec, direction, n_cells)
     transverse = momentum_line(_transverse_for(spec, direction, transverse_count))
-    phases, log_magnitudes = chain_traces(hfict_lines(spec, direction, transverse, n_cells))
+    return _profile(spec, direction, transverse, hfict_lines(spec, direction, transverse, n_cells))
+
+
+def _profile(spec: GaussianStateSpec, direction: str, transverse: np.ndarray,
+             lines: np.ndarray) -> PhaseProfile:
+    phases, log_magnitudes = chain_traces(lines)
     _require_amplitude(log_magnitudes, transverse)
-    beta = spec.beta if spec.is_thermal else None
-    temperature = None
-    if beta is not None:
-        temperature = 0.0 if math.isinf(beta) else 1.0 / beta
+    temperature = 1.0 / spec.beta if spec.is_thermal else None  # 0.0 at beta = inf
     return PhaseProfile(parameters=transverse, phases=phases, moduli=np.exp(log_magnitudes),
                         label="egp", direction=direction, temperature=temperature)
 
@@ -208,12 +217,39 @@ def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
     valid Gaussian state both integers must agree; disagreement signals
     under-resolution or a generalized-gap violation and raises.
     """
-    cx = winding_of_phase_profile(egp_profile(spec, "x", n_cells, transverse_count))
-    cy = -winding_of_phase_profile(egp_profile(spec, "y", n_cells, transverse_count))
+    return _egp_windings(lambda direction: egp_profile(spec, direction, n_cells, transverse_count))
+
+
+def _egp_windings(profile_of) -> tuple[int, int]:
+    cx = winding_of_phase_profile(profile_of("x"))
+    cy = -winding_of_phase_profile(profile_of("y"))
     if cx != cy:
         raise WindingMismatchError(
             f"EGP Chern inconsistency: C_x = {cx} != C_y = {cy}")
     return cx, cy
+
+
+class _ChainSpectra:
+    """h(k) spectra on the x and y chain meshes of thermal `egp_windings`, for
+    a temperature scan: each mesh is diagonalized once, on first use, and only
+    the Fermi weights are formed per temperature, as `hfict_lines` forms them.
+    """
+
+    def __init__(self, model: BlochModel, n_cells: int, transverse_count: int):
+        self.model, self.n_cells = model, n_cells
+        self.transverse = momentum_line(transverse_count)
+        self._spectra = {}
+
+    def _profile(self, spec: GaussianStateSpec, direction: str) -> PhaseProfile:
+        if direction not in self._spectra:
+            kxs, kys = line_momenta(direction, momentum_line(self.n_cells)[None, :],
+                                    self.transverse[:, None])
+            self._spectra[direction] = np.linalg.eigh(self.model.matrix(kxs, kys))
+        lines = _fermi_covariance(*self._spectra[direction], spec.beta, spec.mu)
+        return _profile(spec, direction, self.transverse, lines)
+
+    def windings(self, spec: GaussianStateSpec) -> tuple[int, int]:
+        return _egp_windings(lambda direction: self._profile(spec, direction))
 
 
 def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,

@@ -191,9 +191,12 @@ def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
     """
     if not spec.is_thermal:
         return grid_lookup(spec.hfict_grid.grid, spec.hfict_grid.values, kx, ky)
-    energies, vectors = np.linalg.eigh(spec.model.matrix(kx, ky))
-    fermi_matrix = spectral_sum(vectors, fermi_weights(energies, spec.beta, spec.mu))
-    return np.swapaxes(fermi_matrix, -1, -2).copy()
+    return _fermi_covariance(*np.linalg.eigh(spec.model.matrix(kx, ky)), spec.beta, spec.mu)
+
+
+def _fermi_covariance(energies, vectors, beta: float, mu: float) -> np.ndarray:
+    """Thermal hfict [V f V^dag]^T from a spectrum of h; only f depends on beta."""
+    return np.swapaxes(spectral_sum(vectors, fermi_weights(energies, beta, mu)), -1, -2).copy()
 
 
 def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHamiltonianGrid:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .egp import egp_windings
+from .egp import _ChainSpectra
 from .errors import (
     MixedTopoError,
     PhaseUndefinedError,
@@ -519,6 +519,7 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = ground_state_chern(model, mu, grid)
     loops = _grid_loops(model, grid)  # h(k) spectra shared by every temperature
+    chains = _ChainSpectra(model, n_cells, egp_transverse)
     reports = []
     for t in np.asarray(temperatures, dtype=float):
         beta = 1.0 / t
@@ -530,7 +531,7 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
             errors.append(f"uhlmann: {exc}")
         try:
             spec = GaussianStateSpec.thermal(beta, mu, model)
-            cx_e, cy_e = egp_windings(spec, n_cells, egp_transverse)
+            cx_e, cy_e = chains.windings(spec)
         except MixedTopoError as exc:
             errors.append(f"egp: {exc}")
         reports.append(InvariantReport(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from chain_oracle import chain_correlation_matrix, correlation_from_hfict_line
+from chain_oracle import chain_correlation_matrix, chain_traces_loop, correlation_from_hfict_line
 from conftest import random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo.gaussian import hfict_line, hfict_lines
@@ -199,6 +199,86 @@ def test_near_half_occupation_amplitude_is_tiny_but_defined():
     assert abs(r.log_magnitude - reference.log_magnitude) <= 1e-10
 
 
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("n_cells", [4, 6, 8, 10, 12, 16, 100])
+def test_exact_half_occupation_even_chains_are_exact_zeros(direction, n_cells):
+    """det[(1 + S) / 2] = 0 at every even N: a pivot below the floor reports it as
+    -inf with phase 0, where rounding would leave a finite modulus near e^-80."""
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.atomic_model((0.0, 0.0, 0.0)))
+    phase, log_magnitude = mt.chain_traces(hfict_line(spec, direction, 0.1, n_cells))
+    assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
+    with pytest.raises(mt.AmplitudeZeroError):
+        mt.egp_component(spec, direction, 0.1, n_cells)
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_exact_half_occupation_odd_chain_is_finite(direction):
+    """At odd N the same state has z = (2^(1-N))^2 exactly, far above the floor."""
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.atomic_model((0.0, 0.0, 0.0)))
+    r = mt.egp_component(spec, direction, 0.1, 7)
+    assert r.log_magnitude == pytest.approx(-12 * math.log(2), abs=1e-12)  # -8.3178
+    assert r.phase == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+def test_two_cell_chain_through_time_reversal_points_is_an_exact_zero(qwz, beta):
+    """At transverse k = 0 an N = 2 chain samples k = -pi and 0, where the qwz
+    Bloch matrices are diagonal with d_z = +1 and -1: per orbital the
+    determinant is (1 - a)(1 - b) - a b = 1 - a - b = 0 with a + b = 1."""
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
+    for direction in ("x", "y"):
+        phase, log_magnitude = mt.chain_traces(hfict_line(spec, direction, 0.0, 2))
+        assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
+
+
+def _assert_matches_loop(lines):
+    """Cyclic reduction against the per-cell elimination, to 1e-12 in phase and
+    in relative log|z|."""
+    phase, log_magnitude = mt.chain_traces(lines)
+    ref_phase, ref_log = chain_traces_loop(lines)
+    assert np.isfinite(log_magnitude).all()
+    assert np.abs(mt.principal_branch(phase - ref_phase)).max() <= 1e-12
+    assert (np.abs(log_magnitude - ref_log) / np.maximum(1.0, np.abs(ref_log))).max() <= 1e-12
+
+
+LOOP_CELLS = [2, 3, 5, 6, 7, 10, 11, 50, 101, 1000]
+
+
+@pytest.mark.parametrize("n_cells", LOOP_CELLS)
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_chain_traces_match_loop_random_lines(p, n_cells):
+    rng = np.random.default_rng(1000 * p + n_cells)
+    for filled in range(p + 1):
+        _assert_matches_loop(np.stack([_gapped_line(rng, n_cells, p, filled) for _ in range(3)]))
+
+
+@pytest.mark.parametrize("n_cells", LOOP_CELLS)
+@pytest.mark.parametrize("beta", [0.025, 1.0, 5.0, math.inf])
+def test_chain_traces_match_loop_qwz(qwz, beta, n_cells):
+    """16 transverse momenta off the time-reversal lines k = 0, -pi, where an
+    N = 2 chain is an exact zero (see the test above) that the loop leaves as
+    rounding noise."""
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
+    for direction in ("x", "y"):
+        _assert_matches_loop(hfict_lines(spec, direction, mt.momentum_line(16) + 0.1, n_cells))
+
+
+def test_chain_traces_qr_calls_are_logarithmic(qwz, monkeypatch):
+    """N = 1000 takes 9 halving levels and the closing QR: at most ceil(log2 N) + 1."""
+    calls = []
+    original = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    lines = hfict_lines(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), "x", [0.3, 1.1], 1000)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    mt.chain_traces(lines)
+    assert len(calls) <= math.ceil(math.log2(1000)) + 1
+    assert calls[-1][-3:] == (2, 4, 4)  # the closing 2p x 2p factorization of both chains
+
+
 def _real_space_trace(line):
     n_cells, p = line.shape[0], line.shape[-1]
     return mt.gaussian_trace_diagonal_unitary(correlation_from_hfict_line(line),
@@ -277,6 +357,14 @@ def test_gauge_reduction_falls_at_large_n(qwz, qwz_gap):
     spec = mt.GaussianStateSpec.thermal(1.0 / (20.0 * qwz_gap), 0.0, qwz)
     devs = [d for _, d in mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [1000, 3000, 10000])]
     assert devs[0] > devs[1] > devs[2] > 0
+
+
+def test_gauge_reduction_thermodynamic_limit_exponent(qwz, qwz_gap):
+    """The EGP at T = 20 gap approaches the pure-state phase as N^-2."""
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20.0 * qwz_gap), 0.0, qwz)
+    devs = mt.gauge_reduction_deviation(spec, "x", 1.3, [1000, 3000, 10000])
+    assert devs[0][1] > devs[1][1] > devs[2][1] > 0
+    assert -2.02 <= mt.gauge_reduction_exponent(devs) <= -1.98
 
 
 def test_gauge_reduction_pure_reference_is_exact(qwz):

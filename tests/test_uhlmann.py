@@ -164,6 +164,27 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
     assert per_scan == [2 * 12 * 512, 2 * 12 * 512]
 
 
+def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch):
+    """Only the Fermi weights depend on beta: the EGP chain meshes are diagonalized
+    once per scan, and the scan's EGP windings equal `egp_windings` at each row."""
+    counts = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    grid = mt.MomentumGrid(12, 12)
+    temperatures = np.array([0.05, 0.5, 5.0]) * qwz_gap
+    expected = [mt.egp_windings(mt.GaussianStateSpec.thermal(1 / t, 0.0, qwz), 6, 12)
+                for t in temperatures]
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_points=128, n_cells=6)
+    assert [(r.cx_egp, r.cy_egp) for r in reports] == expected
+    # Uhlmann loops (2 x 12 x 512), ground state (12 x 12), x and y chain meshes (12 x 6 each)
+    assert sum(counts) == 2 * 12 * 512 + 12 * 12 + 2 * 12 * 6
+
+
 # ------------------------------------------------------------------ transport kernel
 
 def _qwz_loop_spectra(qwz, direction, n_points, beta):
