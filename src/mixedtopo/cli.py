@@ -1,6 +1,7 @@
 """Command-line driver: each subcommand reproduces one figure/claim recipe.
 
-    mixedtopo <subcommand> --config cfg.txt [--out DIR] [--jobs N] [--format csv|json]
+    mixedtopo <subcommand> --config cfg.txt [--out DIR] [--jobs N]
+    mixedtopo egp-profile --config cfg.txt [--out DIR] [--jobs N] [--format csv|json]
 
 Subcommands: spectrum | egp-profile | egp-winding | invariant-scan | chern |
 gauge-reduction. Exit codes: 0 success, 2 configuration error, 3 numerical
@@ -93,18 +94,15 @@ def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
 
 # ------------------------------------------------------------------ commands
 
-def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     def task():
         model = cfg.build_model()
         grid = cfg.momentum_grid()
         kxs, kys = grid.kx_values(), grid.ky_values()
         energies = np.linalg.eigvalsh(model.matrix(*grid.mesh()))
         header = ["kx", "ky"] + [f"e_{n + 1}" for n in range(model.p)]
-        rows = []
-        for i, kx in enumerate(kxs):
-            for j, ky in enumerate(kys):
-                rows.append([serialize.fmt(kx), serialize.fmt(ky)]
-                            + [serialize.fmt(e) for e in energies[i, j]])
+        rows = [[serialize.fmt(kx), serialize.fmt(ky)] + [serialize.fmt(e) for e in energies[i, j]]
+                for i, kx in enumerate(kxs) for j, ky in enumerate(kys)]
         spectrum_path = os.path.join(out_dir, "spectrum.csv")
         serialize.write_csv(spectrum_path, header, rows)
         gap = band_gap(model, grid, cfg.mu)
@@ -115,7 +113,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
     runner.add("spectrum", task)
 
 
-def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     tabulated = cfg.build_state() if cfg.hfict_path else None
     grid = tabulated.hfict_grid.grid if tabulated is not None else cfg.momentum_grid()
 
@@ -180,20 +178,19 @@ def cmd_egp_profile(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
 
 
 def _emit_egp(base, profile, n, beta, fmt):
-    results = [EgpResult(phase=ph, log_magnitude=math.log(m) if m > 0 else -math.inf,
-                         n_cells=n, direction=profile.direction, transverse_k=tk,
-                         beta=beta, mu=None)
-               for tk, ph, m in zip(profile.parameters, profile.phases, profile.moduli)]
     if fmt == "json":
         path = base + ".json"
         serialize.profile_to_json(path, profile)
     else:
         path = base + ".csv"
-        serialize.egp_results_to_csv(path, results)
+        serialize.egp_results_to_csv(path, [
+            EgpResult(phase=ph, log_magnitude=lm, n_cells=n, direction=profile.direction,
+                      transverse_k=tk, beta=beta, mu=None)
+            for tk, ph, lm in zip(profile.parameters, profile.phases, profile.log_moduli)])
     return path
 
 
-def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     tabulated = cfg.build_state() if cfg.hfict_path else None
 
     def task():
@@ -214,7 +211,7 @@ def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
     runner.add("egp-winding", task)
 
 
-def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     def task():
         model = cfg.build_model()
         grid = cfg.momentum_grid()
@@ -240,7 +237,7 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: st
     runner.add("invariant-scan", task)
 
 
-def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     cells = cfg.cells_list()
     if len(cells) < 2:
         raise ConfigError("gauge-reduction needs chain_cells_list with >= 2 entries",
@@ -291,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "egp-profile":
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -302,11 +300,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         runner = TaskRunner(args.jobs)
-        _COMMANDS[args.command](cfg, args.out, runner, args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        options = {"fmt": args.format} if args.command == "egp-profile" else {}
+        _COMMANDS[args.command](cfg, args.out, runner, **options)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except MixedTopoError as exc:

@@ -127,10 +127,7 @@ class RunConfig:
         if self.temperature_list is None:
             return [(None, self.beta_raw())]
         scale = self.temperature_scale()
-        out = []
-        for t in self.temperature_list:
-            out.append((t, math.inf if t == 0 else 1.0 / (t * scale)))
-        return out
+        return [(t, math.inf if t == 0 else 1.0 / (t * scale)) for t in self.temperature_list]
 
     def build_state(self) -> GaussianStateSpec:
         if self.hfict_path:
@@ -228,10 +225,7 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown model {cfg.model!r}", key="model")
     if cfg.t_units not in ("gap", "raw"):
         raise ConfigError(f"t_units must be 'gap' or 'raw', got {cfg.t_units!r}", key="t_units")
-    for key in ("grid_nx", "grid_ny"):
-        if getattr(cfg, key) < 2:
-            raise ConfigError(f"{key} must be >= 2", key=key)
-    for key in ("chain_cells", "scan_points", "path_points"):
+    for key in ("grid_nx", "grid_ny", "chain_cells", "scan_points", "path_points"):
         if getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be >= 2", key=key)
     if cfg.egp_transverse is not None and cfg.egp_transverse < 2:

@@ -24,9 +24,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeZeroError, WindingMismatchError
-from .gaussian import GaussianStateSpec, _fermi_covariance, hfict_line, hfict_lines
+from .gaussian import GaussianStateSpec, _fermi_lines, hfict_line, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
-from .model import BlochModel, line_momenta, momentum_line
+from .model import _LineSpectra, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
 
@@ -192,8 +192,8 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
 
     All chains of the profile go through one `chain_traces` call. Tabulated
     specs fix n_cells and default transverse_count to their stored grid.
-    Returns a PhaseProfile whose `moduli` carry |z| per sample (the
-    gauge-reduction diagnostic).
+    Returns a PhaseProfile whose `log_moduli` carry log|z| per sample (the
+    gauge-reduction diagnostic), finite however small |z| gets.
     """
     n_cells = _cells_for(spec, direction, n_cells)
     transverse = momentum_line(_transverse_for(spec, direction, transverse_count))
@@ -205,7 +205,7 @@ def _profile(spec: GaussianStateSpec, direction: str, transverse: np.ndarray,
     phases, log_magnitudes = chain_traces(lines)
     _require_amplitude(log_magnitudes, transverse)
     temperature = 1.0 / spec.beta if spec.is_thermal else None  # 0.0 at beta = inf
-    return PhaseProfile(parameters=transverse, phases=phases, moduli=np.exp(log_magnitudes),
+    return PhaseProfile(parameters=transverse, phases=phases, log_moduli=log_magnitudes,
                         label="egp", direction=direction, temperature=temperature)
 
 
@@ -229,27 +229,10 @@ def _egp_windings(profile_of) -> tuple[int, int]:
     return cx, cy
 
 
-class _ChainSpectra:
-    """h(k) spectra on the x and y chain meshes of thermal `egp_windings`, for
-    a temperature scan: each mesh is diagonalized once, on first use, and only
-    the Fermi weights are formed per temperature, as `hfict_lines` forms them.
-    """
-
-    def __init__(self, model: BlochModel, n_cells: int, transverse_count: int):
-        self.model, self.n_cells = model, n_cells
-        self.transverse = momentum_line(transverse_count)
-        self._spectra = {}
-
-    def _profile(self, spec: GaussianStateSpec, direction: str) -> PhaseProfile:
-        if direction not in self._spectra:
-            kxs, kys = line_momenta(direction, momentum_line(self.n_cells)[None, :],
-                                    self.transverse[:, None])
-            self._spectra[direction] = np.linalg.eigh(self.model.matrix(kxs, kys))
-        lines = _fermi_covariance(*self._spectra[direction], spec.beta, spec.mu)
-        return _profile(spec, direction, self.transverse, lines)
-
-    def windings(self, spec: GaussianStateSpec) -> tuple[int, int]:
-        return _egp_windings(lambda direction: self._profile(spec, direction))
+def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) -> PhaseProfile:
+    """egp_profile of a thermal spec on the chains of a line-spectrum cache."""
+    return _profile(spec, lines.direction, lines.transverse,
+                    _fermi_lines(lines, n_cells, spec.beta, spec.mu))
 
 
 def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,
@@ -260,15 +243,17 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     fictitious-Hamiltonian ground state, i.e. its Wilson-loop Zak phase up to
     the exact (-1)^(N-1) closure factor of the N-fermion momentum shift; using
     it as the reference makes the deviation measure gauge reduction alone.
+    Both chains of each N come from one spectrum of h(k).
     """
     if not spec.is_thermal:
         raise ValueError("gauge reduction needs a thermal spec (beta = inf reference)")
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    pure = spec.pure_limit()
+    chains = _LineSpectra(spec.model, direction, np.array([float(transverse_k)]))
     out = []
     for n in n_list:
-        lines = np.stack([hfict_line(s, direction, transverse_k, n) for s in (spec, pure)])
+        lines = np.concatenate([_fermi_lines(chains, n, beta, spec.mu)
+                                for beta in (spec.beta, math.inf)])
         (phi, phi_ref), log_magnitudes = chain_traces(lines)
         _require_amplitude(log_magnitudes, transverse_k, f", N={n}")
         out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))

@@ -27,6 +27,8 @@ from .model import (
     BlochModel,
     MomentumGrid,
     _check_hermitian,
+    _LineSpectra,
+    _matrices,
     fermi_weights,
     grid_lookup,
     line_momenta,
@@ -212,21 +214,29 @@ def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
                 n_cells: int) -> np.ndarray:
     """hfict samples (len(transverse_ks), n_cells, p, p) along parallel chains.
 
-    One `fictitious_hamiltonian` call over the (transverse, chain) mesh of
-    n_cells uniform chain samples. Tabulated specs require n_cells and every
-    transverse momentum to match the stored grid, and must keep their
-    occupation spectrum away from 1/2 (no thermal gap information exists for
-    them, so the generalized gap is checked directly).
+    Thermal specs diagonalize h(k) once over the (transverse, chain) mesh of
+    n_cells uniform chain samples (`_fermi_lines`). Tabulated specs require
+    n_cells and every transverse momentum to match the stored grid, and must
+    keep their occupation spectrum away from 1/2 (no thermal gap information
+    exists for them, so the generalized gap is checked directly).
     """
     transverse_ks = np.asarray(transverse_ks, dtype=float)
+    if spec.is_thermal:
+        lines = _LineSpectra(spec.model, direction, transverse_ks)
+        return _fermi_lines(lines, n_cells, spec.beta, spec.mu)
     kxs, kys = line_momenta(direction, momentum_line(n_cells)[None, :], transverse_ks[:, None])
-    if not spec.is_thermal:
-        spec.hfict_grid.require_generalized_gap()
-        grid = spec.hfict_grid.grid
-        fixed = grid.nx if direction == "x" else grid.ny
-        if n_cells != fixed:
-            raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
+    spec.hfict_grid.require_generalized_gap()
+    grid = spec.hfict_grid.grid
+    fixed = grid.nx if direction == "x" else grid.ny
+    if n_cells != fixed:
+        raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
     return fictitious_hamiltonian(spec, kxs, kys)
+
+
+def _fermi_lines(lines: _LineSpectra, n_cells: int, beta: float, mu: float) -> np.ndarray:
+    """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache."""
+    energies, vectors = lines(n_cells)
+    return _fermi_covariance(np.moveaxis(energies, 0, -1), _matrices(vectors), beta, mu)
 
 
 def hfict_line(spec: GaussianStateSpec, direction: str, transverse_k: float,

@@ -10,7 +10,7 @@ two-band model carries Chern number +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ class PhaseProfile:
     label: str = ""
     direction: str = ""
     temperature: Optional[float] = None
-    moduli: Optional[np.ndarray] = None  # diagnostic side channel, e.g. EGP |z|
+    log_moduli: Optional[np.ndarray] = None  # diagnostic side channel, e.g. EGP log|z|
 
     def __post_init__(self):
         self.parameters = np.asarray(self.parameters, dtype=float)
@@ -66,7 +66,6 @@ class CurvatureField:
     """Per-plaquette field-strength phases on an nx x ny plaquette grid."""
 
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -299,3 +299,63 @@ def boltzmann_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarra
 def spectral_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """V diag(w) V^dag per stacked eigenbasis: vectors (..., p, p), weights (..., p)."""
     return np.einsum("...ij,...j,...kj->...ik", vectors, weights, vectors.conj())
+
+
+def _planes(matrices: np.ndarray) -> np.ndarray:
+    """(..., p, p) matrices as a contiguous copy in (p, p, ...) entry planes."""
+    return np.moveaxis(matrices, (-2, -1), (0, 1)).copy()
+
+
+def _matrices(planes: np.ndarray) -> np.ndarray:
+    """(p, p, ...) entry planes as a (..., p, p) view."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
+class _LineSpectra:
+    """Spectra of h(k) on the straight lines along `direction` at the transverse momenta.
+
+    The one cache of h(k) spectra on BZ lines: the Uhlmann loops take their
+    Boltzmann weights from it and the EGP chains their Fermi occupations, so
+    one instance serves every temperature. The spectra are kept as entry
+    planes, energies (p, T, M) and vectors (p, p, T, M), the Uhlmann
+    transport kernel's layout. Only the finest line diagonalized so far is
+    kept. A coarser line whose momenta are bitwise a stride of it is served as
+    a strided view, and a line of twice the points diagonalizes only its new
+    odd points.
+    """
+
+    def __init__(self, model: BlochModel, direction: str, transverse: np.ndarray):
+        self.model, self.direction, self.transverse = model, direction, transverse
+        self._ks = None  # momenta of the stored line
+        self._energies = self._vectors = None
+
+    def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kxs, kys = line_momenta(self.direction, ks[None, :], self.transverse[:, None])
+        energies, vectors = np.linalg.eigh(self.model.matrix(kxs, kys))
+        return np.ascontiguousarray(np.moveaxis(energies, -1, 0)), _planes(vectors)
+
+    def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+        """(energies (p, T, M), vectors (p, p, T, M)) on the n_points-sample lines, as planes."""
+        ks = momentum_line(n_points)
+        stored = 0 if self._ks is None else len(self._ks)
+        stride = stored // n_points
+        if stride and _same_bits(self._ks[::stride], ks):
+            return self._energies[..., ::stride], self._vectors[..., ::stride]
+        if n_points == 2 * stored and _same_bits(ks[::2], self._ks):
+            odd_energies, odd_vectors = self._eigh(ks[1::2])
+            energies = _interleave(self._energies, odd_energies)
+            vectors = _interleave(self._vectors, odd_vectors)
+        else:
+            energies, vectors = self._eigh(ks)
+        if n_points > stored:
+            self._ks, self._energies, self._vectors = ks, energies, vectors
+        return energies, vectors
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """(..., M) samples at the even and odd points of a (..., 2M) line."""
+    return np.stack([even, odd], axis=-1).reshape(*even.shape[:-1], -1)

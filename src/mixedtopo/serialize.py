@@ -42,9 +42,19 @@ def read_csv(path):
         return header, list(reader)
 
 
+def _strict(x):
+    """`x` with every non-finite float replaced by its `fmt` string ("inf", "-inf", "nan")."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    return fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_json(path, payload):
+    """Strict JSON: non-finite floats are written as strings, never as bare Infinity/NaN."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+        json.dump(_strict(payload), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -63,7 +73,7 @@ def profile_to_json(path, profile: PhaseProfile):
         "temperature": profile.temperature,
         "parameters": [fmt(p) for p in profile.parameters],
         "phases": [fmt(v) for v in profile.phases],
-        "moduli": None if profile.moduli is None else [fmt(m) for m in profile.moduli],
+        "log_moduli": None if profile.log_moduli is None else [fmt(m) for m in profile.log_moduli],
     })
 
 
@@ -74,8 +84,8 @@ def profile_from_json(path) -> PhaseProfile:
                         phases=np.array([float(x) for x in d["phases"]]),
                         label=d.get("label", ""), direction=d.get("direction", ""),
                         temperature=d.get("temperature"),
-                        moduli=None if d.get("moduli") is None
-                        else np.array([float(x) for x in d["moduli"]]))
+                        log_moduli=None if d.get("log_moduli") is None
+                        else np.array([float(x) for x in d["log_moduli"]]))
 
 
 # ---------------------------------------------------------------- curvature
@@ -107,11 +117,11 @@ def curvature_from_csv(path) -> tuple[CurvatureField, np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------- EGP rows
 
-EGP_HEADER = ["transverse_k", "phase", "modulus", "N", "beta"]
+EGP_HEADER = ["transverse_k", "phase", "log_modulus", "N", "beta"]
 
 
 def egp_results_to_csv(path, results: list[EgpResult]):
-    rows = [[fmt(r.transverse_k), fmt(r.phase), fmt(r.magnitude), str(r.n_cells),
+    rows = [[fmt(r.transverse_k), fmt(r.phase), fmt(r.log_magnitude), str(r.n_cells),
              _opt(r.beta)] for r in results]
     write_csv(path, EGP_HEADER, rows)
 
@@ -121,10 +131,8 @@ def egp_results_from_csv(path, direction: str = "") -> list[EgpResult]:
     if header != EGP_HEADER:
         raise ValueError(f"{path}: not an EGP CSV (header {header})")
     out = []
-    for tk, phase, modulus, n, beta in rows:
-        m = float(modulus)
-        out.append(EgpResult(phase=float(phase),
-                             log_magnitude=math.log(m) if m > 0 else -math.inf,
+    for tk, phase, log_modulus, n, beta in rows:
+        out.append(EgpResult(phase=float(phase), log_magnitude=float(log_modulus),
                              n_cells=int(n), direction=direction,
                              transverse_k=float(tk),
                              beta=float(beta) if beta else None, mu=None))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .egp import _ChainSpectra
+from .egp import _egp_windings, _line_profile
 from .errors import (
     MixedTopoError,
     PhaseUndefinedError,
@@ -33,6 +33,9 @@ from .geometry import (
 from .model import (
     BlochModel,
     MomentumGrid,
+    _LineSpectra,
+    _matrices,
+    _planes,
     band_systems,
     bands_below,
     boltzmann_weights,
@@ -132,16 +135,6 @@ def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray
 # Eigenvalues and weights are planes (p, ..., M) in the same way. The path
 # axis stays last and is never reduced away inside the kernel, so a plane is
 # at least 1-d even for one unbatched loop.
-
-def _planes(matrices: np.ndarray) -> np.ndarray:
-    """(..., p, p) matrices as a contiguous copy in (p, p, ...) entry planes."""
-    return np.moveaxis(matrices, (-2, -1), (0, 1)).copy()
-
-
-def _matrices(planes: np.ndarray) -> np.ndarray:
-    """(p, p, ...) entry planes as a (..., p, p) view."""
-    return np.moveaxis(planes, (0, 1), (-2, -1))
-
 
 def _plane_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i, k] = sum_j a[i, j] b[j, k] over entry planes; out must not overlap a or b."""
@@ -347,55 +340,7 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
     return DensityMatrixPath(parameters=ks, rhos=rhos)
 
 
-class _LoopSpectra:
-    """Spectra of h(k) on the straight loops along `direction` at the transverse momenta.
-
-    The spectra are kept as entry planes, the transport kernel's layout, so
-    each diagonalization is transposed once and no temperature transposes
-    again. Only the finest path diagonalized so far is kept. A coarser path whose
-    momenta are bitwise a stride of it is served as a strided view, and a path
-    of twice the points diagonalizes only its new odd points. Only the
-    Boltzmann weights depend on beta, so one instance serves a whole scan.
-    """
-
-    def __init__(self, model: BlochModel, direction: str, transverse: np.ndarray):
-        self.model, self.direction, self.transverse = model, direction, transverse
-        self._ks = None  # momenta of the stored path
-        self._energies = self._vectors = None
-
-    def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        kxs, kys = line_momenta(self.direction, ks[None, :], self.transverse[:, None])
-        energies, vectors = np.linalg.eigh(self.model.matrix(kxs, kys))
-        return np.ascontiguousarray(np.moveaxis(energies, -1, 0)), _planes(vectors)
-
-    def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-        """(energies (p, T, M), vectors (p, p, T, M)) of the n_points-point loops, as planes."""
-        ks = momentum_line(n_points)
-        stored = 0 if self._ks is None else len(self._ks)
-        stride = stored // n_points
-        if stride and _same_bits(self._ks[::stride], ks):
-            return self._energies[..., ::stride], self._vectors[..., ::stride]
-        if n_points == 2 * stored and _same_bits(ks[::2], self._ks):
-            odd_energies, odd_vectors = self._eigh(ks[1::2])
-            energies = _interleave(self._energies, odd_energies)
-            vectors = _interleave(self._vectors, odd_vectors)
-        else:
-            energies, vectors = self._eigh(ks)
-        if n_points > stored:
-            self._ks, self._energies, self._vectors = ks, energies, vectors
-        return energies, vectors
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """(..., M) samples at the even and odd points of a (..., 2M) path."""
-    return np.stack([even, odd], axis=-1).reshape(*even.shape[:-1], -1)
-
-
-def _refined_phases(spectra: _LoopSpectra, beta: float, mu: float, n_points: int,
+def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
                     refine: bool) -> tuple[np.ndarray, int]:
     """(Uhlmann phases over the transverse momenta, path points used).
 
@@ -424,7 +369,7 @@ def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
                      transverse_k: float, n_points: int = PATH_POINTS_DEFAULT,
                      refine: bool = True) -> tuple[float, int]:
     """phi_U for one straight Brillouin-zone loop; returns (phase, points used)."""
-    spectra = _LoopSpectra(model, direction, np.array([float(transverse_k)]))
+    spectra = _LineSpectra(model, direction, np.array([float(transverse_k)]))
     phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
     return float(phases[0]), m
 
@@ -437,11 +382,11 @@ def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: 
     The path resolution doubles until the profile changes pointwise by less
     than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points.
     """
-    spectra = _LoopSpectra(model, direction, np.asarray(transverse, dtype=float))
+    spectra = _LineSpectra(model, direction, np.asarray(transverse, dtype=float))
     return _uhlmann_profile(spectra, beta, mu, n_points, refine)
 
 
-def _uhlmann_profile(spectra: _LoopSpectra, beta: float, mu: float, n_points: int,
+def _uhlmann_profile(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
                      refine: bool = True) -> tuple[PhaseProfile, int]:
     phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
     profile = PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
@@ -459,13 +404,13 @@ def uhlmann_windings(model: BlochModel, beta: float, mu: float, grid: MomentumGr
     return _uhlmann_windings(_grid_loops(model, grid), beta, mu, n_points)
 
 
-def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LoopSpectra, _LoopSpectra]:
+def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _LineSpectra]:
     """The x loops (over ky) and the y loops (over kx) of the grid."""
-    return (_LoopSpectra(model, "x", grid.ky_values()),
-            _LoopSpectra(model, "y", grid.kx_values()))
+    return (_LineSpectra(model, "x", grid.ky_values()),
+            _LineSpectra(model, "y", grid.kx_values()))
 
 
-def _uhlmann_windings(loops: tuple[_LoopSpectra, _LoopSpectra], beta: float, mu: float,
+def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], beta: float, mu: float,
                       n_points: int) -> tuple[int, int]:
     prof_x, _ = _uhlmann_profile(loops[0], beta, mu, n_points)
     prof_y, _ = _uhlmann_profile(loops[1], beta, mu, n_points)
@@ -519,7 +464,7 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = ground_state_chern(model, mu, grid)
     loops = _grid_loops(model, grid)  # h(k) spectra shared by every temperature
-    chains = _ChainSpectra(model, n_cells, egp_transverse)
+    chains = {d: _LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy"}
     reports = []
     for t in np.asarray(temperatures, dtype=float):
         beta = 1.0 / t
@@ -531,7 +476,7 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
             errors.append(f"uhlmann: {exc}")
         try:
             spec = GaussianStateSpec.thermal(beta, mu, model)
-            cx_e, cy_e = chains.windings(spec)
+            cx_e, cy_e = _egp_windings(lambda d: _line_profile(spec, chains[d], n_cells))
         except MixedTopoError as exc:
             errors.append(f"egp: {exc}")
         reports.append(InvariantReport(

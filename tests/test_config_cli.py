@@ -397,7 +397,64 @@ def test_cli_format_json(tmp_path):
     assert main(["egp-profile", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
     profile = serialize.profile_from_json(out / "egp_profile_x_N9_T0.json")
     assert len(profile.phases) == 16
-    assert profile.moduli is not None
+    assert np.isfinite(profile.log_moduli).all()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_long_chain_profile_keeps_finite_log_modulus(tmp_path, qwz, qwz_gap, fmt):
+    """qwz at T = 20 gap, N = 1000: log|z| reaches about -1360, far below the log of
+    the smallest double, and the written profile still carries it."""
+    cfg = write_config(tmp_path / "c.txt", BASE + "chain_cells_list = 1000\n"
+                       + "temperature_list = 20\ndirections = x\n")
+    out = tmp_path / "out"
+    assert main(["egp-profile", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    expected = np.array([mt.egp_component(spec, "x", tk, 1000).log_magnitude
+                         for tk in mt.momentum_line(16)])
+    assert expected.max() < -745  # exp() of these underflows to 0.0
+    if fmt == "csv":
+        results = serialize.egp_results_from_csv(out / "egp_profile_x_N1000_T20.csv", "x")
+        got = np.array([r.log_magnitude for r in results])
+    else:
+        got = serialize.profile_from_json(out / "egp_profile_x_N1000_T20.json").log_moduli
+    assert np.isfinite(got).all()
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_pure_state_writes_strict_json(tmp_path):
+    """temperature = 0 (beta = inf): every JSON file parses as standard JSON."""
+    cfg = write_config(tmp_path / "c.txt", BASE + "temperature = 0\nchain_cells = 9\n")
+    out = tmp_path / "out"
+    assert main(["egp-winding", "--config", cfg, "--out", str(out)]) == 0
+    files = sorted(out.glob("*.json"))
+    assert [f.name for f in files] == ["egp_windings.json", "manifest.json"]
+    parsed = {f.name: json.loads(f.read_text(), parse_constant=_reject_constant) for f in files}
+    assert parsed["egp_windings.json"]["beta"] == "inf"
+    assert parsed["manifest.json"]["config"]["temperature"] == 0.0
+
+
+def test_write_json_writes_non_finite_floats_as_strings(tmp_path):
+    path = tmp_path / "s.json"
+    serialize.write_json(path, {"a": math.inf, "b": [math.nan, -math.inf, 1.5, (2.0, math.inf)],
+                                "c": {"d": np.float64(-math.inf)}, "e": None, "f": 3})
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "a": "inf", "b": ["nan", "-inf", 1.5, [2.0, "inf"]], "c": {"d": "-inf"},
+        "e": None, "f": 3}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "chern", "egp-winding", "invariant-scan",
+                                     "gauge-reduction"])
+def test_cli_format_only_for_egp_profile(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "c.txt", BASE + "beta = 5\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_serialize_curvature_roundtrip(tmp_path, qwz):

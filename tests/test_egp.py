@@ -339,10 +339,10 @@ def test_egp_profile_equals_per_chain_components(qwz, direction):
     for spec, n_cells, count in ((thermal, 9, 16), (tabulated, None, None)):
         profile = mt.egp_profile(spec, direction, n_cells, count)
         assert len(profile.parameters) == (count or (10 if direction == "x" else 12))
-        for tk, phase, modulus in zip(profile.parameters, profile.phases, profile.moduli):
+        for tk, phase, log_modulus in zip(profile.parameters, profile.phases, profile.log_moduli):
             r = mt.egp_component(spec, direction, tk, n_cells)
             assert abs(mt.principal_branch(phase - r.phase)) <= 1e-12
-            assert abs(modulus - r.magnitude) <= 1e-12
+            assert abs(log_modulus - r.log_magnitude) <= 1e-12
 
 
 def test_egp_pure_thermodynamic_limit_equals_zak(qwz):
@@ -379,6 +379,28 @@ def test_gauge_reduction_monotone(qwz, qwz_gap):
     devs = mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [10, 30])
     assert devs[0][1] > devs[1][1] > 0
     assert mt.gauge_reduction_exponent(devs) < 0
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch, direction):
+    """The thermal chain and its pure reference share one spectrum of h(k) per N,
+    and N = 20 after N = 10 diagonalizes only its 10 new odd samples."""
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    expected = [(n, abs(mt.principal_branch(
+        mt.egp_component(spec, direction, 0.7, n).phase
+        - mt.egp_component(spec.pure_limit(), direction, 0.7, n).phase))) for n in (10, 20, 25)]
+    counts = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    got = mt.gauge_reduction_deviation(spec, direction, 0.7, [10, 20, 25])
+    assert [n for n, _ in got] == [10, 20, 25]
+    assert [d for _, d in got] == pytest.approx([d for _, d in expected], rel=1e-10, abs=1e-15)
+    assert counts == [10, 10, 25]
 
 
 def test_gauge_reduction_requires_ascending():

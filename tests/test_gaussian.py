@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 import mixedtopo as mt
 from chain_oracle import chain_correlation_matrix, correlation_from_hfict_line
 from conftest import random_hermitian
-from mixedtopo.gaussian import hfict_line
+from mixedtopo.gaussian import hfict_line, hfict_lines
+from mixedtopo.model import line_momenta
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -249,6 +250,20 @@ def test_hfict_grid_file_roundtrip(tmp_path, qwz):
     loaded = mt.load_hfict_grid(path)
     assert loaded.grid == hgrid.grid
     assert np.abs(loaded.values - hgrid.values).max() == 0.0
+
+
+@pytest.mark.parametrize("beta", [0.3, 2.0, math.inf])
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_thermal_hfict_lines_equal_fictitious_hamiltonian(qwz, direction, beta):
+    """The line-spectrum cache gives bit for bit the hfict of one eigh over the same mesh."""
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
+    transverse = mt.momentum_line(7) + 0.05
+    for n_cells in (2, 9, 16):
+        kxs, kys = line_momenta(direction, mt.momentum_line(n_cells)[None, :],
+                                transverse[:, None])
+        lines = hfict_lines(spec, direction, transverse, n_cells)
+        assert lines.shape == (7, n_cells, 2, 2)
+        assert lines.tobytes() == mt.fictitious_hamiltonian(spec, kxs, kys).tobytes()
 
 
 def test_tabulated_spec_matches_thermal(qwz):

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import mixedtopo as mt
 from conftest import random_hermitian, random_unitary
 from mixedtopo import uhlmann
+from mixedtopo.model import _LineSpectra
 from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary, transport
 
 
@@ -127,12 +128,17 @@ def test_path_diagonalizes_once(qwz, monkeypatch):
 
 
 def _count_uhlmann_eigh(monkeypatch) -> list:
-    """Matrix counts of the np.linalg.eigh calls made from mixedtopo.uhlmann itself."""
+    """Matrix counts of the np.linalg.eigh calls that the line-spectrum cache of
+    mixedtopo.model makes for the Uhlmann loops, that is, for a request from
+    mixedtopo.uhlmann; the EGP chain meshes are requested from elsewhere."""
     counts = []
     original = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == "mixedtopo.uhlmann":
+        cache = sys._getframe(1)  # _LineSpectra._eigh, called by _LineSpectra.__call__
+        if (cache.f_globals.get("__name__") == "mixedtopo.model"
+                and cache.f_code is _LineSpectra._eigh.__code__
+                and cache.f_back.f_back.f_globals.get("__name__") == "mixedtopo.uhlmann"):
             counts.append(int(np.prod(np.shape(a)[:-2])))
         return original(a, *args, **kwargs)
 
@@ -189,7 +195,7 @@ def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkey
 
 def _qwz_loop_spectra(qwz, direction, n_points, beta):
     """Entry-plane spectra (vectors (2, 2, 32, M), weights (2, 32, M)) of 32 qwz loops."""
-    energies, vectors = uhlmann._LoopSpectra(qwz, direction, mt.momentum_line(32))(n_points)
+    energies, vectors = _LineSpectra(qwz, direction, mt.momentum_line(32))(n_points)
     weights = mt.boltzmann_weights(np.moveaxis(energies, 0, -1), beta, 0.0)
     return vectors, np.moveaxis(weights, -1, 0)
 
