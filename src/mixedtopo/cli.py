@@ -28,7 +28,7 @@ from .egp import EgpResult, egp_profile, egp_windings, gauge_reduction_deviation
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
 from .geometry import berry_curvature_plaquette, chern_number
-from .model import band_gap, band_systems
+from .model import _gap_at, band_systems
 from .uhlmann import uhlmann_temperature_scan
 
 SUBCOMMANDS = ("spectrum", "egp-profile", "egp-winding", "invariant-scan",
@@ -93,32 +93,36 @@ def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
 
 
 # ------------------------------------------------------------------ commands
+#
+# Each command resolves its model, grid, states and temperatures before its
+# first task, so a configuration error exits 2 before any work; tasks only
+# compute and write.
 
 def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+    model, grid = cfg.bloch_model, cfg.momentum_grid()
+
     def task():
-        model = cfg.build_model()
-        grid = cfg.momentum_grid()
-        kxs, kys = grid.kx_values(), grid.ky_values()
-        energies = np.linalg.eigvalsh(model.matrix(*grid.mesh()))
+        kxs, kys = grid.mesh()
+        energies = np.linalg.eigvalsh(model.matrix(kxs, kys))
         header = ["kx", "ky"] + [f"e_{n + 1}" for n in range(model.p)]
-        rows = [[serialize.fmt(kx), serialize.fmt(ky)] + [serialize.fmt(e) for e in energies[i, j]]
-                for i, kx in enumerate(kxs) for j, ky in enumerate(kys)]
+        rows = [[serialize.fmt(kx), serialize.fmt(ky)] + [serialize.fmt(e) for e in es]
+                for kx, ky, es in zip(kxs.flat, kys.flat, energies.reshape(-1, model.p))]
         spectrum_path = os.path.join(out_dir, "spectrum.csv")
         serialize.write_csv(spectrum_path, header, rows)
-        gap = band_gap(model, grid, cfg.mu)
         summary_path = os.path.join(out_dir, "spectrum_summary.json")
-        serialize.write_json(summary_path, {"model": model.name, "mu": cfg.mu, "gap": gap})
+        serialize.write_json(summary_path, {"model": model.name, "mu": cfg.mu,
+                                            "gap": _gap_at(energies, cfg.mu, kxs, kys)})
         return [spectrum_path, summary_path]
 
     runner.add("spectrum", task)
 
 
 def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner):
-    tabulated = cfg.build_state() if cfg.hfict_path else None
-    grid = tabulated.hfict_grid.grid if tabulated is not None else cfg.momentum_grid()
+    model = cfg.bloch_model
+    spec = cfg.build_state() if _has_state(cfg) else None
+    grid = spec.hfict_grid.grid if cfg.hfict_path else cfg.momentum_grid()
 
     def task():
-        model = cfg.build_model()
         kxs, kys = grid.kx_values(), grid.ky_values()
         files = []
 
@@ -135,10 +139,8 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner):
             return numbers
 
         summary = {"h": chern_numbers("h", model.matrix(*grid.mesh())),
-                   "hfict": None}
-        if _has_state(cfg):
-            spec = tabulated if tabulated is not None else cfg.build_state()
-            summary["hfict"] = chern_numbers("hfict", fictitious_grid(spec, grid).values)
+                   "hfict": None if spec is None
+                   else chern_numbers("hfict", fictitious_grid(spec, grid).values)}
         summary_path = os.path.join(out_dir, "chern.json")
         serialize.write_json(summary_path, summary)
         return files + [summary_path]
@@ -150,31 +152,21 @@ def cmd_egp_profile(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
     if cfg.hfict_path:
         spec = cfg.build_state()
         grid = spec.hfict_grid.grid
-        for direction in cfg.directions:
-            n = grid.nx if direction == "x" else grid.ny
+        # chain length and transverse samples both come from the stored grid
+        profiles = [(d, grid.nx if d == "x" else grid.ny, None, spec, "tabulated")
+                    for d in cfg.directions]
+    else:
+        states = [(GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model),
+                   _profile_suffix(label, beta)) for label, beta in cfg.betas_from_list()]
+        profiles = [(d, n, cfg.grid_ny if d == "x" else cfg.grid_nx, spec, suffix)
+                    for d in cfg.directions for n in cfg.cells_list() for spec, suffix in states]
+    for direction, n, count, spec, suffix in profiles:
+        def task(direction=direction, n=n, count=count, spec=spec, suffix=suffix):
+            profile = egp_profile(spec, direction, n, count)
+            base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_{suffix}")
+            return [_emit_egp(base, profile, n, spec.beta, fmt)]
 
-            def task(direction=direction, n=n):
-                # chain length and transverse samples both come from the stored grid
-                profile = egp_profile(spec, direction, n, None)
-                base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_tabulated")
-                return [_emit_egp(base, profile, n, None, fmt)]
-
-            runner.add(f"egp-profile:{direction}:tabulated", task)
-        return
-    model = cfg.build_model()
-    for direction in cfg.directions:
-        transverse_count = cfg.grid_ny if direction == "x" else cfg.grid_nx
-        for n in cfg.cells_list():
-            for label, beta in cfg.betas_from_list():
-                def task(direction=direction, n=n, label=label, beta=beta,
-                         count=transverse_count):
-                    spec = GaussianStateSpec.thermal(beta, cfg.mu, model)
-                    profile = egp_profile(spec, direction, n, count)
-                    base = os.path.join(
-                        out_dir, f"egp_profile_{direction}_N{n}_{_profile_suffix(label, beta)}")
-                    return [_emit_egp(base, profile, n, beta, fmt)]
-
-                runner.add(f"egp-profile:{direction}:N{n}:{_profile_suffix(label, beta)}", task)
+        runner.add(f"egp-profile:{direction}:N{n}:{suffix}", task)
 
 
 def _emit_egp(base, profile, n, beta, fmt):
@@ -191,15 +183,13 @@ def _emit_egp(base, profile, n, beta, fmt):
 
 
 def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner):
-    tabulated = cfg.build_state() if cfg.hfict_path else None
+    spec = cfg.build_state()
+    if spec.is_thermal:
+        n, count = cfg.chain_cells, max(cfg.grid_nx, cfg.grid_ny)
+    else:
+        n, count = None, None  # chains and transverse samples from the stored grid
 
     def task():
-        spec = tabulated if tabulated is not None else cfg.build_state()
-        if spec.is_thermal:
-            grid = cfg.momentum_grid()
-            n, count = cfg.chain_cells, max(grid.nx, grid.ny)
-        else:
-            n, count = None, None  # chains and transverse samples from the stored grid
         cx, cy = egp_windings(spec, n, count)
         path = os.path.join(out_dir, "egp_windings.csv")
         serialize.write_csv(path, ["cx_egp", "cy_egp"], [[str(cx), str(cy)]])
@@ -212,11 +202,14 @@ def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner):
 
 
 def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+    if cfg.model == "tabulated":
+        raise ConfigError("invariant-scan needs an analytic model: the Uhlmann paths refine "
+                          "past the samples of a tabulated grid", key="model")
+    model, grid = cfg.bloch_model, cfg.momentum_grid()
+    scale = cfg.temperature_scale()
+    temperatures = np.geomspace(cfg.scan_t_min, cfg.scan_t_max, cfg.scan_points) * scale
+
     def task():
-        model = cfg.build_model()
-        grid = cfg.momentum_grid()
-        scale = cfg.temperature_scale()
-        temperatures = np.geomspace(cfg.scan_t_min, cfg.scan_t_max, cfg.scan_points) * scale
         reports = uhlmann_temperature_scan(model, cfg.mu, temperatures, grid,
                                            n_points=cfg.path_points, n_cells=cfg.chain_cells,
                                            egp_transverse=cfg.egp_transverse)
@@ -245,13 +238,12 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     if cells != sorted(cells):
         raise ConfigError("gauge-reduction needs an ascending chain_cells_list",
                           key="chain_cells_list")
-    model = cfg.build_model()
     beta = cfg.beta_raw()
     if math.isinf(beta):
         raise ConfigError("gauge-reduction needs a finite temperature", key="beta")
+    spec = GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model)
     for direction in cfg.directions:
         def task(direction=direction):
-            spec = GaussianStateSpec.thermal(beta, cfg.mu, model)
             devs = gauge_reduction_deviation(spec, direction, cfg.transverse_k, cells)
             path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
             serialize.write_csv(path, ["n_cells", "deviation"],
@@ -298,10 +290,10 @@ def main(argv=None) -> int:
     started = _timestamp()
     try:
         cfg = parse_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
         runner = TaskRunner(args.jobs)
         options = {"fmt": args.format} if args.command == "egp-profile" else {}
         _COMMANDS[args.command](cfg, args.out, runner, **options)
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Schema (all keys optional unless a command needs them; unknown keys are
 rejected):
 
-    model            qwz | atomic | tabulated          (default qwz)
+    model            qwz | atomic | tabulated          (default qwz;
+                     invariant-scan needs qwz or atomic)
     alpha            qwz sin(kx) coefficient           (default 1.0)
     gamma            qwz sin(ky) coefficient           (default 3.0)
     mass             qwz mass term                     (default 1.0)
@@ -17,7 +18,8 @@ rejected):
     grid_nx, grid_ny Brillouin-zone grid               (default 64, 64; with
                      hfict_path the file's grid, which they must match)
     chain_cells      chain length N                    (default 10)
-    chain_cells_list comma list of N values
+    chain_cells_list comma list of N values; strictly ascending for
+                     gauge-reduction
     temperature_list comma list of temperatures in t_units (0 = pure state)
     directions       x | y | x,y                       (default x,y)
     transverse_k     transverse momentum for gauge-reduction (default pi/3)
@@ -29,13 +31,16 @@ rejected):
     path_points      initial Uhlmann path resolution   (default 512)
 
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
-Every number must be finite; only beta may be inf.
+Every number must be finite; only beta may be inf. No entry of directions,
+chain_cells_list or temperature_list may repeat.
+A RunConfig builds its Bloch model and that gap at most once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -80,7 +85,9 @@ class RunConfig:
     egp_transverse: Optional[int] = None
     raw_items: dict = field(default_factory=dict)
 
-    def build_model(self) -> BlochModel:
+    @cached_property
+    def bloch_model(self) -> BlochModel:
+        """The run's Bloch model; a model_path file is read once per config."""
         if self.model == "qwz":
             return qwz_model(self.alpha, self.gamma, self.mass)
         if self.model == "atomic":
@@ -98,17 +105,14 @@ class RunConfig:
     def momentum_grid(self) -> MomentumGrid:
         return MomentumGrid(self.grid_nx, self.grid_ny)
 
+    @cached_property
     def gap(self) -> float:
-        return band_gap(self.build_model(), self.momentum_grid(), self.mu)
+        """Band gap at mu over the momentum grid, diagonalized once per config."""
+        return band_gap(self.bloch_model, self.momentum_grid(), self.mu)
 
     def temperature_scale(self) -> float:
         """Factor converting configured temperatures to raw energy units."""
-        if self.t_units == "raw":
-            return 1.0
-        if self.t_units == "gap":
-            return self.gap()
-        raise ConfigError(f"t_units must be 'gap' or 'raw', got {self.t_units!r}",
-                          key="t_units")
+        return 1.0 if self.t_units == "raw" else self.gap
 
     def beta_raw(self) -> float:
         """Inverse temperature in raw units from beta/temperature keys."""
@@ -141,7 +145,7 @@ class RunConfig:
                     raise ConfigError(f"{key} = {getattr(self, key)} disagrees with the "
                                       f"{stored} samples stored in hfict_path", key=key)
             return spec
-        return GaussianStateSpec.thermal(self.beta_raw(), self.mu, self.build_model())
+        return GaussianStateSpec.thermal(self.beta_raw(), self.mu, self.bloch_model)
 
     def cells_list(self) -> list:
         if self.chain_cells_list is not None:
@@ -238,5 +242,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError("temperature_list entries must be >= 0", key="temperature_list")
     if cfg.chain_cells_list is not None and any(n < 2 for n in cfg.chain_cells_list):
         raise ConfigError("chain_cells_list entries must be >= 2", key="chain_cells_list")
+    for key in ("directions", "chain_cells_list", "temperature_list"):
+        values = getattr(cfg, key)
+        if values is not None and len(set(values)) != len(values):
+            raise ConfigError(f"{key} repeats an entry", key=key)
     if not 0 < cfg.scan_t_min < cfg.scan_t_max:
         raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min")

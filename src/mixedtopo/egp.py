@@ -237,7 +237,7 @@ def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) ->
 
 def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,
                               n_list: Sequence[int]) -> list[tuple[int, float]]:
-    """|phi_EGP(N) - phi_EGP(beta=inf, N)| for ascending chain lengths.
+    """|phi_EGP(N) - phi_EGP(beta=inf, N)| for strictly ascending chain lengths.
 
     The pure-state value at the same N is the polarization phase of the
     fictitious-Hamiltonian ground state, i.e. its Wilson-loop Zak phase up to
@@ -247,8 +247,8 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     """
     if not spec.is_thermal:
         raise ValueError("gauge reduction needs a thermal spec (beta = inf reference)")
-    if list(n_list) != sorted(n_list):
-        raise ValueError("n_list must be ascending")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValueError("n_list must be strictly ascending")
     chains = _LineSpectra(spec.model, direction, np.array([float(transverse_k)]))
     out = []
     for n in n_list:

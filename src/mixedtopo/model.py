@@ -246,10 +246,13 @@ def bands_below(energies: np.ndarray, mu: float, kxs, kys) -> int:
 def band_gap(model: BlochModel, grid: MomentumGrid, mu: float) -> float:
     """Minimum over the grid of the direct gap straddling mu (see bands_below)."""
     kxs, kys = grid.mesh()
-    energies = np.linalg.eigvalsh(model.matrix(kxs, kys))
+    return _gap_at(np.linalg.eigvalsh(model.matrix(kxs, kys)), mu, kxs, kys)
+
+
+def _gap_at(energies: np.ndarray, mu: float, kxs, kys) -> float:
+    """band_gap from the energies (nx, ny, p) already computed at the momenta kxs, kys."""
     n0 = bands_below(energies, mu, kxs, kys)
-    gap = (energies[..., n0] - energies[..., n0 - 1]).min()
-    return float(gap)
+    return float((energies[..., n0] - energies[..., n0 - 1]).min())
 
 
 # ------------------------------------------------------------ spectral layer

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import mixedtopo as mt
-from mixedtopo import serialize
-from mixedtopo.cli import main
+from mixedtopo import config, serialize
+from mixedtopo.cli import SUBCOMMANDS, main
 from mixedtopo.config import parse_config
 from per_k_oracle import frames_per_k
 
@@ -164,14 +164,115 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys):
     ("invariant-scan", "scan_t_max", "inf", {}),
     ("gauge-reduction", "transverse_k", "nan", {"chain_cells_list": "4,8"}),
     ("gauge-reduction", "chain_cells_list", "8,4", {}),
+    ("gauge-reduction", "chain_cells_list", "100,100", {}),
+    ("gauge-reduction", "directions", "x,x", {"chain_cells_list": "4,8"}),
+    ("egp-profile", "directions", "x,x", {}),
+    ("egp-profile", "temperature_list", "20,20", {}),
+    ("egp-profile", "chain_cells_list", "8,8", {}),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
-    """A non-finite number, or a descending gauge-reduction list, exits 2 naming its key."""
+    """A non-finite number, a repeated list entry, or a descending gauge-reduction
+    list exits 2 naming its key."""
     items = {"model": "qwz", "grid_nx": "8", "grid_ny": "8", "temperature": "20", **extra,
              key: value}
     cfg = write_config(tmp_path / "c.txt", "".join(f"{k} = {v}\n" for k, v in items.items()))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"(key: {key})" in capsys.readouterr().err
+
+
+def _save_model(tmp_path, qwz, n):
+    grid = mt.MomentumGrid(n, n)
+    path = tmp_path / "model.dat"
+    mt.save_matrix_grid(path, grid, qwz.matrix(*grid.mesh()))
+    return path
+
+
+@pytest.mark.parametrize("command,missing,key", [
+    *[(command, "model_path", "model" if command == "invariant-scan" else "model_path")
+      for command in SUBCOMMANDS],
+    *[(command, "temperature", "beta")
+      for command in ("egp-profile", "egp-winding", "gauge-reduction")],
+])
+def test_cli_config_error_found_before_any_task(tmp_path, capsys, command, missing, key):
+    """A missing model file, or a missing beta/temperature where a state is
+    needed, exits 2 naming its key before any task runs: no output at all."""
+    items = {"grid_nx": "8", "grid_ny": "8", "temperature": "20", "chain_cells_list": "4,8"}
+    if missing == "model_path":
+        items.update(model="tabulated", model_path=tmp_path / "missing.dat")
+    else:
+        del items["temperature"]
+    cfg = write_config(tmp_path / "c.txt", "".join(f"{k} = {v}\n" for k, v in items.items()))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "chern", "egp-profile", "egp-winding",
+                                     "gauge-reduction"])
+def test_cli_tabulated_model_read_once(tmp_path, monkeypatch, qwz, command):
+    model_path = _save_model(tmp_path, qwz, 16)
+    reads = []
+    load = config.load_matrix_grid
+
+    def counting_load(path):
+        reads.append(str(path))
+        return load(path)
+
+    monkeypatch.setattr(config, "load_matrix_grid", counting_load)
+    on_grid_k = -np.pi + 2 * np.pi * 3 / 16  # tabulated chains run on stored momenta
+    cfg = write_config(tmp_path / "c.txt",
+                       f"model = tabulated\nmodel_path = {model_path}\ngrid_nx = 16\n"
+                       "grid_ny = 16\ntemperature = 1\nchain_cells = 8\n"
+                       f"chain_cells_list = 8,16\ntransverse_k = {on_grid_k!r}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert reads == [str(model_path)]
+
+
+def test_cli_invariant_scan_refuses_tabulated_model(tmp_path, capsys, monkeypatch, qwz):
+    """The scan's Uhlmann refinement leaves any stored grid: refused before the file is read."""
+    model_path = _save_model(tmp_path, qwz, 16)
+
+    def no_load(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(config, "load_matrix_grid", no_load)
+    cfg = write_config(tmp_path / "c.txt",
+                       f"model = tabulated\nmodel_path = {model_path}\ngrid_nx = 16\n"
+                       "grid_ny = 16\npath_points = 16\nscan_points = 2\n")
+    assert main(["invariant-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "(key: model)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    return calls
+
+
+def test_cli_egp_profile_takes_one_gap(tmp_path, monkeypatch):
+    """2 temperatures x 2 N x 2 directions: one eigvalsh, of the gap mesh."""
+    calls = _count_eigvalsh(monkeypatch)
+    cfg = write_config(tmp_path / "c.txt",
+                       BASE + "chain_cells_list = 8,10\ntemperature_list = 5,20\n")
+    out = tmp_path / "out"
+    assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 0
+    assert len(list(out.glob("egp_profile_*.csv"))) == 8
+    assert calls == [(16, 16, 2, 2)]
+
+
+def test_cli_spectrum_diagonalizes_once(tmp_path, monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    cfg = write_config(tmp_path / "c.txt", BASE)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(16, 16, 2, 2)]
 
 
 def test_cli_chern(tmp_path):

@@ -407,6 +407,8 @@ def test_gauge_reduction_requires_ascending():
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.qwz_model())
     with pytest.raises(ValueError):
         mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 6])
+    with pytest.raises(ValueError, match="strictly ascending"):  # one N fits no slope
+        mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 10])
 
 
 # A Thouless pump is a 2D model whose ky is the pump parameter, t = (ky + pi) / 2pi;
