@@ -1,12 +1,13 @@
 """Command-line driver: each subcommand reproduces one figure/claim recipe.
 
-    mixedtopo <subcommand> --config cfg.txt [--out DIR] [--jobs N]
-    mixedtopo egp-profile --config cfg.txt [--out DIR] [--jobs N] [--format csv|json]
+    mixedtopo <subcommand> --config cfg.txt [--out DIR]
+    mixedtopo egp-profile --config cfg.txt [--out DIR] [--format csv|json]
 
 Subcommands: spectrum | egp-profile | egp-winding | invariant-scan | chern |
 gauge-reduction. Exit codes: 0 success, 2 configuration error, 3 numerical
-error. Outputs land in --out together with a manifest.json describing the
-run; identical configs produce byte-identical data files.
+error. Tasks run one after another; a failed task is recorded and the rest
+still run. Outputs land in --out with a manifest.json that describes the run
+and times each task; identical configs produce byte-identical data files.
 """
 
 from __future__ import annotations
@@ -14,21 +15,23 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time
 
 import numpy as np
 
 from . import __version__
 from . import serialize
 from .config import RunConfig, parse_config
-from .egp import EgpResult, egp_profile, egp_windings, gauge_reduction_deviation, gauge_reduction_exponent
+from .egp import (EgpResult, _line_profile, egp_profile, egp_windings,
+                  gauge_reduction_deviation, gauge_reduction_exponent)
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
 from .geometry import berry_curvature_plaquette, chern_number
-from .model import _gap_at, band_systems
+from .model import _gap_at, _LineSpectra, band_systems, momentum_line
 from .uhlmann import uhlmann_temperature_scan
 
 SUBCOMMANDS = ("spectrum", "egp-profile", "egp-winding", "invariant-scan",
@@ -56,30 +59,6 @@ def _profile_suffix(label, beta) -> str:
     return "betainf" if math.isinf(beta) else f"beta{beta:g}"
 
 
-class TaskRunner:
-    """Bounded worker pool; results collected in submission order."""
-
-    def __init__(self, jobs: int):
-        self.jobs = max(1, jobs)
-        self.tasks = []
-
-    def add(self, name: str, fn):
-        self.tasks.append((name, fn))
-
-    def run(self) -> tuple[list[dict], list[str]]:
-        statuses, outputs = [], []
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in self.tasks]
-            for name, future in futures:
-                try:
-                    files = future.result()
-                    statuses.append({"task": name, "status": "ok"})
-                    outputs.extend(files)
-                except (MixedTopoError, ValueError) as exc:
-                    statuses.append({"task": name, "status": "error", "error": str(exc)})
-        return statuses, outputs
-
-
 def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
     serialize.write_json_atomic(os.path.join(out_dir, "manifest.json"), {
         "command": command,
@@ -94,11 +73,11 @@ def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
 
 # ------------------------------------------------------------------ commands
 #
-# Each command resolves its model, grid, states and temperatures before its
-# first task, so a configuration error exits 2 before any work; tasks only
-# compute and write.
+# Each command resolves its model, grid, states and temperatures, then returns
+# its (name, task) pairs, so a configuration error exits 2 before any work;
+# tasks only compute and write.
 
-def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+def cmd_spectrum(cfg: RunConfig, out_dir: str):
     model, grid = cfg.bloch_model, cfg.momentum_grid()
 
     def task():
@@ -114,10 +93,10 @@ def cmd_spectrum(cfg: RunConfig, out_dir: str, runner: TaskRunner):
                                             "gap": _gap_at(energies, cfg.mu, kxs, kys)})
         return [spectrum_path, summary_path]
 
-    runner.add("spectrum", task)
+    return [("spectrum", task)]
 
 
-def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+def cmd_chern(cfg: RunConfig, out_dir: str):
     model = cfg.bloch_model
     spec = cfg.build_state() if _has_state(cfg) else None
     grid = spec.hfict_grid.grid if cfg.hfict_path else cfg.momentum_grid()
@@ -145,28 +124,38 @@ def cmd_chern(cfg: RunConfig, out_dir: str, runner: TaskRunner):
         serialize.write_json(summary_path, summary)
         return files + [summary_path]
 
-    runner.add("chern", task)
+    return [("chern", task)]
 
 
-def cmd_egp_profile(cfg: RunConfig, out_dir: str, runner: TaskRunner, fmt: str):
+def cmd_egp_profile(cfg: RunConfig, out_dir: str, fmt: str):
     if cfg.hfict_path:
         spec = cfg.build_state()
         grid = spec.hfict_grid.grid
         # chain length and transverse samples both come from the stored grid
-        profiles = [(d, grid.nx if d == "x" else grid.ny, None, spec, "tabulated")
+        profiles = [(d, grid.nx if d == "x" else grid.ny, spec, "tabulated", None)
                     for d in cfg.directions]
     else:
         states = [(GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model),
                    _profile_suffix(label, beta)) for label, beta in cfg.betas_from_list()]
-        profiles = [(d, n, cfg.grid_ny if d == "x" else cfg.grid_nx, spec, suffix)
+        suffixes = [suffix for _, suffix in states]
+        if len(set(suffixes)) != len(suffixes):
+            raise ConfigError(f"temperature_list entries share a file name: {suffixes}",
+                              key="temperature_list")
+        grid = cfg.momentum_grid()
+        # one cache of h(k) spectra per direction serves every N and temperature
+        caches = {d: _LineSpectra(cfg.bloch_model, d, momentum_line(grid.ny if d == "x" else grid.nx))
+                  for d in cfg.directions}
+        profiles = [(d, n, spec, suffix, caches[d])
                     for d in cfg.directions for n in cfg.cells_list() for spec, suffix in states]
-    for direction, n, count, spec, suffix in profiles:
-        def task(direction=direction, n=n, count=count, spec=spec, suffix=suffix):
-            profile = egp_profile(spec, direction, n, count)
-            base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_{suffix}")
-            return [_emit_egp(base, profile, n, spec.beta, fmt)]
 
-        runner.add(f"egp-profile:{direction}:N{n}:{suffix}", task)
+    def task(direction, n, spec, suffix, lines):
+        profile = (egp_profile(spec, direction, n, None) if lines is None
+                   else _line_profile(spec, lines, n))
+        base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_{suffix}")
+        return [_emit_egp(base, profile, n, spec.beta, fmt)]
+
+    return [(f"egp-profile:{d}:N{n}:{suffix}", functools.partial(task, d, n, spec, suffix, lines))
+            for d, n, spec, suffix, lines in profiles]
 
 
 def _emit_egp(base, profile, n, beta, fmt):
@@ -182,10 +171,11 @@ def _emit_egp(base, profile, n, beta, fmt):
     return path
 
 
-def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+def cmd_egp_winding(cfg: RunConfig, out_dir: str):
     spec = cfg.build_state()
     if spec.is_thermal:
-        n, count = cfg.chain_cells, max(cfg.grid_nx, cfg.grid_ny)
+        grid = cfg.momentum_grid()
+        n, count = cfg.chain_cells, max(grid.nx, grid.ny)
     else:
         n, count = None, None  # chains and transverse samples from the stored grid
 
@@ -198,10 +188,10 @@ def cmd_egp_winding(cfg: RunConfig, out_dir: str, runner: TaskRunner):
                                        "beta": spec.beta})
         return [path, summary]
 
-    runner.add("egp-winding", task)
+    return [("egp-winding", task)]
 
 
-def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
     if cfg.model == "tabulated":
         raise ConfigError("invariant-scan needs an analytic model: the Uhlmann paths refine "
                           "past the samples of a tabulated grid", key="model")
@@ -227,10 +217,10 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str, runner: TaskRunner):
         })
         return [path, summary_path]
 
-    runner.add("invariant-scan", task)
+    return [("invariant-scan", task)]
 
 
-def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner):
+def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
     cells = cfg.cells_list()
     if len(cells) < 2:
         raise ConfigError("gauge-reduction needs chain_cells_list with >= 2 entries",
@@ -242,23 +232,23 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str, runner: TaskRunner):
     if math.isinf(beta):
         raise ConfigError("gauge-reduction needs a finite temperature", key="beta")
     spec = GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model)
-    for direction in cfg.directions:
-        def task(direction=direction):
-            devs = gauge_reduction_deviation(spec, direction, cfg.transverse_k, cells)
-            path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
-            serialize.write_csv(path, ["n_cells", "deviation"],
-                                [[str(n), serialize.fmt(d)] for n, d in devs])
-            summary = os.path.join(out_dir, f"gauge_reduction_{direction}.json")
-            serialize.write_json(summary, {
-                "direction": direction,
-                "transverse_k": cfg.transverse_k,
-                "beta": beta,
-                "deviations": {str(n): d for n, d in devs},
-                "log_log_slope": gauge_reduction_exponent(devs),
-            })
-            return [path, summary]
 
-        runner.add(f"gauge-reduction:{direction}", task)
+    def task(direction):
+        devs = gauge_reduction_deviation(spec, direction, cfg.transverse_k, cells)
+        path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
+        serialize.write_csv(path, ["n_cells", "deviation"],
+                            [[str(n), serialize.fmt(d)] for n, d in devs])
+        summary = os.path.join(out_dir, f"gauge_reduction_{direction}.json")
+        serialize.write_json(summary, {
+            "direction": direction,
+            "transverse_k": cfg.transverse_k,
+            "beta": beta,
+            "deviations": {str(n): d for n, d in devs},
+            "log_log_slope": gauge_reduction_exponent(devs),
+        })
+        return [path, summary]
+
+    return [(f"gauge-reduction:{d}", functools.partial(task, d)) for d in cfg.directions]
 
 
 _COMMANDS = {
@@ -279,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        # tasks run in order; perfbench still passes --jobs 1, so 1 parses and does nothing
+        p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
         if name == "egp-profile":
             p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
@@ -290,9 +281,8 @@ def main(argv=None) -> int:
     started = _timestamp()
     try:
         cfg = parse_config(args.config)
-        runner = TaskRunner(args.jobs)
         options = {"fmt": args.format} if args.command == "egp-profile" else {}
-        _COMMANDS[args.command](cfg, args.out, runner, **options)
+        tasks = _COMMANDS[args.command](cfg, args.out, **options)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -301,7 +291,15 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
-    statuses, outputs = runner.run()
+    statuses, outputs = [], []
+    for name, task in tasks:
+        start = time.perf_counter()
+        try:
+            outputs.extend(task())
+            status = {"task": name, "status": "ok"}
+        except (MixedTopoError, ValueError) as exc:
+            status = {"task": name, "status": "error", "error": str(exc)}
+        statuses.append({**status, "wall_s": time.perf_counter() - start})
     _write_manifest(args.out, cfg, args.command, started, statuses, outputs)
     failed = [s for s in statuses if s["status"] != "ok"]
     if failed:

@@ -9,14 +9,15 @@ rejected):
     gamma            qwz sin(ky) coefficient           (default 3.0)
     mass             qwz mass term                     (default 1.0)
     atomic_d         atomic-model d-vector, e.g. 0,0,1
-    model_path       matrix-grid file for model = tabulated
+    model_path       matrix-grid file for model = tabulated; fixes the grid
     hfict_path       matrix-grid file of a tabulated (non-equilibrium) state
     beta             inverse temperature, raw energy units; 'inf' allowed
     temperature      temperature in t_units (exclusive with beta; 0 = pure)
     t_units          gap | raw: unit of temperature-like inputs (default gap)
     mu               chemical potential                (default 0.0)
     grid_nx, grid_ny Brillouin-zone grid               (default 64, 64; with
-                     hfict_path the file's grid, which they must match)
+                     model_path or hfict_path the file's grid, which they
+                     must match, as the two files must match each other)
     chain_cells      chain length N                    (default 10)
     chain_cells_list comma list of N values; strictly ascending for
                      gauge-reduction
@@ -93,16 +94,31 @@ class RunConfig:
         if self.model == "atomic":
             return atomic_model(self.atomic_d)
         if self.model == "tabulated":
-            if not self.model_path:
-                raise ConfigError("model = tabulated requires model_path", key="model_path")
-            try:
-                grid, values = load_matrix_grid(self.model_path)
-                return tabulated_model(grid, values)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot load model grid: {exc}", key="model_path") from exc
+            return tabulated_model(*self._model_file)
         raise ConfigError(f"unknown model {self.model!r}", key="model")
 
+    @cached_property
+    def _model_file(self) -> tuple[MomentumGrid, np.ndarray]:
+        """(grid, values) of the model_path file; its grid is the run's."""
+        if not self.model_path:
+            raise ConfigError("model = tabulated requires model_path", key="model_path")
+        try:
+            grid, values = load_matrix_grid(self.model_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load model grid: {exc}", key="model_path") from exc
+        self._check_grid_keys(grid, "model_path")
+        return grid, values
+
+    def _check_grid_keys(self, grid: MomentumGrid, path_key: str):
+        for key, stored in (("grid_nx", grid.nx), ("grid_ny", grid.ny)):
+            if key in self.raw_items and getattr(self, key) != stored:
+                raise ConfigError(f"{key} = {getattr(self, key)} disagrees with the "
+                                  f"{stored} samples stored in {path_key}", key=key)
+
     def momentum_grid(self) -> MomentumGrid:
+        """The run's grid: a model_path file's, else grid_nx x grid_ny."""
+        if self.model == "tabulated":
+            return self._model_file[0]
         return MomentumGrid(self.grid_nx, self.grid_ny)
 
     @cached_property
@@ -140,10 +156,10 @@ class RunConfig:
                 spec = GaussianStateSpec.from_grid(FictitiousHamiltonianGrid(grid, values))
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"cannot load hfict grid: {exc}", key="hfict_path") from exc
-            for key, stored in (("grid_nx", grid.nx), ("grid_ny", grid.ny)):
-                if key in self.raw_items and getattr(self, key) != stored:
-                    raise ConfigError(f"{key} = {getattr(self, key)} disagrees with the "
-                                      f"{stored} samples stored in hfict_path", key=key)
+            self._check_grid_keys(grid, "hfict_path")
+            if self.model == "tabulated" and self.momentum_grid() != grid:
+                raise ConfigError(f"the {grid.nx} x {grid.ny} grid of hfict_path disagrees "
+                                  "with the grid of model_path", key="hfict_path")
             return spec
         return GaussianStateSpec.thermal(self.beta_raw(), self.mu, self.bloch_model)
 

@@ -169,6 +169,7 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys):
     ("egp-profile", "directions", "x,x", {}),
     ("egp-profile", "temperature_list", "20,20", {}),
     ("egp-profile", "chain_cells_list", "8,8", {}),
+    ("egp-profile", "temperature_list", "20,20.0000001", {}),  # one file name, T20
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
     """A non-finite number, a repeated list entry, or a descending gauge-reduction
@@ -266,6 +267,25 @@ def test_cli_egp_profile_takes_one_gap(tmp_path, monkeypatch):
     assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 0
     assert len(list(out.glob("egp_profile_*.csv"))) == 8
     assert calls == [(16, 16, 2, 2)]
+
+
+def test_cli_egp_profile_shares_line_spectra(tmp_path, monkeypatch):
+    """One line-spectrum cache per direction on the profile recipe: N = 10 and 50 are
+    diagonalized once, N = 100 adds only its odd points, both temperatures reuse them."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a)[:-2])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    recipe = pathlib.Path(__file__).parent.parent / "scripts" / "egp_profiles.cfg"
+    out = tmp_path / "out"
+    assert main(["egp-profile", "--config", str(recipe), "--out", str(out)]) == 0
+    assert calls == [(128, 10), (128, 50), (128, 50)] * 2
+    assert sum(math.prod(shape) for shape in calls) == 28160
+    assert len(list(out.glob("egp_profile_*.csv"))) == 12
 
 
 def test_cli_spectrum_diagonalizes_once(tmp_path, monkeypatch):
@@ -376,12 +396,44 @@ def test_cli_invariant_scan_small(tmp_path):
     assert summary["egp_always_symmetric"] is True
 
 
-def test_cli_jobs_flag(tmp_path):
+def test_cli_jobs_flag(tmp_path, capsys):
+    """Tasks run in order: --jobs parses for old callers, and only as 1."""
     cfg = write_config(tmp_path / "c.txt",
                        BASE + "chain_cells_list = 9\ntemperature_list = 0,20\n")
     out = tmp_path / "out"
-    assert main(["egp-profile", "--config", cfg, "--out", str(out), "--jobs", "4"]) == 0
+    assert main(["egp-profile", "--config", cfg, "--out", str(out), "--jobs", "1"]) == 0
     assert len(list(out.glob("egp_profile_*.csv"))) == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["egp-profile", "--config", cfg, "--out", str(tmp_path / "o2"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists()
+
+
+def test_cli_failed_task_leaves_later_tasks_running(tmp_path, capsys):
+    """The N = 2 pure chain has zero amplitude; the N = 10 task still writes its file."""
+    cfg = write_config(tmp_path / "c.txt",
+                       BASE + "directions = x\nchain_cells_list = 2,10\ntemperature = 0\n")
+    out = tmp_path / "out"
+    assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 3
+    assert "egp-profile:x:N2:betainf failed" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [(t["task"], t["status"]) for t in manifest["tasks"]] == [
+        ("egp-profile:x:N2:betainf", "error"), ("egp-profile:x:N10:betainf", "ok")]
+    assert manifest["outputs"] == [str(out / "egp_profile_x_N10_betainf.csv")]
+    assert sorted(p.name for p in out.iterdir()) == ["egp_profile_x_N10_betainf.csv",
+                                                     "manifest.json"]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_manifest_times_every_task(tmp_path, command):
+    cfg = write_config(tmp_path / "c.txt",
+                       BASE + "temperature = 1\nchain_cells_list = 8,16\npath_points = 16\n"
+                       "scan_points = 2\negp_transverse = 16\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    tasks = json.loads((out / "manifest.json").read_text())["tasks"]
+    assert tasks and all(math.isfinite(t["wall_s"]) and t["wall_s"] >= 0 for t in tasks)
 
 
 def test_cli_tabulated_hfict_state(tmp_path, qwz):
@@ -430,6 +482,37 @@ def test_cli_tabulated_grid_mismatch_exit_2(tmp_path, capsys, qwz):
     for command in ("chern", "egp-winding", "egp-profile"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "(key: grid_ny)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "chern", "egp-winding", "egp-profile"])
+def test_cli_tabulated_model_fixes_grid(tmp_path, capsys, qwz, command):
+    """With no grid keys a model_path file sets the run's grid; a grid key that
+    disagrees with it exits 2 naming the key."""
+    model_path = _save_model(tmp_path, qwz, 16)
+    text = f"model = tabulated\nmodel_path = {model_path}\nchain_cells = 16\ntemperature = 1\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path / "c.txt", text),
+                 "--out", str(out)]) == 0
+    written = {"spectrum": "spectrum.csv", "chern": "curvature_h_band0.csv",
+               "egp-winding": "egp_windings.json", "egp-profile": "egp_profile_[xy]_N16_*.csv"}
+    assert len(list(out.glob(written[command]))) == (2 if command == "egp-profile" else 1)
+    if command == "chern":
+        _, kxs, kys = serialize.curvature_from_csv(out / written[command])
+        assert (len(kxs), len(kys)) == (16, 16)
+    bad = write_config(tmp_path / "bad.txt", text + "grid_ny = 8\n")
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    assert "(key: grid_ny)" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", ["chern", "egp-winding", "egp-profile"])
+def test_cli_model_and_state_files_disagree_exit_2(tmp_path, capsys, qwz, command):
+    model_path = _save_model(tmp_path, qwz, 16)
+    state_path = _save_state(tmp_path, qwz, 8, 8)
+    cfg = write_config(tmp_path / "c.txt", f"model = tabulated\nmodel_path = {model_path}\n"
+                       f"hfict_path = {state_path}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "(key: hfict_path)" in capsys.readouterr().err
 
 
 def test_cli_non_finite_state_file_exit_2(tmp_path, capsys, qwz):
