@@ -29,7 +29,8 @@ rejected):
     scan_points      log-spaced scan points            (default 48)
     egp_transverse   transverse samples for scan EGP windings
                      (default: max grid dimension)
-    path_points      initial Uhlmann path resolution   (default 512)
+    path_points      Uhlmann path resolution; doubles only where the
+                     winding is not certified         (default 512)
 
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
 Every number must be finite; only beta may be inf. No entry of directions,

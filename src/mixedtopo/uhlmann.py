@@ -25,6 +25,7 @@ from .errors import (
 )
 from .gaussian import GaussianStateSpec
 from .geometry import (
+    JUMP_MARGIN,
     PhaseProfile,
     berry_curvature_plaquette,
     chern_number,
@@ -341,28 +342,80 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
 
 
 def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
-                    refine: bool) -> tuple[np.ndarray, int]:
+                    refine: bool, certify: bool = False) -> tuple[np.ndarray, int]:
     """(Uhlmann phases over the transverse momenta, path points used).
 
     Each pass evaluates the loops of m points, batched over (transverse,
     path), and transports them. The spectra keep their exact Boltzmann
     weights: no density matrix is assembled, so no rank floor applies. The
     weights of the energy planes (p, T, M) are normalized over p through a
-    (T, M, p) view, which leaves them as planes in memory. With `refine`, m
-    doubles until the phases change pointwise by less than CAUCHY_TOL.
+    (T, M, p) view, which leaves them as planes in memory.
+
+    With `refine`, m doubles from `n_points` until a stop rule holds:
+
+    - by default (the phase functions), the phases change pointwise by less
+      than CAUCHY_TOL from the previous pass;
+    - with `certify` (the windings), the winding of the profile is certified.
+      The path error of the m-point phases falls as m^-2, so it is estimated
+      as e = max |phi_m - phi_c| / ((m/c)^2 - 1) from a coarse pass of c
+      points: c = m // 2 on the first pass (a strided view of the cached
+      spectra for even m), the previous pass after that. The profile of the
+      exact path then steps by less than max step + 2e, and the winding is
+      certified when that is below pi - JUMP_MARGIN, the bound
+      `winding_of_phase_profile` enforces. Where max step - 2e is not below
+      it, no path can certify the winding, and UnderResolvedError is raised
+      at once.
+
+    Under refinement a pass whose links fail the LINK_IDENTITY_MAX check is
+    not yet converged, and doubles like any other. Past PATH_POINTS_CAP,
+    UnderResolvedError names the direction, the points and why the last pass
+    failed.
     """
-    m, previous = n_points, None
-    while True:
+    def phases_at(m: int) -> tuple[Optional[np.ndarray], str]:
         energies, vectors = spectra(m)
         weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
-        _, phases, _ = _transport(vectors, weights, spectra.transverse)
-        if not refine or (previous is not None and np.abs(
-                (phases - previous + np.pi) % (2 * np.pi) - np.pi).max() < CAUCHY_TOL):
+        try:
+            return _transport(vectors, weights, spectra.transverse)[1], ""
+        except UnderResolvedError as exc:  # a link too far from the identity
+            if not refine:
+                raise
+            return None, str(exc)
+
+    m, previous, coarse = n_points, None, 0  # `previous` holds the phases of `coarse` points
+    if certify and m >= 4:
+        spectra(m)  # the m-point loops first, so that for even m the coarse ones are a view
+        coarse = m // 2
+        previous, _ = phases_at(coarse)
+    while True:
+        phases, reason = phases_at(m)
+        if not refine:
             return phases, m
+        if phases is not None and previous is None:
+            reason = (f"the {coarse}-point pass failed the link check" if coarse
+                      else "no coarser pass to compare with")
+        elif phases is not None:
+            change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
+            if certify:
+                error = change / ((m / coarse) ** 2 - 1)
+                steps = np.abs(PhaseProfile(spectra.transverse, phases).jumps())
+                worst = steps.argmax()
+                if steps[worst] + 2 * error < np.pi - JUMP_MARGIN:
+                    return phases, m
+                reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
+                          f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
+                if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
+                    raise UnderResolvedError(
+                        f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
+                        "max step - 2e: only a finer transverse grid can certify the winding")
+                reason += ": winding not certified"
+            elif change < CAUCHY_TOL:
+                return phases, m
+            else:
+                reason = f"pointwise change {change:.3e} >= {CAUCHY_TOL:.0e}: not Cauchy-converged"
         if 2 * m > PATH_POINTS_CAP:
-            raise UnderResolvedError(
-                f"Uhlmann path not Cauchy-converged below {PATH_POINTS_CAP} points")
-        previous, m = phases, 2 * m
+            raise UnderResolvedError(f"Uhlmann {spectra.direction} path unresolved at {m} points "
+                                     f"(cap {PATH_POINTS_CAP}): {reason}")
+        previous, coarse, m = phases, m, 2 * m
 
 
 def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
@@ -380,15 +433,17 @@ def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: 
     """Profile of phi_U over the transverse BZ with automatic path refinement.
 
     The path resolution doubles until the profile changes pointwise by less
-    than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points.
+    than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points. A
+    pass whose links deviate from the identity by LINK_IDENTITY_MAX or more
+    doubles too.
     """
     spectra = _LineSpectra(model, direction, np.asarray(transverse, dtype=float))
     return _uhlmann_profile(spectra, beta, mu, n_points, refine)
 
 
 def _uhlmann_profile(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
-                     refine: bool = True) -> tuple[PhaseProfile, int]:
-    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
+                     refine: bool = True, certify: bool = False) -> tuple[PhaseProfile, int]:
+    phases, m = _refined_phases(spectra, beta, mu, n_points, refine, certify)
     profile = PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
                            direction=spectra.direction, temperature=1.0 / beta)
     return profile, m
@@ -398,8 +453,15 @@ def uhlmann_windings(model: BlochModel, beta: float, mu: float, grid: MomentumGr
                      n_points: int = PATH_POINTS_DEFAULT) -> tuple[int, int]:
     """(C_x^U, C_y^U): windings of phi_U_x over ky and -(phi_U_y over kx).
 
-    No equality is asserted; directional disagreement at intermediate
-    temperature is a physical finding, not an error.
+    Each winding is certified rather than Cauchy-converged: the path starts
+    at `n_points`, its error e is estimated from the phases at half the
+    points, and the path doubles only while the largest transverse step
+    plus 2e is not below pi - JUMP_MARGIN. Past PATH_POINTS_CAP points, or at
+    once where the step less 2e is not below it either (a transverse grid too
+    coarse for any path), UnderResolvedError names the direction, the points,
+    the step and 2e, and the transverse_k of the worst line. No equality is
+    asserted; directional disagreement at intermediate temperature is a
+    physical finding, not an error.
     """
     return _uhlmann_windings(_grid_loops(model, grid), beta, mu, n_points)
 
@@ -412,8 +474,8 @@ def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _L
 
 def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], beta: float, mu: float,
                       n_points: int) -> tuple[int, int]:
-    prof_x, _ = _uhlmann_profile(loops[0], beta, mu, n_points)
-    prof_y, _ = _uhlmann_profile(loops[1], beta, mu, n_points)
+    prof_x, _ = _uhlmann_profile(loops[0], beta, mu, n_points, certify=True)
+    prof_y, _ = _uhlmann_profile(loops[1], beta, mu, n_points, certify=True)
     return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y)
 
 
@@ -455,7 +517,10 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     """Uhlmann vs EGP windings across a temperature sweep.
 
     Per-row failures are recorded in `status` and the scan continues; the
-    ground-state Chern number is computed once and repeated per row. The EGP
+    ground-state Chern number is computed once and repeated per row. The
+    Uhlmann windings of each row are certified as in `uhlmann_windings`: where
+    every row certifies at an even `n_points`, the scan diagonalizes its loops
+    once, at `n_points`, and a row that cannot be certified says why. The EGP
     profiles may need a finer transverse grid than the Uhlmann ones at the
     hot end of a sweep (near-pi kinks develop toward maximal mixing), hence
     the separate `egp_transverse` resolution.

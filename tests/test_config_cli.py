@@ -396,6 +396,20 @@ def test_cli_invariant_scan_small(tmp_path):
     assert summary["egp_always_symmetric"] is True
 
 
+@pytest.mark.parametrize("path_points", [8, 5, 3, 2])
+def test_cli_invariant_scan_refines_a_coarse_cold_path(tmp_path, path_points):
+    """At T = 0.02 gap these paths fail the link check; the windings refine past it."""
+    cfg = write_config(tmp_path / "c.txt", BASE.replace("grid_nx = 16", "grid_nx = 8")
+                       .replace("grid_ny = 16", "grid_ny = 8")
+                       + "scan_points = 2\nscan_t_min = 0.02\nscan_t_max = 2\n"
+                       + f"path_points = {path_points}\nchain_cells = 6\n")
+    out = tmp_path / "out"
+    assert main(["invariant-scan", "--config", cfg, "--out", str(out)]) == 0
+    cold, hot = serialize.reports_from_csv(out / "invariant_scan.csv")
+    assert (cold.status, cold.cx_uhlmann, cold.cy_uhlmann) == ("ok", 1, 1)
+    assert (hot.status, hot.cx_uhlmann, hot.cy_uhlmann) == ("ok", 0, 0)
+
+
 def test_cli_jobs_flag(tmp_path, capsys):
     """Tasks run in order: --jobs parses for old callers, and only as 1."""
     cfg = write_config(tmp_path / "c.txt",

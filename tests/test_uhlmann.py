@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import mixedtopo as mt
 from conftest import random_hermitian, random_unitary
 from mixedtopo import uhlmann
+from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra
 from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary, transport
 
@@ -166,8 +167,9 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
                                               n_points=128, n_cells=6)
         assert all(r.status == "ok" for r in reports)
         per_scan.append(sum(counts))
-    # each direction: 12 lines of 128 points, then the odd points of 256 and of 512
-    assert per_scan == [2 * 12 * 512, 2 * 12 * 512]
+    # each direction: 12 lines of 128 points, once; the certificate compares them with
+    # their 64-point strided view, and every row is certified at 128 points
+    assert per_scan == [2 * 12 * 128, 2 * 12 * 128]
 
 
 def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch):
@@ -187,8 +189,9 @@ def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkey
     monkeypatch.setattr(np.linalg, "eigh", counting)
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_points=128, n_cells=6)
     assert [(r.cx_egp, r.cy_egp) for r in reports] == expected
-    # Uhlmann loops (2 x 12 x 512), ground state (12 x 12), x and y chain meshes (12 x 6 each)
-    assert sum(counts) == 2 * 12 * 512 + 12 * 12 + 2 * 12 * 6
+    # Uhlmann loops (2 x 12 x 128, certified at their first pass), ground state (12 x 12),
+    # x and y chain meshes (12 x 6 each)
+    assert sum(counts) == 2 * 12 * 128 + 12 * 12 + 2 * 12 * 6
 
 
 # ------------------------------------------------------------------ transport kernel
@@ -493,6 +496,89 @@ def test_windings_asymmetric_window_exists(qwz, qwz_gap):
         if cx != cy:
             seen_asymmetric = True
     assert seen_asymmetric
+
+
+def test_certified_windings_match_cauchy_route(qwz, qwz_gap):
+    """Through the split window the certified windings equal those of the Cauchy-converged
+    profiles, the oracle: `uhlmann_phase_profile` and `winding_of_phase_profile`."""
+    grid = mt.MomentumGrid(16, 16)
+    certified, cauchy = [], []
+    for t_over_gap in np.geomspace(0.25, 1.0, 8):
+        beta = 1.0 / (t_over_gap * qwz_gap)
+        certified.append(mt.uhlmann_windings(qwz, beta, 0.0, grid, 128))
+        prof_x, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), 128)
+        prof_y, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "y", grid.kx_values(), 128)
+        cauchy.append((mt.winding_of_phase_profile(prof_x), -mt.winding_of_phase_profile(prof_y)))
+    assert certified == cauchy
+    assert any(cx != cy for cx, cy in cauchy)  # the sweep crosses the split window
+
+
+@pytest.mark.parametrize("n_points", [64, 65])
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("t_over_gap", [0.05, 0.5, 5.0])
+def test_path_error_estimate_bounds_next_refinement(qwz, qwz_gap, t_over_gap, direction,
+                                                    n_points):
+    """e = max |phi_M - phi_c| / ((M/c)^2 - 1), c = M // 2, bounds max |phi_2M - phi_M|."""
+    def phases(m):
+        profile, _ = mt.uhlmann_phase_profile(qwz, 1.0 / (t_over_gap * qwz_gap), 0.0, direction,
+                                              mt.momentum_line(16), m, refine=False)
+        return profile.phases
+
+    coarse, fine, finer = (phases(m) for m in (n_points // 2, n_points, 2 * n_points))
+    error = np.abs(mt.principal_branch(fine - coarse)).max() / (
+        (n_points / (n_points // 2)) ** 2 - 1)
+    assert error >= np.abs(mt.principal_branch(finer - fine)).max()
+
+
+def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):
+    """A 32^2 scan from 512 points: cold, split and hot rows are certified at 512 points, so
+    each direction diagonalizes its 32 lines of 512 points once; the 256-point coarse
+    loops are a strided view of them and no 1024-point pass is made."""
+    counts = _count_uhlmann_eigh(monkeypatch)
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array([0.02, 0.5, 5.0]) * qwz_gap,
+                                          mt.MomentumGrid(32, 32), n_points=512, n_cells=6)
+    assert all(r.status == "ok" for r in reports)
+    assert counts == [32 * 512, 32 * 512]
+
+
+def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
+    """At the cap the row names the direction, the points, the step and 2e against
+    pi - JUMP_MARGIN, and the transverse_k of the worst line."""
+    beta, grid = 1.0 / (0.3 * qwz_gap), mt.MomentumGrid(8, 8)
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_CAP", 4)
+    coarse, fine = (mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), m,
+                                             refine=False)[0] for m in (2, 4))
+    steps = np.abs(fine.jumps())
+    two_e = 2 * np.abs(mt.principal_branch(fine.phases - coarse.phases)).max() / 3
+    assert steps.max() + two_e >= np.pi - JUMP_MARGIN
+    [report] = mt.uhlmann_temperature_scan(qwz, 0.0, [1.0 / beta], grid, n_points=4, n_cells=6)
+    assert report.cx_uhlmann is report.cy_uhlmann is None
+    assert report.status.startswith(
+        f"uhlmann: Uhlmann x path unresolved at 4 points (cap 4): max step {steps.max():.3f} "
+        f"+ 2e {two_e:.3e} rad >= pi - {JUMP_MARGIN} at "
+        f"transverse_k={grid.ky_values()[steps.argmax()]:.6f}: winding not certified")
+
+
+def test_windings_stop_where_only_the_transverse_grid_can_certify(qwz, qwz_gap, monkeypatch):
+    """On 5 lines at T = 0.478 gap the y profile steps 3.098 rad: no path can certify it, so
+    the winding raises at the configured 512 points instead of doubling to the cap."""
+    counts = _count_uhlmann_eigh(monkeypatch)
+    beta = 1.0 / (np.geomspace(0.15, 0.8, 14)[9] * qwz_gap)
+    with pytest.raises(mt.UnderResolvedError,
+                       match=r"^Uhlmann y profile at 512 points: max step 3\.098 .* "
+                             r"only a finer transverse grid can certify the winding$"):
+        mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(5, 5), 512)
+    assert counts == [5 * 512, 5 * 512]
+
+
+def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap):
+    """A pass whose links fail LINK_IDENTITY_MAX is not converged yet: it doubles."""
+    beta = 1.0 / (0.02 * qwz_gap)
+    with pytest.raises(mt.UnderResolvedError, match="link deviates"):
+        mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4, refine=False)
+    assert mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(8, 8), 4) == (1, 1)
+    _, used = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4)
+    assert used > 4
 
 
 def test_ground_state_chern(qwz):
