@@ -201,7 +201,7 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
 
     def task():
         reports = uhlmann_temperature_scan(model, cfg.mu, temperatures, grid,
-                                           n_points=cfg.path_points, n_cells=cfg.chain_cells,
+                                           n_cells=cfg.chain_cells,
                                            egp_transverse=cfg.egp_transverse)
         path = os.path.join(out_dir, "invariant_scan.csv")
         serialize.reports_to_csv(path, reports)
@@ -214,6 +214,8 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
             "egp_always_symmetric": all(r.cx_egp == r.cy_egp for r in egp_rows),
             "rows_ok": sum(1 for r in reports if r.status == "ok"),
             "rows_total": len(reports),
+            "uhlmann_path_points": max((r.uhlmann_path_points for r in reports
+                                        if r.uhlmann_path_points is not None), default=None),
         })
         return [path, summary_path]
 

@@ -29,8 +29,8 @@ rejected):
     scan_points      log-spaced scan points            (default 48)
     egp_transverse   transverse samples for scan EGP windings
                      (default: max grid dimension)
-    path_points      Uhlmann path resolution; doubles only where the
-                     winding is not certified         (default 512)
+    path_points      retired: parses and must be >= 2, but sets nothing;
+                     the Uhlmann windings pick their own path
 
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
 Every number must be finite; only beta may be inf. No entry of directions,
@@ -83,7 +83,7 @@ class RunConfig:
     scan_t_min: float = 0.01
     scan_t_max: float = 100.0
     scan_points: int = 48
-    path_points: int = 512
+    path_points: Optional[int] = None  # retired: validated, sets nothing
     egp_transverse: Optional[int] = None
     raw_items: dict = field(default_factory=dict)
 
@@ -246,11 +246,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"unknown model {cfg.model!r}", key="model")
     if cfg.t_units not in ("gap", "raw"):
         raise ConfigError(f"t_units must be 'gap' or 'raw', got {cfg.t_units!r}", key="t_units")
-    for key in ("grid_nx", "grid_ny", "chain_cells", "scan_points", "path_points"):
-        if getattr(cfg, key) < 2:
+    for key in ("grid_nx", "grid_ny", "chain_cells", "scan_points", "path_points",
+                "egp_transverse"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 2:
             raise ConfigError(f"{key} must be >= 2", key=key)
-    if cfg.egp_transverse is not None and cfg.egp_transverse < 2:
-        raise ConfigError("egp_transverse must be >= 2", key="egp_transverse")
     if cfg.beta is not None and not cfg.beta > 0:
         raise ConfigError("beta must be positive (or inf)", key="beta")
     if cfg.temperature is not None and cfg.temperature < 0:

@@ -54,6 +54,7 @@ from .model import (
 RANK_NOISE_FLOOR = 1e-14
 LINK_IDENTITY_MAX = 0.5
 PATH_POINTS_DEFAULT = 512
+PATH_POINTS_START = 32
 PATH_POINTS_CAP = 8192
 CAUCHY_TOL = 1e-4
 
@@ -449,21 +450,23 @@ def _uhlmann_profile(spectra: _LineSpectra, beta: float, mu: float, n_points: in
     return profile, m
 
 
-def uhlmann_windings(model: BlochModel, beta: float, mu: float, grid: MomentumGrid,
-                     n_points: int = PATH_POINTS_DEFAULT) -> tuple[int, int]:
+def uhlmann_windings(model: BlochModel, beta: float, mu: float,
+                     grid: MomentumGrid) -> tuple[int, int]:
     """(C_x^U, C_y^U): windings of phi_U_x over ky and -(phi_U_y over kx).
 
-    Each winding is certified rather than Cauchy-converged: the path starts
-    at `n_points`, its error e is estimated from the phases at half the
-    points, and the path doubles only while the largest transverse step
-    plus 2e is not below pi - JUMP_MARGIN. Past PATH_POINTS_CAP points, or at
-    once where the step less 2e is not below it either (a transverse grid too
-    coarse for any path), UnderResolvedError names the direction, the points,
-    the step and 2e, and the transverse_k of the worst line. No equality is
-    asserted; directional disagreement at intermediate temperature is a
-    physical finding, not an error.
+    Each winding is certified rather than Cauchy-converged, and the
+    certificate picks the path: it starts at PATH_POINTS_START points, its
+    error e is estimated from the phases at half the points, and the path
+    doubles only while the largest transverse step plus 2e is not below
+    pi - JUMP_MARGIN or a link fails the LINK_IDENTITY_MAX check. Past
+    PATH_POINTS_CAP points, or at once where the step less 2e is not below
+    it either (a transverse grid too coarse for any path), UnderResolvedError
+    names the direction, the points, the step and 2e, and the transverse_k of
+    the worst line. No equality is asserted; directional disagreement at
+    intermediate temperature is a physical finding, not an error.
     """
-    return _uhlmann_windings(_grid_loops(model, grid), beta, mu, n_points)
+    cx, cy, _ = _uhlmann_windings(_grid_loops(model, grid), beta, mu)
+    return cx, cy
 
 
 def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _LineSpectra]:
@@ -472,16 +475,22 @@ def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _L
             _LineSpectra(model, "y", grid.kx_values()))
 
 
-def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], beta: float, mu: float,
-                      n_points: int) -> tuple[int, int]:
-    prof_x, _ = _uhlmann_profile(loops[0], beta, mu, n_points, certify=True)
-    prof_y, _ = _uhlmann_profile(loops[1], beta, mu, n_points, certify=True)
-    return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y)
+def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], beta: float,
+                      mu: float) -> tuple[int, int, int]:
+    """(C_x^U, C_y^U, path points of the more refined direction)."""
+    prof_x, m_x = _uhlmann_profile(loops[0], beta, mu, PATH_POINTS_START, certify=True)
+    prof_y, m_y = _uhlmann_profile(loops[1], beta, mu, PATH_POINTS_START, certify=True)
+    return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y), max(m_x, m_y)
 
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Per-temperature record of every invariant the scan compares."""
+    """Per-temperature record of every invariant the scan compares.
+
+    `uhlmann_path_points` is the path the Uhlmann windings of the row were
+    certified at (the larger of x and y); None where they were not, and in
+    reports read back from CSV, which does not carry it.
+    """
 
     temperature: float
     beta: float
@@ -491,6 +500,7 @@ class InvariantReport:
     cy_egp: Optional[int]
     c_ground: Optional[int]
     status: str = "ok"
+    uhlmann_path_points: Optional[int] = None
 
     @property
     def uhlmann_asymmetric(self) -> bool:
@@ -511,16 +521,16 @@ def ground_state_chern(model: BlochModel, mu: float, grid: MomentumGrid) -> int:
 
 
 def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
-                             grid: MomentumGrid, n_points: int = PATH_POINTS_DEFAULT,
-                             n_cells: int = 10,
+                             grid: MomentumGrid, n_cells: int = 10,
                              egp_transverse: Optional[int] = None) -> list[InvariantReport]:
     """Uhlmann vs EGP windings across a temperature sweep.
 
     Per-row failures are recorded in `status` and the scan continues; the
     ground-state Chern number is computed once and repeated per row. The
-    Uhlmann windings of each row are certified as in `uhlmann_windings`: where
-    every row certifies at an even `n_points`, the scan diagonalizes its loops
-    once, at `n_points`, and a row that cannot be certified says why. The EGP
+    Uhlmann windings of each row are certified as in `uhlmann_windings`, from
+    PATH_POINTS_START points: the scan diagonalizes each loop point once, on
+    the finest path any row needed, each row records the path points it was
+    certified at, and a row that cannot be certified says why. The EGP
     profiles may need a finer transverse grid than the Uhlmann ones at the
     hot end of a sweep (near-pi kinks develop toward maximal mixing), hence
     the separate `egp_transverse` resolution.
@@ -534,9 +544,9 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     for t in np.asarray(temperatures, dtype=float):
         beta = 1.0 / t
         errors = []
-        cx_u = cy_u = cx_e = cy_e = None
+        cx_u = cy_u = cx_e = cy_e = points = None
         try:
-            cx_u, cy_u = _uhlmann_windings(loops, beta, mu, n_points)
+            cx_u, cy_u, points = _uhlmann_windings(loops, beta, mu)
         except MixedTopoError as exc:
             errors.append(f"uhlmann: {exc}")
         try:
@@ -547,5 +557,6 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
         reports.append(InvariantReport(
             temperature=float(t), beta=float(beta),
             cx_uhlmann=cx_u, cy_uhlmann=cy_u, cx_egp=cx_e, cy_egp=cy_e,
-            c_ground=c_ground, status="; ".join(errors) if errors else "ok"))
+            c_ground=c_ground, status="; ".join(errors) if errors else "ok",
+            uhlmann_path_points=points))
     return reports

@@ -88,8 +88,8 @@ def test_acceptance_4_gauge_reduction(qwz):
 def test_acceptance_5_uhlmann_endpoints(qwz):
     t0 = time.time()
     grid = mt.MomentumGrid(32, 32)
-    cold = mt.uhlmann_windings(qwz, 20.0 / GAP, 0.0, grid, 512)
-    hot = mt.uhlmann_windings(qwz, 0.01 / GAP, 0.0, grid, 512)
+    cold = mt.uhlmann_windings(qwz, 20.0 / GAP, 0.0, grid)
+    hot = mt.uhlmann_windings(qwz, 0.01 / GAP, 0.0, grid)
     # Cauchy refinement transcript for one representative loop
     _, m_used = mt.uhlmann_phase_bz(qwz, 20.0 / GAP, 0.0, "x", np.pi / 3, 512)
     elapsed = time.time() - t0
@@ -104,7 +104,7 @@ def test_acceptance_6_uhlmann_asymmetry_scan(qwz):
     t0 = time.time()
     temperatures = np.geomspace(1e-2, 1e2, 48) * GAP
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, mt.MomentumGrid(32, 32),
-                                          n_points=512, n_cells=10, egp_transverse=128)
+                                          n_cells=10, egp_transverse=128)
     elapsed = time.time() - t0
 
     asymmetric = [r for r in reports if r.uhlmann_asymmetric]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mixedtopo as mt
-from mixedtopo import config, serialize
+from mixedtopo import config, serialize, uhlmann
 from mixedtopo.cli import SUBCOMMANDS, main
 from mixedtopo.config import parse_config
 from per_k_oracle import frames_per_k
@@ -396,18 +396,56 @@ def test_cli_invariant_scan_small(tmp_path):
     assert summary["egp_always_symmetric"] is True
 
 
-@pytest.mark.parametrize("path_points", [8, 5, 3, 2])
-def test_cli_invariant_scan_refines_a_coarse_cold_path(tmp_path, path_points):
-    """At T = 0.02 gap these paths fail the link check; the windings refine past it."""
-    cfg = write_config(tmp_path / "c.txt", BASE.replace("grid_nx = 16", "grid_nx = 8")
-                       .replace("grid_ny = 16", "grid_ny = 8")
-                       + "scan_points = 2\nscan_t_min = 0.02\nscan_t_max = 2\n"
-                       + f"path_points = {path_points}\nchain_cells = 6\n")
-    out = tmp_path / "out"
-    assert main(["invariant-scan", "--config", cfg, "--out", str(out)]) == 0
-    cold, hot = serialize.reports_from_csv(out / "invariant_scan.csv")
+def test_cli_invariant_scan_ignores_retired_path_points(tmp_path):
+    """path_points still parses and must be >= 2, but sets nothing: the windings pick their
+    own path, so a scan with path_points = 2 writes the data files of one without the key.
+    At T = 0.02 gap the 8^2 cold row is certified (1, 1)."""
+    text = (BASE.replace("grid_nx = 16", "grid_nx = 8").replace("grid_ny = 16", "grid_ny = 8")
+            + "scan_points = 2\nscan_t_min = 0.02\nscan_t_max = 2\nchain_cells = 6\n")
+    with pytest.raises(mt.ConfigError, match="path_points must be >= 2"):
+        parse_config(write_config(tmp_path / "bad.txt", text + "path_points = 1\n"))
+    outs = []
+    for name, extra in (("plain", ""), ("retired", "path_points = 2\n")):
+        cfg = write_config(tmp_path / f"{name}.txt", text + extra)
+        outs.append(tmp_path / name)
+        assert main(["invariant-scan", "--config", cfg, "--out", str(outs[-1])]) == 0
+    files = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")
+    assert files == ["invariant_scan.csv", "invariant_scan_summary.json"]
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    cold, hot = serialize.reports_from_csv(outs[0] / "invariant_scan.csv")
     assert (cold.status, cold.cx_uhlmann, cold.cy_uhlmann) == ("ok", 1, 1)
     assert (hot.status, hot.cx_uhlmann, hot.cy_uhlmann) == ("ok", 0, 0)
+
+
+def test_cli_invariant_scan_recipe_certifies_every_row_at_the_start(tmp_path):
+    """scripts/invariant_scan.cfg: all 48 rows are ok, and the summary records that no
+    row's Uhlmann windings needed more than PATH_POINTS_START = 32 path points."""
+    out = tmp_path / "out"
+    cfg = str(ROOT / "scripts" / "invariant_scan.cfg")
+    assert main(["invariant-scan", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "invariant_scan_summary.json").read_text())
+    assert summary["rows_ok"] == summary["rows_total"] == 48
+    assert summary["uhlmann_path_points"] == 32
+
+
+def test_cli_invariant_scan_summary_path_points_null_without_certified_rows(tmp_path,
+                                                                              monkeypatch):
+    """The summary's uhlmann_path_points is the largest over certified rows: null when no
+    row's Uhlmann windings were certified."""
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_CAP", 4)
+    cfg = write_config(tmp_path / "c.txt", BASE.replace("grid_nx = 16", "grid_nx = 8")
+                       .replace("grid_ny = 16", "grid_ny = 8")
+                       + "scan_points = 2\nscan_t_min = 0.3\nscan_t_max = 0.31\n"
+                       + "chain_cells = 6\n")
+    out = tmp_path / "out"
+    assert main(["invariant-scan", "--config", cfg, "--out", str(out)]) == 0
+    reports = serialize.reports_from_csv(out / "invariant_scan.csv")
+    assert all(r.status.startswith("uhlmann: ") for r in reports)
+    summary = json.loads((out / "invariant_scan_summary.json").read_text())
+    assert summary["rows_ok"] == 0
+    assert summary["uhlmann_path_points"] is None
 
 
 def test_cli_jobs_flag(tmp_path, capsys):

@@ -164,12 +164,12 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
     for temperatures in ([0.5], [0.05, 0.5, 5.0]):
         counts.clear()
         reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array(temperatures) * qwz_gap, grid,
-                                              n_points=128, n_cells=6)
-        assert all(r.status == "ok" for r in reports)
+                                              n_cells=6)
+        assert all(r.status == "ok" and r.uhlmann_path_points == 32 for r in reports)
         per_scan.append(sum(counts))
-    # each direction: 12 lines of 128 points, once; the certificate compares them with
-    # their 64-point strided view, and every row is certified at 128 points
-    assert per_scan == [2 * 12 * 128, 2 * 12 * 128]
+    # each direction: 12 lines of 32 points, once; the certificate compares them with
+    # their 16-point strided view, and every row is certified at 32 points
+    assert per_scan == [2 * 12 * 32, 2 * 12 * 32]
 
 
 def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch):
@@ -187,11 +187,11 @@ def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkey
     expected = [mt.egp_windings(mt.GaussianStateSpec.thermal(1 / t, 0.0, qwz), 6, 12)
                 for t in temperatures]
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_points=128, n_cells=6)
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_cells=6)
     assert [(r.cx_egp, r.cy_egp) for r in reports] == expected
-    # Uhlmann loops (2 x 12 x 128, certified at their first pass), ground state (12 x 12),
+    # Uhlmann loops (2 x 12 x 32, certified at their first pass), ground state (12 x 12),
     # x and y chain meshes (12 x 6 each)
-    assert sum(counts) == 2 * 12 * 128 + 12 * 12 + 2 * 12 * 6
+    assert sum(counts) == 2 * 12 * 32 + 12 * 12 + 2 * 12 * 6
 
 
 # ------------------------------------------------------------------ transport kernel
@@ -482,8 +482,8 @@ def test_amplitude_gauge_freedom(qwz):
 
 def test_windings_cold_and_hot(qwz, qwz_gap):
     grid = mt.MomentumGrid(16, 16)
-    assert mt.uhlmann_windings(qwz, 20.0 / qwz_gap, 0.0, grid, 256) == (1, 1)
-    assert mt.uhlmann_windings(qwz, 0.01 / qwz_gap, 0.0, grid, 256) == (0, 0)
+    assert mt.uhlmann_windings(qwz, 20.0 / qwz_gap, 0.0, grid) == (1, 1)
+    assert mt.uhlmann_windings(qwz, 0.01 / qwz_gap, 0.0, grid) == (0, 0)
 
 
 def test_windings_asymmetric_window_exists(qwz, qwz_gap):
@@ -492,7 +492,7 @@ def test_windings_asymmetric_window_exists(qwz, qwz_gap):
     seen_asymmetric = False
     for t_over_gap in (0.45, 0.55):
         beta = 1.0 / (t_over_gap * qwz_gap)
-        cx, cy = mt.uhlmann_windings(qwz, beta, 0.0, grid, 256)
+        cx, cy = mt.uhlmann_windings(qwz, beta, 0.0, grid)
         if cx != cy:
             seen_asymmetric = True
     assert seen_asymmetric
@@ -505,7 +505,7 @@ def test_certified_windings_match_cauchy_route(qwz, qwz_gap):
     certified, cauchy = [], []
     for t_over_gap in np.geomspace(0.25, 1.0, 8):
         beta = 1.0 / (t_over_gap * qwz_gap)
-        certified.append(mt.uhlmann_windings(qwz, beta, 0.0, grid, 128))
+        certified.append(mt.uhlmann_windings(qwz, beta, 0.0, grid))
         prof_x, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), 128)
         prof_y, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "y", grid.kx_values(), 128)
         cauchy.append((mt.winding_of_phase_profile(prof_x), -mt.winding_of_phase_profile(prof_y)))
@@ -513,7 +513,7 @@ def test_certified_windings_match_cauchy_route(qwz, qwz_gap):
     assert any(cx != cy for cx, cy in cauchy)  # the sweep crosses the split window
 
 
-@pytest.mark.parametrize("n_points", [64, 65])
+@pytest.mark.parametrize("n_points", [32, 33, 64, 65])
 @pytest.mark.parametrize("direction", ["x", "y"])
 @pytest.mark.parametrize("t_over_gap", [0.05, 0.5, 5.0])
 def test_path_error_estimate_bounds_next_refinement(qwz, qwz_gap, t_over_gap, direction,
@@ -530,29 +530,46 @@ def test_path_error_estimate_bounds_next_refinement(qwz, qwz_gap, t_over_gap, di
     assert error >= np.abs(mt.principal_branch(finer - fine)).max()
 
 
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_path_error_estimate_bounds_true_error_at_the_start(qwz, qwz_gap, direction):
+    """At PATH_POINTS_START the phases lie within 2e of the exact path's, the certificate's
+    assumption, from deep cold through the split window to hot; a 4096-point pass stands
+    in for the exact path."""
+    start = uhlmann.PATH_POINTS_START
+    spectra = _LineSpectra(qwz, direction, mt.momentum_line(32))
+    spectra(4096)  # the start path and its half are strided views of these
+    for t_over_gap in (0.01, 0.34, 0.5, 5.0):
+        beta = 1.0 / (t_over_gap * qwz_gap)
+        coarse, fine, exact = (uhlmann._refined_phases(spectra, beta, 0.0, m, refine=False)[0]
+                               for m in (start // 2, start, 4096))
+        error = np.abs(mt.principal_branch(fine - coarse)).max() / 3
+        assert np.abs(mt.principal_branch(exact - fine)).max() <= 2 * error
+
+
 def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):
-    """A 32^2 scan from 512 points: cold, split and hot rows are certified at 512 points, so
-    each direction diagonalizes its 32 lines of 512 points once; the 256-point coarse
-    loops are a strided view of them and no 1024-point pass is made."""
+    """A 32^2 scan: cold, split and hot rows are certified at PATH_POINTS_START = 32
+    points, so each direction diagonalizes its 32 lines of 32 points once; the 16-point
+    coarse loops are a strided view of them and no 64-point pass is made."""
     counts = _count_uhlmann_eigh(monkeypatch)
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array([0.02, 0.5, 5.0]) * qwz_gap,
-                                          mt.MomentumGrid(32, 32), n_points=512, n_cells=6)
-    assert all(r.status == "ok" for r in reports)
-    assert counts == [32 * 512, 32 * 512]
+                                          mt.MomentumGrid(32, 32), n_cells=6)
+    assert [(r.status, r.uhlmann_path_points) for r in reports] == [("ok", 32)] * 3
+    assert counts == [32 * 32, 32 * 32]
 
 
 def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
     """At the cap the row names the direction, the points, the step and 2e against
     pi - JUMP_MARGIN, and the transverse_k of the worst line."""
     beta, grid = 1.0 / (0.3 * qwz_gap), mt.MomentumGrid(8, 8)
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
     monkeypatch.setattr(uhlmann, "PATH_POINTS_CAP", 4)
     coarse, fine = (mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), m,
                                              refine=False)[0] for m in (2, 4))
     steps = np.abs(fine.jumps())
     two_e = 2 * np.abs(mt.principal_branch(fine.phases - coarse.phases)).max() / 3
     assert steps.max() + two_e >= np.pi - JUMP_MARGIN
-    [report] = mt.uhlmann_temperature_scan(qwz, 0.0, [1.0 / beta], grid, n_points=4, n_cells=6)
-    assert report.cx_uhlmann is report.cy_uhlmann is None
+    [report] = mt.uhlmann_temperature_scan(qwz, 0.0, [1.0 / beta], grid, n_cells=6)
+    assert report.cx_uhlmann is report.cy_uhlmann is report.uhlmann_path_points is None
     assert report.status.startswith(
         f"uhlmann: Uhlmann x path unresolved at 4 points (cap 4): max step {steps.max():.3f} "
         f"+ 2e {two_e:.3e} rad >= pi - {JUMP_MARGIN} at "
@@ -560,23 +577,24 @@ def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
 
 
 def test_windings_stop_where_only_the_transverse_grid_can_certify(qwz, qwz_gap, monkeypatch):
-    """On 5 lines at T = 0.478 gap the y profile steps 3.098 rad: no path can certify it, so
-    the winding raises at the configured 512 points instead of doubling to the cap."""
+    """On 5 lines at T = 0.478 gap the y profile steps 3.094 rad: no path can certify it, so
+    the winding raises at its first 32 points instead of doubling to the cap."""
     counts = _count_uhlmann_eigh(monkeypatch)
     beta = 1.0 / (np.geomspace(0.15, 0.8, 14)[9] * qwz_gap)
     with pytest.raises(mt.UnderResolvedError,
-                       match=r"^Uhlmann y profile at 512 points: max step 3\.098 .* "
+                       match=r"^Uhlmann y profile at 32 points: max step 3\.094 .* "
                              r"only a finer transverse grid can certify the winding$"):
-        mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(5, 5), 512)
-    assert counts == [5 * 512, 5 * 512]
+        mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(5, 5))
+    assert counts == [5 * 32, 5 * 32]
 
 
-def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap):
+def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap, monkeypatch):
     """A pass whose links fail LINK_IDENTITY_MAX is not converged yet: it doubles."""
     beta = 1.0 / (0.02 * qwz_gap)
     with pytest.raises(mt.UnderResolvedError, match="link deviates"):
         mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4, refine=False)
-    assert mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(8, 8), 4) == (1, 1)
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
+    assert mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(8, 8)) == (1, 1)
     _, used = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4)
     assert used > 4
 
@@ -594,7 +612,7 @@ def test_ground_state_chern_rejects_metal(qwz):
 def test_temperature_scan_structure(qwz, qwz_gap):
     grid = mt.MomentumGrid(12, 12)
     temps = np.array([0.05, 0.5, 5.0]) * qwz_gap
-    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temps, grid, n_points=128, n_cells=6)
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temps, grid, n_cells=6)
     assert len(reports) == 3
     for r in reports:
         assert r.c_ground == 1
