@@ -9,10 +9,13 @@ A chain cut out of a translation-invariant state is diagonal in momentum:
 the Fourier transform over cells turns M into the block diagonal n of the
 covariance samples hfict(k_m) and D into the cyclic block shift
 S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `chain_traces` takes
-that determinant by block cyclic reduction, about log2 N batched Householder
-QRs in O(N p^3) time and O(N p^2) memory per chain, batched over any leading
-axes; every chain EGP in this module goes through it. Determinants are kept
-in log space (phase + log-magnitude) so long chains cannot under- or overflow.
+that determinant by block cyclic reduction on entry planes, the layout of the
+line-spectrum cache and the Uhlmann transport: about log2 N levels of
+closed-form Householder reflectors applied as whole-plane multiply-adds, in
+O(N p^3) time and O(N p^2) memory per chain, batched over any leading axes,
+with no LAPACK call per matrix; every chain EGP in this module goes through
+it. Determinants are kept in log space (phase + log-magnitude) so long chains
+cannot under- or overflow.
 """
 
 from __future__ import annotations
@@ -74,6 +77,40 @@ def gaussian_trace_diagonal_unitary(correlation, thetas: np.ndarray) -> Gaussian
     return GaussianTrace(phase=float(np.angle(sign)), log_magnitude=float(logabs))
 
 
+def _reflect(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Householder triangularization, in place, of the first `steps` columns of
+    entry planes `work` (rows, cols, ...): (norms, phases), each (steps, ...).
+
+    Column c below row c, a, is zeroed by H = 1 - 2 u u^dag / (u^dag u) with
+    u = a - alpha e_0 and alpha = -e^{i arg a_0} ||a||, applied to rows c + 1
+    onwards of the later columns as whole-plane multiply-adds; row c of R is
+    never read, so it is not written. Each applied reflector has
+    det H = -1 and pivot r_cc = alpha, so it contributes |r_cc| = ||a|| and the
+    unit det(H) r_cc / |r_cc| = e^{i arg a_0}. Where |a_0| is 0 or subnormal,
+    any unit phase keeps H stable and e^{i arg a_0} = 1 is used. An exactly
+    zero column gets no reflector (det 1) and reports norm 0 and phase 1,
+    with no 0 / 0.
+    """
+    shape, tiny = (steps,) + work.shape[2:], np.finfo(float).tiny
+    norms, phases = np.empty(shape), np.ones(shape, dtype=complex)
+    dual, product = np.empty_like(work[:, 0]), np.empty_like(work[:, 0])
+    for c in range(steps):
+        u, norm, phase = work[c:, c], norms[c], phases[c]
+        np.sqrt((np.square(u.real) + np.square(u.imag)).sum(axis=0), out=norm)
+        modulus = np.abs(u[0])
+        np.divide(u[0], modulus, out=phase, where=modulus >= tiny)  # 1 / subnormal overflows
+        u[0] += phase * norm
+        scale = norm * (norm + modulus)  # u^dag u / 2, zero only for a zero column
+        np.divide(1.0, scale, out=scale, where=scale > 0)
+        np.conj(u, out=dual[c:])
+        dual[c:] *= scale
+        for k in range(c + 1, work.shape[1]):
+            column = work[c:, k]
+            weight = np.multiply(dual[c:], column, out=product[c:]).sum(axis=0)
+            column[1:] -= np.multiply(u[1:], weight, out=product[c + 1:])
+    return norms, phases
+
+
 def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     """(phase, log magnitude) of det[1 - n + n S] for stacked chains.
 
@@ -81,49 +118,55 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
     of the chain's real-space correlation matrix with `momentum_shift_angles`.
     The N p x N p matrix is block-cyclic bidiagonal, A_i = 1 - n_i at (i, i)
-    and B_i = n_i at (i, i + 1 mod N); it is never formed. Each level of block
-    cyclic reduction pairs rows (j - 1, j) for odd j, takes one batched
-    Householder QR of the columns [B_{j-1}; A_j] and keeps the bottom p rows of
-    Q^dag times the pair, (Q^dag)[p:, :p] A_{j-1} and (Q^dag)[p:, p:] B_j: the
-    system of half the size. Each pair adds det Q (-1)^p prod r_ii to the
-    determinant; an odd count carries its last row on unpaired. A 2p x 2p QR
-    closes at two blocks. The row operations are unitary, so the reduction is
-    backward stable at any temperature, projector blocks included. A pivot
-    |r_ii| bounds the smallest singular value from above: one below
-    PIVOT_FLOOR N p eps times the largest block norm marks a determinant that
-    rounding cannot tell from 0, reported as log magnitude -inf and phase 0.
+    and B_i = n_i at (i, i + 1 mod N); it is never formed. The blocks are kept
+    as entry planes (row, col, cells, batch). Each level of block cyclic
+    reduction pairs rows (j - 1, j) for odd j and zeroes the column block
+    [B_{j-1}; A_j] with p closed-form Householder reflectors (`_reflect`),
+    applied to the payloads [A_{j-1}; 0] and [0; B_j]; their bottom p rows are
+    the system of half the size. Each pair adds (-1)^p det Q prod r_ii to the
+    determinant, with det Q exactly -1 per applied reflector; an odd count
+    carries its last row on unpaired. 2p reflectors close the 2p x 2p system at
+    two blocks. No LAPACK routine runs per matrix. The row operations are
+    unitary, so the reduction is backward stable at any temperature, projector
+    blocks included. A pivot |r_ii| bounds the smallest singular value from
+    above: one below PIVOT_FLOOR N p eps times the largest block norm, or an
+    exactly zero column, marks a determinant that rounding cannot tell from 0,
+    reported as log magnitude -inf and phase 0.
     """
     lines = np.asarray(lines, dtype=complex)
     n_cells, p, batch = lines.shape[-3], lines.shape[-1], lines.shape[:-3]
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
-    diag, upper = np.moveaxis(np.eye(p) - lines, -3, 0), np.moveaxis(lines, -3, 0)  # cells first
-    floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.linalg.norm(
-        np.stack([diag, upper]), axis=(-2, -1)).max(axis=(0, 1))
-    log_magnitude, smallest = np.zeros(batch), np.full(batch, np.inf)
-    unit = np.full(batch, (-1.0) ** (p * n_cells), dtype=complex)  # (-1)^p per pair, N - 2 pairs
-
-    def factor(columns, mode="reduced"):
-        """Q of a QR stacked (pairs, *batch, ...); det Q and the pivots r_ii go into the result."""
-        q, r = np.linalg.qr(columns, mode=mode)
-        pivots = np.diagonal(r, axis1=-2, axis2=-1)
-        moduli = np.abs(pivots)
-        np.minimum(smallest, moduli.min(axis=(0, -1)), out=smallest)
-        log_magnitude[...] += np.log(moduli).sum(axis=(0, -1))
-        unit[...] *= (np.linalg.det(q) * (pivots / moduli).prod(axis=-1)).prod(axis=0)
-        return q
-
-    # a zero pivot makes log|r| = -inf and r / |r| = nan; the floor below masks both
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while len(diag) > 2:
-            tail = len(diag) - len(diag) % 2  # an odd count's unpaired last row
-            q = factor(np.concatenate([upper[:-1:2], diag[1::2]], axis=-2), "complete")
-            rest = q[..., p:].conj().swapaxes(-1, -2)  # bottom p rows of Q^dag
-            diag = np.concatenate([rest[..., :p] @ diag[:-1:2], diag[tail:]])
-            upper = np.concatenate([rest[..., p:] @ upper[1::2], upper[tail:]])
-        factor(np.block([[diag[0], upper[0]], [upper[1], diag[1]]])[None])
-    exact_zero = smallest < floor
-    return np.where(exact_zero, 0.0, np.angle(unit)), np.where(exact_zero, -np.inf, log_magnitude)
+    size = math.prod(batch)
+    upper = lines.reshape(size, n_cells, p, p).transpose(2, 3, 1, 0)  # a view of the samples
+    diag = np.negative(upper, out=np.empty((p, p, n_cells, size), dtype=complex))
+    for i in range(p):
+        diag[i, i] += 1.0
+    squares = [(np.square(blocks.real) + np.square(blocks.imag)).sum(axis=(0, 1)).max(axis=0)
+               for blocks in (diag, upper)]
+    floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(np.maximum(*squares))
+    factors = []
+    while diag.shape[2] > 2:
+        pairs, odd = divmod(diag.shape[2], 2)
+        # column blocks [B_{j-1} A_{j-1} 0; A_j 0 B_j], and the unpaired row in a last slot
+        work = np.zeros((2 * p, 3 * p, pairs + odd, size), dtype=complex)
+        work[:p, :p, :pairs], work[p:, :p, :pairs] = upper[:, :, :-1:2], diag[:, :, 1::2]
+        work[:p, p:2 * p, :pairs], work[p:, 2 * p:, :pairs] = diag[:, :, :-1:2], upper[:, :, 1::2]
+        if odd:
+            work[p:, p:2 * p, pairs], work[p:, 2 * p:, pairs] = diag[:, :, -1], upper[:, :, -1]
+        diag, upper = work[p:, p:2 * p], work[p:, 2 * p:]  # drops the previous level before the reflectors
+        factors.append(_reflect(work[:, :, :pairs], p))
+    closing = np.empty((2 * p, 2 * p, 1, size), dtype=complex)
+    closing[:p, :p], closing[:p, p:] = diag[:, :, :1], upper[:, :, :1]
+    closing[p:, :p], closing[p:, p:] = upper[:, :, 1:], diag[:, :, 1:]
+    factors.append(_reflect(closing, 2 * p))
+    exact_zero = np.min([norms.min(axis=(0, 1)) for norms, _ in factors], axis=0) < floor
+    with np.errstate(divide="ignore"):  # log 0 = -inf at a zero column; masked below
+        log_magnitude = np.sum([np.log(norms).sum(axis=(0, 1)) for norms, _ in factors], axis=0)
+    unit = (-1.0) ** (p * n_cells) * np.prod(  # (-1)^p per pair, N - 2 pairs
+        [phases.prod(axis=(0, 1)) for _, phases in factors], axis=0)
+    return (np.where(exact_zero, 0.0, np.angle(unit)).reshape(batch),
+            np.where(exact_zero, -np.inf, log_magnitude).reshape(batch))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ The tests use this route as the reference for it.
 
 `chain_traces_loop` is the momentum-space elimination `chain_traces` used
 before block cyclic reduction: one Householder QR per block column, N - 2
-Python iterations per chain. It is kept unchanged as the reference for the
-log-depth reduction.
+Python iterations per chain. `chain_traces_qr` is the block cyclic
+reduction `chain_traces` ran before it moved to entry planes: the same
+levels, each one batched LAPACK QR with det Q from an LU. Both are kept
+unchanged as references for the closed-form reflectors.
 """
 
 import numpy as np
 
+from mixedtopo.egp import PIVOT_FLOOR
 from mixedtopo.gaussian import hfict_line
 
 
@@ -88,3 +91,56 @@ def chain_traces_loop(lines) -> tuple[np.ndarray, np.ndarray]:
     log_magnitude = log_magnitude + logdet
     phase = np.where(np.isfinite(log_magnitude), np.angle(unit * sign), 0.0)
     return phase, log_magnitude
+
+
+def chain_traces_qr(lines) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, log magnitude) of det[1 - n + n S] for stacked chains.
+
+    `lines` holds hfict samples (..., N, p, p) on the chain momenta
+    k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
+    of the chain's real-space correlation matrix with `momentum_shift_angles`.
+    The N p x N p matrix is block-cyclic bidiagonal, A_i = 1 - n_i at (i, i)
+    and B_i = n_i at (i, i + 1 mod N); it is never formed. Each level of block
+    cyclic reduction pairs rows (j - 1, j) for odd j, takes one batched
+    Householder QR of the columns [B_{j-1}; A_j] and keeps the bottom p rows of
+    Q^dag times the pair, (Q^dag)[p:, :p] A_{j-1} and (Q^dag)[p:, p:] B_j: the
+    system of half the size. Each pair adds det Q (-1)^p prod r_ii to the
+    determinant; an odd count carries its last row on unpaired. A 2p x 2p QR
+    closes at two blocks. The row operations are unitary, so the reduction is
+    backward stable at any temperature, projector blocks included. A pivot
+    |r_ii| bounds the smallest singular value from above: one below
+    PIVOT_FLOOR N p eps times the largest block norm marks a determinant that
+    rounding cannot tell from 0, reported as log magnitude -inf and phase 0.
+    """
+    lines = np.asarray(lines, dtype=complex)
+    n_cells, p, batch = lines.shape[-3], lines.shape[-1], lines.shape[:-3]
+    if n_cells < 2:
+        raise ValueError(f"need n_cells >= 2, got {n_cells}")
+    diag, upper = np.moveaxis(np.eye(p) - lines, -3, 0), np.moveaxis(lines, -3, 0)  # cells first
+    floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.linalg.norm(
+        np.stack([diag, upper]), axis=(-2, -1)).max(axis=(0, 1))
+    log_magnitude, smallest = np.zeros(batch), np.full(batch, np.inf)
+    unit = np.full(batch, (-1.0) ** (p * n_cells), dtype=complex)  # (-1)^p per pair, N - 2 pairs
+
+    def factor(columns, mode="reduced"):
+        """Q of a QR stacked (pairs, *batch, ...); det Q and the pivots r_ii go into the result."""
+        q, r = np.linalg.qr(columns, mode=mode)
+        pivots = np.diagonal(r, axis1=-2, axis2=-1)
+        moduli = np.abs(pivots)
+        np.minimum(smallest, moduli.min(axis=(0, -1)), out=smallest)
+        log_magnitude[...] += np.log(moduli).sum(axis=(0, -1))
+        unit[...] *= (np.linalg.det(q) * (pivots / moduli).prod(axis=-1)).prod(axis=0)
+        return q
+
+    # a zero pivot makes log|r| = -inf and r / |r| = nan; the floor below masks both
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(diag) > 2:
+            tail = len(diag) - len(diag) % 2  # an odd count's unpaired last row
+            q = factor(np.concatenate([upper[:-1:2], diag[1::2]], axis=-2), "complete")
+            rest = q[..., p:].conj().swapaxes(-1, -2)  # bottom p rows of Q^dag
+            diag = np.concatenate([rest[..., :p] @ diag[:-1:2], diag[tail:]])
+            upper = np.concatenate([rest[..., p:] @ upper[1::2], upper[tail:]])
+        factor(np.block([[diag[0], upper[0]], [upper[1], diag[1]]])[None])
+    exact_zero = smallest < floor
+    return np.where(exact_zero, 0.0, np.angle(unit)), np.where(exact_zero, -np.inf, log_magnitude)
+

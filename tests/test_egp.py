@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import mixedtopo as mt
-from chain_oracle import chain_correlation_matrix, chain_traces_loop, correlation_from_hfict_line
+from chain_oracle import (chain_correlation_matrix, chain_traces_loop, chain_traces_qr,
+                          correlation_from_hfict_line)
 from conftest import random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
+from mixedtopo import egp
 from mixedtopo.gaussian import hfict_line, hfict_lines
 
 
@@ -232,13 +235,14 @@ def test_two_cell_chain_through_time_reversal_points_is_an_exact_zero(qwz, beta)
 
 
 def _assert_matches_loop(lines):
-    """Cyclic reduction against the per-cell elimination, to 1e-12 in phase and
-    in relative log|z|."""
+    """Cyclic reduction against the per-cell elimination and the batched-QR
+    reduction, to 1e-12 in phase and in relative log|z|."""
     phase, log_magnitude = mt.chain_traces(lines)
-    ref_phase, ref_log = chain_traces_loop(lines)
     assert np.isfinite(log_magnitude).all()
-    assert np.abs(mt.principal_branch(phase - ref_phase)).max() <= 1e-12
-    assert (np.abs(log_magnitude - ref_log) / np.maximum(1.0, np.abs(ref_log))).max() <= 1e-12
+    for oracle in (chain_traces_loop, chain_traces_qr):
+        ref_phase, ref_log = oracle(lines)
+        assert np.abs(mt.principal_branch(phase - ref_phase)).max() <= 1e-12
+        assert (np.abs(log_magnitude - ref_log) / np.maximum(1.0, np.abs(ref_log))).max() <= 1e-12
 
 
 LOOP_CELLS = [2, 3, 5, 6, 7, 10, 11, 50, 101, 1000]
@@ -263,20 +267,81 @@ def test_chain_traces_match_loop_qwz(qwz, beta, n_cells):
         _assert_matches_loop(hfict_lines(spec, direction, mt.momentum_line(16) + 0.1, n_cells))
 
 
-def test_chain_traces_qr_calls_are_logarithmic(qwz, monkeypatch):
-    """N = 1000 takes 9 halving levels and the closing QR: at most ceil(log2 N) + 1."""
-    calls = []
-    original = np.linalg.qr
+def test_chain_traces_runs_logarithmic_levels_without_lapack(qwz, monkeypatch):
+    """N = 1000 takes 9 halving levels and the closing step, at most
+    ceil(log2 N) + 1 calls of the reflector routine, and no per-matrix LAPACK call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("chain_traces called a LAPACK determinant or QR")
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    for name in ("qr", "det", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    shapes = []
+    original = egp._reflect
+
+    def counting(work, steps):
+        shapes.append(work.shape)
+        return original(work, steps)
 
     lines = hfict_lines(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), "x", [0.3, 1.1], 1000)
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    monkeypatch.setattr(egp, "_reflect", counting)
     mt.chain_traces(lines)
-    assert len(calls) <= math.ceil(math.log2(1000)) + 1
-    assert calls[-1][-3:] == (2, 4, 4)  # the closing 2p x 2p factorization of both chains
+    assert len(shapes) <= math.ceil(math.log2(1000)) + 1
+    assert shapes[-1] == (4, 4, 1, 2)  # the closing 2p x 2p system of both chains
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 8, 9])
+def test_chain_traces_zero_column_is_an_exact_zero(n_cells):
+    """n_j = diag(j mod 2, 0.3): n_{j-1} e_0 = 0 and n_j e_0 = e_0 at odd j, so
+    the first column of every [B_{j-1}; A_j] is exactly zero and so is the
+    determinant. The reflector routine skips the column instead of dividing
+    0 by 0, so no NaN reaches the pivot floor."""
+    lines = np.zeros((n_cells, 2, 2), dtype=complex)
+    lines[:, 0, 0] = np.arange(n_cells) % 2
+    lines[:, 1, 1] = 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phase, log_magnitude = mt.chain_traces(lines)
+        norms, phases = egp._reflect(np.zeros((4, 6, 3), dtype=complex), 2)
+    assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
+    assert (norms == 0).all() and (phases == 1).all()
+
+
+def _peak_bytes(kernel, lines):
+    tracemalloc.start()
+    try:
+        kernel(lines)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chain_traces_peak_memory_within_qr_reduction(qwz):
+    """The plane reduction allocates no more than the batched-QR one it replaced,
+    on a profile stack and on two long chains."""
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
+    for lines in (hfict_lines(spec, "x", mt.momentum_line(96), 96),
+                  hfict_lines(spec, "x", [0.3, 1.1], 10**5)):
+        assert _peak_bytes(mt.chain_traces, lines) <= _peak_bytes(chain_traces_qr, lines)
+
+
+@given(batch=st.lists(st.integers(0, 3), max_size=3), n_cells=st.integers(2, 9),
+       p=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(batch=[0], n_cells=5, p=2, seed=0)
+@example(batch=[3, 0], n_cells=5, p=2, seed=0)
+@example(batch=[], n_cells=5, p=2, seed=0)
+def test_chain_traces_batch_shapes_match_qr_oracle(batch, n_cells, p, seed):
+    """Any leading batch shape, empty and unbatched included, gives the oracle's
+    result shape and values."""
+    rng = np.random.default_rng(seed)
+    lines = np.array([_gapped_line(rng, n_cells, p, int(rng.integers(p + 1)))
+                      for _ in range(math.prod(batch))], dtype=complex)
+    lines = lines.reshape(*batch, n_cells, p, p)
+    phase, log_magnitude = mt.chain_traces(lines)
+    ref_phase, ref_log = chain_traces_qr(lines)
+    assert phase.shape == log_magnitude.shape == np.shape(ref_phase) == tuple(batch)
+    assert np.abs(mt.principal_branch(phase - ref_phase)).max(initial=0.0) <= 1e-12
+    assert (np.abs(log_magnitude - ref_log) / np.maximum(1.0, np.abs(ref_log))).max(
+        initial=0.0) <= 1e-12
 
 
 def _real_space_trace(line):
