@@ -278,25 +278,43 @@ def fermi_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
     return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
 
 
-def boltzmann_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
+def boltzmann_weights(energies: np.ndarray, beta, mu: float) -> np.ndarray:
     """Normalized e^{-beta (e - mu)} over the last axis; finite beta only.
 
-    A weight that underflows to zero raises RankDeficiencyError: the state is
+    `beta` may also be a 1-d array of inverse temperatures, broadcast along a
+    new leading axis of the weights. A weight that underflows to zero raises
+    RankDeficiencyError, for the first beta where one does: the state is
     numerically pure and its density matrix rank deficient.
     """
+    weights, pure = _boltzmann(energies, np.atleast_1d(beta), mu)
+    if pure.any():
+        raise _underflow(np.atleast_1d(beta)[pure.argmax()])
+    return weights if np.ndim(beta) else weights[0]
+
+
+def _require_finite_beta(beta: float) -> None:
     if math.isinf(beta):
         raise RankDeficiencyError("beta = inf gives a rank-deficient density matrix; "
                                   "probe low temperature at large finite beta instead")
     if not beta > 0:
         raise ValueError(f"need beta > 0, got {beta}")
-    logw = -beta * (energies - mu)
+
+
+def _boltzmann(energies: np.ndarray, betas: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, pure): boltzmann_weights of each beta of `betas` along a new leading axis,
+    with `pure` flagging, instead of raising for, the betas whose weights underflow."""
+    for beta in betas:
+        _require_finite_beta(beta)
+    logw = -betas.reshape(betas.shape + (1,) * np.ndim(energies)) * (energies - mu)
     logw -= logw.max(axis=-1, keepdims=True)
     weights = np.exp(logw)
     weights /= weights.sum(axis=-1, keepdims=True)
-    if weights.min() <= 0.0:
-        raise RankDeficiencyError(
-            f"Boltzmann weight underflowed at beta = {beta:g}: state numerically pure")
-    return weights
+    return weights, (weights <= 0.0).any(axis=tuple(range(1, weights.ndim)))
+
+
+def _underflow(beta: float) -> RankDeficiencyError:
+    return RankDeficiencyError(
+        f"Boltzmann weight underflowed at beta = {beta:g}: state numerically pure")
 
 
 def spectral_sum(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -34,9 +34,12 @@ from .geometry import (
 from .model import (
     BlochModel,
     MomentumGrid,
+    _boltzmann,
     _LineSpectra,
     _matrices,
     _planes,
+    _require_finite_beta,
+    _underflow,
     band_systems,
     bands_below,
     boltzmann_weights,
@@ -233,8 +236,8 @@ def _loop_links(vectors: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return amplitudes, links
 
 
-def _link_deviation(links: np.ndarray, amplitudes: np.ndarray) -> float:
-    """max over links of ||(V_i - 1) sqrt(rho_i)||_F, accumulated entry by entry."""
+def _link_deviations(links: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Per loop, max over its links of ||(V_i - 1) sqrt(rho_i)||_F, accumulated entry by entry."""
     p = links.shape[0]
     total = np.zeros(links.shape[2:])
     entry = np.empty(links.shape[2:], dtype=complex)
@@ -246,7 +249,7 @@ def _link_deviation(links: np.ndarray, amplitudes: np.ndarray) -> float:
                 entry += np.multiply(links[i, j], amplitudes[j, k], out=scratch)
             total += np.square(entry.real)
             total += np.square(entry.imag)
-    return float(np.sqrt(total.max()))
+    return np.sqrt(total.max(axis=-1))
 
 
 def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
@@ -280,38 +283,61 @@ def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _transport(vectors: np.ndarray, weights: np.ndarray,
-               transverse: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(holonomies, phases, max link deviation) of closed loops given by their spectra.
+def _transport(vectors: np.ndarray,
+               weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(holonomies, phases, link deviations, |Tr[rho(0) H]|) of closed loops given by their
+    spectra.
 
     vectors (p, p, ..., M) and weights (p, ..., M) are the eigenbases and
     eigenvalues of the M points of each loop, as entry planes; the holonomies
-    come back as (..., p, p) matrices. The amplitudes
-    sqrt(rho) = V diag(sqrt w) V^dag give the links, H = V_M ... V_1 and
-    phi_U = Im ln Tr[rho(0) H]. The near-identity diagnostic is
-    ||(V_i - 1) sqrt(rho_i)||_F: for nearly pure states the polar factor is
-    numerically arbitrary (and physically irrelevant) on the vanishing-weight
-    subspace, so the deviation is weighted by the amplitude each link
-    actually transports. `transverse` (one momentum per loop) names the loop
-    whose phase is undefined.
+    come back as (..., p, p) matrices and the rest as (...) arrays, one value
+    per loop. The amplitudes sqrt(rho) = V diag(sqrt w) V^dag give the links,
+    H = V_M ... V_1 and phi_U = Im ln Tr[rho(0) H]. The near-identity
+    diagnostic of a loop is max_i ||(V_i - 1) sqrt(rho_i)||_F: for nearly pure
+    states the polar factor is numerically arbitrary (and physically
+    irrelevant) on the vanishing-weight subspace, so the deviation is weighted
+    by the amplitude each link actually transports. Nothing is refused here:
+    `_transport_error` judges the loops, so that one batch can hold loops that
+    fail beside loops that pass.
     """
     amplitudes, links = _loop_links(vectors, weights)
-    dev = _link_deviation(links, amplitudes[..., :-1])
+    deviations = _link_deviations(links, amplitudes[..., :-1])
     del amplitudes
-    if dev >= LINK_IDENTITY_MAX:
-        raise UnderResolvedError(
-            f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
-            "refine the path discretization")
     holonomies = _ordered_product_reversed(links)
     p = holonomies.shape[0]
     rho0 = _spectral_planes(vectors[..., :1], weights[..., :1], np.empty_like(holonomies))
     traces = sum(rho0[i, j] * holonomies[j, i] for i in range(p) for j in range(p))[..., 0]
-    moduli = np.abs(traces)
+    return _matrices(holonomies[..., 0]), np.angle(traces), deviations, np.abs(traces)
+
+
+def _transport_error(deviations: np.ndarray, moduli: np.ndarray,
+                     transverse: Optional[np.ndarray] = None) -> Optional[MixedTopoError]:
+    """The error that refuses a batch of loops with these `_transport` diagnostics, or None.
+
+    A link deviating from the identity by LINK_IDENTITY_MAX or more gives
+    UnderResolvedError; past that check, |Tr[rho(0) H]| below 1e-12 gives
+    PhaseUndefinedError, naming the loop's momentum in `transverse` (one per
+    loop) when given.
+    """
+    dev = deviations.max()
+    if dev >= LINK_IDENTITY_MAX:
+        return UnderResolvedError(
+            f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
+            "refine the path discretization")
     if moduli.min() < 1e-12:
         where = "" if transverse is None else f" at transverse_k={transverse[moduli.argmin()]:.6f}"
-        raise PhaseUndefinedError(f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12{where}: "
-                                  "Uhlmann phase undefined")
-    return _matrices(holonomies[..., 0]), np.angle(traces), dev
+        return PhaseUndefinedError(f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12{where}: "
+                                   "Uhlmann phase undefined")
+    return None
+
+
+def _checked_transport(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray, float]:
+    """(holonomy, phase, link deviation) of a path, raising what `_transport_error` finds."""
+    holonomy, phase, deviation, modulus = _transport(*_full_rank_spectrum(path))
+    error = _transport_error(deviation, modulus)
+    if error is not None:
+        raise error
+    return holonomy, phase, float(deviation)
 
 
 def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
@@ -319,14 +345,13 @@ def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
 
     Raises PhaseUndefinedError where Tr[rho(0) H] vanishes, like uhlmann_phase.
     """
-    holonomy, _, dev = _transport(*_full_rank_spectrum(path))
+    holonomy, _, dev = _checked_transport(path)
     return UhlmannHolonomy(matrix=holonomy, n_points=len(path), max_link_deviation=dev)
 
 
 def uhlmann_phase(path: DensityMatrixPath) -> float:
     """phi_U = Im ln Tr[rho(0) H] on the principal branch."""
-    _, phase, _ = _transport(*_full_rank_spectrum(path))
-    return float(phase)
+    return float(_checked_transport(path)[1])
 
 
 def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
@@ -342,16 +367,42 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
     return DensityMatrixPath(parameters=ks, rhos=rhos)
 
 
-def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
-                    refine: bool, certify: bool = False) -> tuple[np.ndarray, int]:
-    """(Uhlmann phases over the transverse momenta, path points used).
+def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int) -> list:
+    """Per beta of `betas`: the Uhlmann phases of the m-point loops, or the error refusing them.
 
-    Each pass evaluates the loops of m points, batched over (transverse,
-    path), and transports them. The spectra keep their exact Boltzmann
+    One `_transport` call takes the loops of every temperature, batched over
+    (temperature, transverse, path). The spectra keep their exact Boltzmann
     weights: no density matrix is assembled, so no rank floor applies. The
-    weights of the energy planes (p, T, M) are normalized over p through a
-    (T, M, p) view, which leaves them as planes in memory.
+    weights come from one call of the `boltzmann_weights` core on a (T, M, p)
+    view of the energy planes (p, T, M), with beta along a new leading axis,
+    and are taken as planes (p, n_T, T, M); the cached eigenvector planes are
+    broadcast over the temperature axis, not copied. A temperature whose
+    weights underflow gets the RankDeficiencyError `boltzmann_weights` would
+    raise and stays out of the transport; each other one gets what
+    `_transport_error` finds on its own loops, or its phases.
+    """
+    energies, vectors = spectra(m)
+    weights, pure = _boltzmann(np.moveaxis(energies, 0, -1), betas, mu)
+    results = [_underflow(beta) if underflowed else None for beta, underflowed in zip(betas, pure)]
+    mixed = np.flatnonzero(~pure)
+    if len(mixed):
+        if len(mixed) < len(betas):
+            weights = weights[mixed]
+        shared = np.broadcast_to(vectors[:, :, None],
+                                 vectors.shape[:2] + (len(mixed),) + vectors.shape[2:])
+        _, phases, deviations, moduli = _transport(shared, np.moveaxis(weights, -1, 0))
+        for i, row in enumerate(mixed):
+            error = _transport_error(deviations[i], moduli[i], spectra.transverse)
+            results[row] = phases[i] if error is None else error
+    return results
 
+
+def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: int,
+                refine: bool = True, certify: bool = False) -> list:
+    """Per beta of `betas`: (Uhlmann phases over the transverse momenta, path points used),
+    or the MixedTopoError that stops them.
+
+    Each pass makes one `_phases_at` call for every temperature still open.
     With `refine`, m doubles from `n_points` until a stop rule holds:
 
     - by default (the phase functions), the phases change pointwise by less
@@ -364,59 +415,88 @@ def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int
       exact path then steps by less than max step + 2e, and the winding is
       certified when that is below pi - JUMP_MARGIN, the bound
       `winding_of_phase_profile` enforces. Where max step - 2e is not below
-      it, no path can certify the winding, and UnderResolvedError is raised
-      at once.
+      it, no path can certify the winding, and UnderResolvedError stops the
+      temperature at once.
 
     Under refinement a pass whose links fail the LINK_IDENTITY_MAX check is
-    not yet converged, and doubles like any other. Past PATH_POINTS_CAP,
+    not yet converged, and doubles like any other; the temperatures that
+    double do so together, as a smaller batch. Past PATH_POINTS_CAP,
     UnderResolvedError names the direction, the points and why the last pass
     failed.
     """
-    def phases_at(m: int) -> tuple[Optional[np.ndarray], str]:
-        energies, vectors = spectra(m)
-        weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
-        try:
-            return _transport(vectors, weights, spectra.transverse)[1], ""
-        except UnderResolvedError as exc:  # a link too far from the identity
-            if not refine:
-                raise
-            return None, str(exc)
-
-    m, previous, coarse = n_points, None, 0  # `previous` holds the phases of `coarse` points
+    results = [None] * len(betas)
+    previous = [None] * len(betas)  # per temperature, the phases of `coarse` points
+    m, coarse = n_points, 0
     if certify and m >= 4:
         spectra(m)  # the m-point loops first, so that for even m the coarse ones are a view
         coarse = m // 2
-        previous, _ = phases_at(coarse)
-    while True:
-        phases, reason = phases_at(m)
-        if not refine:
-            return phases, m
-        if phases is not None and previous is None:
-            reason = (f"the {coarse}-point pass failed the link check" if coarse
-                      else "no coarser pass to compare with")
-        elif phases is not None:
-            change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
-            if certify:
-                error = change / ((m / coarse) ** 2 - 1)
-                steps = np.abs(PhaseProfile(spectra.transverse, phases).jumps())
-                worst = steps.argmax()
-                if steps[worst] + 2 * error < np.pi - JUMP_MARGIN:
-                    return phases, m
-                reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
-                          f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
-                if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
-                    raise UnderResolvedError(
-                        f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
-                        "max step - 2e: only a finer transverse grid can certify the winding")
-                reason += ": winding not certified"
-            elif change < CAUCHY_TOL:
-                return phases, m
+        for row, phases in enumerate(_phases_at(spectra, betas, mu, coarse)):
+            if not isinstance(phases, MixedTopoError):
+                previous[row] = phases
+            elif not isinstance(phases, UnderResolvedError):  # a failed link check only doubles
+                results[row] = phases
+    rows = [row for row, result in enumerate(results) if result is None]
+    while rows:
+        doubling = []
+        for row, phases in zip(rows, _phases_at(spectra, betas[rows], mu, m)):
+            results[row], reason = _stop_rule(spectra, phases, previous[row], m, coarse,
+                                              refine, certify)
+            if results[row] is not None:
+                continue
+            if 2 * m > PATH_POINTS_CAP:
+                results[row] = UnderResolvedError(
+                    f"Uhlmann {spectra.direction} path unresolved at {m} points "
+                    f"(cap {PATH_POINTS_CAP}): {reason}")
             else:
-                reason = f"pointwise change {change:.3e} >= {CAUCHY_TOL:.0e}: not Cauchy-converged"
-        if 2 * m > PATH_POINTS_CAP:
-            raise UnderResolvedError(f"Uhlmann {spectra.direction} path unresolved at {m} points "
-                                     f"(cap {PATH_POINTS_CAP}): {reason}")
-        previous, coarse, m = phases, m, 2 * m
+                previous[row] = None if isinstance(phases, MixedTopoError) else phases
+                doubling.append(row)
+        rows, coarse, m = doubling, m, 2 * m
+    return results
+
+
+def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray], m: int,
+               coarse: int, refine: bool, certify: bool) -> tuple[object, str]:
+    """(what one temperature's pass of m points ends with, or None; why it doubles).
+
+    `phases` is the temperature's result from `_phases_at`, and `previous` its
+    phases of `coarse` points, None where there are none; see `_refinement`.
+    """
+    if refine and isinstance(phases, UnderResolvedError):  # a link too far from the identity
+        return None, str(phases)
+    if isinstance(phases, MixedTopoError):
+        return phases, ""
+    if not refine:
+        return (phases, m), ""
+    if previous is None:
+        return None, (f"the {coarse}-point pass failed the link check" if coarse
+                      else "no coarser pass to compare with")
+    change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
+    if not certify:
+        if change < CAUCHY_TOL:
+            return (phases, m), ""
+        return None, f"pointwise change {change:.3e} >= {CAUCHY_TOL:.0e}: not Cauchy-converged"
+    error = change / ((m / coarse) ** 2 - 1)
+    steps = np.abs(PhaseProfile(spectra.transverse, phases).jumps())
+    worst = steps.argmax()
+    if steps[worst] + 2 * error < np.pi - JUMP_MARGIN:
+        return (phases, m), ""
+    reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
+              f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
+    if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
+        return UnderResolvedError(
+            f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
+            "max step - 2e: only a finer transverse grid can certify the winding"), ""
+    return None, reason + ": winding not certified"
+
+
+def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
+                    refine: bool) -> tuple[np.ndarray, int]:
+    """(Uhlmann phases, path points used) of one temperature by `_refinement`; raises the
+    error that stops them."""
+    [result] = _refinement(spectra, np.array([beta], dtype=float), mu, n_points, refine)
+    if isinstance(result, MixedTopoError):
+        raise result
+    return result
 
 
 def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
@@ -439,12 +519,7 @@ def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: 
     doubles too.
     """
     spectra = _LineSpectra(model, direction, np.asarray(transverse, dtype=float))
-    return _uhlmann_profile(spectra, beta, mu, n_points, refine)
-
-
-def _uhlmann_profile(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
-                     refine: bool = True, certify: bool = False) -> tuple[PhaseProfile, int]:
-    phases, m = _refined_phases(spectra, beta, mu, n_points, refine, certify)
+    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
     profile = PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
                            direction=spectra.direction, temperature=1.0 / beta)
     return profile, m
@@ -465,7 +540,10 @@ def uhlmann_windings(model: BlochModel, beta: float, mu: float,
     the worst line. No equality is asserted; directional disagreement at
     intermediate temperature is a physical finding, not an error.
     """
-    cx, cy, _ = _uhlmann_windings(_grid_loops(model, grid), beta, mu)
+    [result] = _uhlmann_windings(_grid_loops(model, grid), np.array([beta], dtype=float), mu)
+    if isinstance(result, MixedTopoError):
+        raise result
+    cx, cy, _ = result
     return cx, cy
 
 
@@ -475,12 +553,38 @@ def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _L
             _LineSpectra(model, "y", grid.kx_values()))
 
 
-def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], beta: float,
-                      mu: float) -> tuple[int, int, int]:
-    """(C_x^U, C_y^U, path points of the more refined direction)."""
-    prof_x, m_x = _uhlmann_profile(loops[0], beta, mu, PATH_POINTS_START, certify=True)
-    prof_y, m_y = _uhlmann_profile(loops[1], beta, mu, PATH_POINTS_START, certify=True)
-    return winding_of_phase_profile(prof_x), -winding_of_phase_profile(prof_y), max(m_x, m_y)
+def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray,
+                      mu: float) -> list:
+    """Per beta of `betas`: (C_x^U, C_y^U, path points of the more refined direction), or
+    the MixedTopoError that stops them.
+
+    The x windings of every temperature are certified together, then the y
+    windings of those whose x windings were.
+    """
+    results = [None] * len(betas)
+    for row, beta in enumerate(betas):
+        try:
+            _require_finite_beta(beta)
+        except RankDeficiencyError as exc:  # beta = inf
+            results[row] = exc
+    certified = {}
+    for spectra in loops:
+        rows = [row for row, result in enumerate(results) if result is None]
+        if not rows:
+            break
+        for row, result in zip(rows, _refinement(spectra, betas[rows], mu, PATH_POINTS_START,
+                                                 certify=True)):
+            if isinstance(result, MixedTopoError):
+                results[row] = result
+            else:
+                certified.setdefault(row, []).append(result)
+    for row, result in enumerate(results):
+        if result is None:
+            (phases_x, m_x), (phases_y, m_y) = certified[row]
+            results[row] = (winding_of_phase_profile(PhaseProfile(loops[0].transverse, phases_x)),
+                            -winding_of_phase_profile(PhaseProfile(loops[1].transverse, phases_y)),
+                            max(m_x, m_y))
+    return results
 
 
 @dataclass(frozen=True)
@@ -527,28 +631,33 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
 
     Per-row failures are recorded in `status` and the scan continues; the
     ground-state Chern number is computed once and repeated per row. The
-    Uhlmann windings of each row are certified as in `uhlmann_windings`, from
-    PATH_POINTS_START points: the scan diagonalizes each loop point once, on
-    the finest path any row needed, each row records the path points it was
-    certified at, and a row that cannot be certified says why. The EGP
-    profiles may need a finer transverse grid than the Uhlmann ones at the
-    hot end of a sweep (near-pi kinks develop toward maximal mixing), hence
-    the separate `egp_transverse` resolution.
+    Uhlmann windings of every row are certified as in `uhlmann_windings`, from
+    PATH_POINTS_START points, in one pass per direction across all
+    temperatures: each certificate pass makes one transport of the loops of
+    every row still open, and the rows that must double do so together. The
+    scan diagonalizes each loop point once, on the finest path any row
+    needed; each row records the path points it was certified at, and a row
+    that cannot be certified says why. The EGP windings are taken row by row.
+    The EGP profiles may need a finer transverse grid than the Uhlmann ones
+    at the hot end of a sweep (near-pi kinks develop toward maximal mixing),
+    hence the separate `egp_transverse` resolution.
     """
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = ground_state_chern(model, mu, grid)
-    loops = _grid_loops(model, grid)  # h(k) spectra shared by every temperature
+    temperatures = np.asarray(temperatures, dtype=float)
+    betas = 1.0 / temperatures
+    # h(k) spectra shared by every temperature
+    uhlmann = _uhlmann_windings(_grid_loops(model, grid), betas, mu)
     chains = {d: _LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy"}
     reports = []
-    for t in np.asarray(temperatures, dtype=float):
-        beta = 1.0 / t
+    for t, beta, windings in zip(temperatures, betas, uhlmann):
         errors = []
         cx_u = cy_u = cx_e = cy_e = points = None
-        try:
-            cx_u, cy_u, points = _uhlmann_windings(loops, beta, mu)
-        except MixedTopoError as exc:
-            errors.append(f"uhlmann: {exc}")
+        if isinstance(windings, MixedTopoError):
+            errors.append(f"uhlmann: {windings}")
+        else:
+            cx_u, cy_u, points = windings
         try:
             spec = GaussianStateSpec.thermal(beta, mu, model)
             cx_e, cy_e = _egp_windings(lambda d: _line_profile(spec, chains[d], n_cells))

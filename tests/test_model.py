@@ -156,3 +156,18 @@ def test_random_hermitian_band_systems_orthonormal(seed):
     bs = mt.band_system(h)
     assert np.all(np.diff(bs.energies) >= 0)
     assert np.abs(bs.states.conj().T @ bs.states - np.eye(4)).max() <= 1e-10
+
+
+def test_boltzmann_weights_over_a_temperature_axis(qwz):
+    """An array of betas adds a leading axis whose rows equal the one-beta weights bitwise;
+    the first beta whose weights underflow is the one named."""
+    energies = np.linalg.eigvalsh(qwz.matrix(*mt.MomentumGrid(6, 6).mesh()))
+    betas = np.array([0.1, 2.0, 30.0])
+    weights = mt.boltzmann_weights(energies, betas, 0.0)
+    assert weights.shape == (3,) + energies.shape
+    for row, beta in zip(weights, betas):
+        assert np.array_equal(row, mt.boltzmann_weights(energies, beta, 0.0))
+    with pytest.raises(mt.RankDeficiencyError, match=r"underflowed at beta = 500: "):
+        mt.boltzmann_weights(energies, np.array([2.0, 500.0, 600.0]), 0.0)
+    with pytest.raises(mt.RankDeficiencyError, match=r"^beta = inf"):
+        mt.boltzmann_weights(energies, np.array([2.0, np.inf]), 0.0)

@@ -12,7 +12,13 @@ from conftest import random_hermitian, random_unitary
 from mixedtopo import uhlmann
 from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra
-from uhlmann_oracle import EXTENDED, qwz_phases_extended, svd_polar_unitary, transport
+from uhlmann_oracle import (
+    EXTENDED,
+    qwz_phases_extended,
+    svd_polar_unitary,
+    temperature_scan,
+    transport,
+)
 
 
 def thermal_path(model, beta, ky, m=64, direction="x"):
@@ -219,11 +225,17 @@ def _oracle_transport(vectors, weights):
 
 
 def _assert_transport_matches(result, reference, tol):
-    (holonomies, phases, dev), (ref_holonomies, ref_phases, ref_dev) = result, reference
+    """Holonomies, phases, and per loop the link deviations and |Tr[rho(0) H]|."""
+    (holonomies, phases, devs, moduli), (ref_holonomies, ref_phases, ref_devs, ref_moduli) = (
+        result, reference)
     assert holonomies.shape == ref_holonomies.shape
+    assert np.shape(phases) == np.shape(devs) == np.shape(moduli) == np.shape(ref_devs)
     assert np.abs(mt.principal_branch(phases - ref_phases)).max() <= tol
     assert np.abs(holonomies - ref_holonomies).max() <= tol
-    assert abs(dev - ref_dev) <= tol * ref_dev
+    # a deviation is the norm of a difference of O(1) matrices: its error is absolute
+    assert np.abs(devs - ref_devs).max() <= tol
+    assert abs(np.max(devs) - np.max(ref_devs)) <= tol * np.max(ref_devs)
+    assert np.abs(moduli - ref_moduli).max() <= tol
 
 
 @pytest.mark.parametrize("n_points", [512, 1024])
@@ -248,15 +260,11 @@ def test_transport_independent_of_batch_shape(p):
     grid = uhlmann._transport(vectors.reshape(p, p, 2, 3, -1), weights.reshape(p, 2, 3, -1))
     assert stacked[0].shape == (6, p, p) and grid[0].shape == (2, 3, p, p)
     _assert_transport_matches(grid, (stacked[0].reshape(2, 3, p, p),
-                                     stacked[1].reshape(2, 3), stacked[2]), 1e-14)
-    devs = []
+                                     *(a.reshape(2, 3) for a in stacked[1:])), 1e-14)
     for t in range(6):
-        holonomy, phase, dev = uhlmann._transport(vectors[:, :, t], weights[:, t])
-        assert holonomy.shape == (p, p) and np.shape(phase) == ()
-        _assert_transport_matches((holonomy, phase, dev),
-                                  (stacked[0][t], stacked[1][t], dev), 1e-14)
-        devs.append(dev)
-    assert max(devs) == pytest.approx(stacked[2], rel=1e-14)
+        single = uhlmann._transport(vectors[:, :, t], weights[:, t])
+        assert single[0].shape == (p, p) and np.shape(single[1]) == ()
+        _assert_transport_matches(single, tuple(a[t] for a in stacked), 1e-14)
 
     # the public routes: a path of assembled matrices and the two-point link
     rhos = mt.spectral_sum(uhlmann._matrices(vectors[:, :, 0]), weights[:, 0].T)
@@ -269,6 +277,27 @@ def test_transport_independent_of_batch_shape(p):
     link = mt.uhlmann_link(rhos[0], rhos[1])
     assert link.shape == (p, p)
     assert np.abs(link - links[:, :, 0, 0]).max() <= 1e-12
+
+
+def test_transport_flags_only_the_failing_loop(qwz, qwz_gap):
+    """One batch of two 4-point loops at k_y = 0: at T = 0.02 gap a link deviates past
+    LINK_IDENTITY_MAX, at T = 5 gap none does. Only the cold loop is refused, and the hot
+    one keeps the phase it has when transported alone."""
+    energies, vectors = _LineSpectra(qwz, "x", np.array([0.0]))(4)
+    betas = 1.0 / (np.array([0.02, 5.0]) * qwz_gap)
+    weights = np.moveaxis(mt.boltzmann_weights(np.moveaxis(energies, 0, -1), betas, 0.0), -1, 0)
+    shared = np.broadcast_to(vectors[:, :, None], (2, 2, 2) + vectors.shape[2:])
+    _, phases, deviations, moduli = uhlmann._transport(shared, weights)
+    assert deviations.shape == moduli.shape == (2, 1)
+    assert deviations[0, 0] >= uhlmann.LINK_IDENTITY_MAX > deviations[1, 0]
+    cold = uhlmann._transport_error(deviations[0], moduli[0])
+    assert isinstance(cold, mt.UnderResolvedError)
+    assert str(cold) == (f"transport link deviates from identity by {deviations[0, 0]:.3f} >= "
+                         f"{uhlmann.LINK_IDENTITY_MAX}: refine the path discretization")
+    assert uhlmann._transport_error(deviations[1], moduli[1]) is None
+    assert str(uhlmann._transport_error(deviations, moduli)) == str(cold)  # the batch maximum
+    _, alone, _, _ = uhlmann._transport(vectors, weights[:, 1])
+    assert phases[1] == alone
 
 
 def _traced_peak(fn, *args) -> int:
@@ -544,6 +573,53 @@ def test_path_error_estimate_bounds_true_error_at_the_start(qwz, qwz_gap, direct
                                for m in (start // 2, start, 4096))
         error = np.abs(mt.principal_branch(fine - coarse)).max() / 3
         assert np.abs(mt.principal_branch(exact - fine)).max() <= 2 * error
+
+
+@pytest.mark.parametrize("t_over_gap", [[0.5], [0.05, 0.5, 5.0]])
+def test_scan_transports_each_direction_twice(qwz, qwz_gap, monkeypatch, t_over_gap):
+    """The certificate passes of a direction (16 and 32 points) each make one transport for
+    every temperature of the scan."""
+    calls = []
+    original = uhlmann._transport
+
+    def counting(vectors, weights):
+        calls.append((vectors.shape[2], vectors.shape[-1]))  # (temperatures, path points)
+        return original(vectors, weights)
+
+    monkeypatch.setattr(uhlmann, "_transport", counting)
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array(t_over_gap) * qwz_gap,
+                                          mt.MomentumGrid(12, 12), n_cells=6)
+    assert all(r.status == "ok" for r in reports)
+    n = len(t_over_gap)
+    assert calls == [(n, 16), (n, 32)] * 2  # x, then y
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+def test_scan_matches_per_temperature_oracle_where_a_row_fails(qwz, qwz_gap, monkeypatch, cap):
+    """An 8^2 scan from 4 path points: the 0.3 gap row fails at the cap (cap 4: its x
+    winding is not certified; cap 8: its y links fail) while the 0.6 and 5 gap rows
+    certify at 4 points, and the 0.5 gap row fails at cap 4 or certifies at 8 points.
+    Every report equals the per-temperature scan's."""
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_CAP", cap)
+    args = (qwz, 0.0, np.array([0.3, 0.5, 0.6, 5.0]) * qwz_gap, mt.MomentumGrid(8, 8), 6)
+    reports = mt.uhlmann_temperature_scan(*args)
+    assert reports == temperature_scan(*args)
+    assert reports[0].status.startswith(f"uhlmann: Uhlmann {'xy'[cap == 8]} path unresolved "
+                                        f"at {cap} points (cap {cap}): ")
+    assert [r.uhlmann_path_points for r in reports] == [None, 8 if cap == 8 else None, 4, 4]
+
+
+def test_scan_matches_per_temperature_oracle_through_underflow(qwz, qwz_gap):
+    """A 12^2 scan from deep cold to hot: the deep-cold row keeps its underflow message
+    while the rows batched with it certify, and every report equals the per-temperature
+    scan's."""
+    args = (qwz, 0.0, np.array([0.001, 0.05, 0.5, 5.0]) * qwz_gap, mt.MomentumGrid(12, 12), 6)
+    reports = mt.uhlmann_temperature_scan(*args)
+    assert reports == temperature_scan(*args)
+    assert reports[0].status == ("uhlmann: Boltzmann weight underflowed at beta = 500: "
+                                 "state numerically pure")
+    assert [r.status for r in reports[1:]] == ["ok"] * 3
 
 
 def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):

@@ -1,26 +1,34 @@
-"""References for the Uhlmann transport: the matmul kernel, the SVD polar factor and an
-extended-precision loop.
+"""References for the Uhlmann transport: the matmul kernel, the SVD polar factor, an
+extended-precision loop and the per-temperature scan.
 
 `transport` is the Uhlmann transport written with batched matmul and einsum
 on (..., M, p, p) stacks, which the entry-plane kernel of `mixedtopo.uhlmann`
-replaced; it raises the same errors at the same thresholds. `polar_unitary`
-is its closed-form 2 x 2 polar factor and `svd_polar_unitary` the route that
-closed form replaced.
+replaced; like the kernel it returns per loop the link deviation and
+|Tr[rho(0) H]| and refuses nothing. `polar_unitary` is its closed-form 2 x 2
+polar factor and `svd_polar_unitary` the route that closed form replaced.
 
 `qwz_phases_extended` evaluates the same discretized Uhlmann phases of the
 default qwz model in long double (64-bit mantissa on x86), from closed-form
 amplitudes sqrt(rho) = a + b d.sigma/|d| and exact link determinants, so
 that it shows which double-precision route is closer to the exact value of
 the discretized loop.
+
+`temperature_scan` is `uhlmann_temperature_scan` as it was before the
+certified Uhlmann windings were batched over temperature: one temperature
+at a time, each with its own transport passes per direction, raising at the
+first failure of a pass.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from mixedtopo.errors import PhaseUndefinedError, UnderResolvedError
-from mixedtopo.model import momentum_line, spectral_sum
-from mixedtopo.uhlmann import LINK_IDENTITY_MAX
+from mixedtopo import uhlmann
+from mixedtopo.egp import _egp_windings, _line_profile
+from mixedtopo.errors import MixedTopoError, PhaseUndefinedError, UnderResolvedError
+from mixedtopo.gaussian import GaussianStateSpec
+from mixedtopo.geometry import JUMP_MARGIN, PhaseProfile, winding_of_phase_profile
+from mixedtopo.model import _LineSpectra, boltzmann_weights, momentum_line, spectral_sum
 
 EXTENDED = np.finfo(np.longdouble).eps < 1e-18
 
@@ -81,25 +89,17 @@ def ordered_product_reversed(links: np.ndarray) -> np.ndarray:
     return prod[..., 0, :, :]
 
 
-def transport(vectors: np.ndarray, weights: np.ndarray,
-              transverse: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """(holonomies (..., p, p), phases, max link deviation) from (..., M, p, p) spectra."""
+def transport(vectors: np.ndarray,
+              weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(holonomies (..., p, p), phases, link deviations, |Tr[rho(0) H]|) from (..., M, p, p)
+    spectra, the last three per loop."""
     amplitudes, links = loop_links(vectors, weights)
     p = links.shape[-1]
-    dev = float(np.linalg.norm((links - np.eye(p)) @ amplitudes, axis=(-2, -1)).max())
-    if dev >= LINK_IDENTITY_MAX:
-        raise UnderResolvedError(
-            f"transport link deviates from identity by {dev:.3f} >= {LINK_IDENTITY_MAX}: "
-            "refine the path discretization")
+    deviations = np.linalg.norm((links - np.eye(p)) @ amplitudes, axis=(-2, -1)).max(axis=-1)
     holonomies = ordered_product_reversed(links)
     rho0 = spectral_sum(vectors[..., 0, :, :], weights[..., 0, :])
     traces = np.einsum("...ij,...ji->...", rho0, holonomies)
-    moduli = np.abs(traces)
-    if moduli.min() < 1e-12:
-        where = "" if transverse is None else f" at transverse_k={transverse[moduli.argmin()]:.6f}"
-        raise PhaseUndefinedError(f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12{where}: "
-                                  "Uhlmann phase undefined")
-    return holonomies, np.angle(traces), dev
+    return holonomies, np.angle(traces), deviations, np.abs(traces)
 
 
 def qwz_phases_extended(beta: float, direction: str, transverse, n_points: int) -> np.ndarray:
@@ -134,3 +134,94 @@ def qwz_phases_extended(beta: float, direction: str, transverse, n_points: int) 
     rho0 = amplitudes[:, 0] @ amplitudes[:, 0]
     trace = np.einsum("tij,tji->t", rho0, holonomy)
     return np.arctan2(trace.imag, trace.real).astype(float)
+
+
+def _checked_phases(spectra: _LineSpectra, beta: float, mu: float, m: int) -> np.ndarray:
+    """Phases of the m-point loops at one temperature; raises at the batch's worst link and
+    then at its smallest |Tr[rho(0) H]|."""
+    energies, vectors = spectra(m)
+    weights = np.moveaxis(boltzmann_weights(np.moveaxis(energies, 0, -1), beta, mu), -1, 0)
+    _, phases, deviations, moduli = uhlmann._transport(vectors, weights)
+    dev = float(deviations.max())
+    if dev >= uhlmann.LINK_IDENTITY_MAX:
+        raise UnderResolvedError(
+            f"transport link deviates from identity by {dev:.3f} >= "
+            f"{uhlmann.LINK_IDENTITY_MAX}: refine the path discretization")
+    if moduli.min() < 1e-12:
+        raise PhaseUndefinedError(
+            f"|Tr[rho(0) H]| = {moduli.min():.3e} < 1e-12 at "
+            f"transverse_k={spectra.transverse[moduli.argmin()]:.6f}: Uhlmann phase undefined")
+    return phases
+
+
+def certified_profile(spectra: _LineSpectra, beta: float, mu: float) -> tuple[np.ndarray, int]:
+    """(phases, path points) of one temperature's certified Uhlmann winding, by the rule of
+    `mixedtopo.uhlmann._refinement` with `certify`, from PATH_POINTS_START points."""
+    def phases_at(m: int) -> tuple[Optional[np.ndarray], str]:
+        try:
+            return _checked_phases(spectra, beta, mu, m), ""
+        except UnderResolvedError as exc:  # a link too far from the identity
+            return None, str(exc)
+
+    m, previous, coarse = uhlmann.PATH_POINTS_START, None, 0
+    if m >= 4:
+        spectra(m)
+        coarse = m // 2
+        previous, _ = phases_at(coarse)
+    while True:
+        phases, reason = phases_at(m)
+        if phases is not None and previous is None:
+            reason = (f"the {coarse}-point pass failed the link check" if coarse
+                      else "no coarser pass to compare with")
+        elif phases is not None:
+            change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
+            error = change / ((m / coarse) ** 2 - 1)
+            steps = np.abs(PhaseProfile(spectra.transverse, phases).jumps())
+            worst = steps.argmax()
+            if steps[worst] + 2 * error < np.pi - JUMP_MARGIN:
+                return phases, m
+            reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
+                      f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
+            if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
+                raise UnderResolvedError(
+                    f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
+                    "max step - 2e: only a finer transverse grid can certify the winding")
+            reason += ": winding not certified"
+        if 2 * m > uhlmann.PATH_POINTS_CAP:
+            raise UnderResolvedError(f"Uhlmann {spectra.direction} path unresolved at {m} points "
+                                     f"(cap {uhlmann.PATH_POINTS_CAP}): {reason}")
+        previous, coarse, m = phases, m, 2 * m
+
+
+def temperature_scan(model, mu: float, temperatures, grid, n_cells: int = 10,
+                     egp_transverse: Optional[int] = None) -> list:
+    """The InvariantReport rows of `uhlmann_temperature_scan`, one temperature at a time."""
+    if egp_transverse is None:
+        egp_transverse = max(grid.nx, grid.ny)
+    c_ground = uhlmann.ground_state_chern(model, mu, grid)
+    loops = (_LineSpectra(model, "x", grid.ky_values()), _LineSpectra(model, "y", grid.kx_values()))
+    chains = {d: _LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy"}
+    reports = []
+    for t in np.asarray(temperatures, dtype=float):
+        beta = 1.0 / t
+        errors = []
+        cx_u = cy_u = cx_e = cy_e = points = None
+        try:
+            (phases_x, m_x), (phases_y, m_y) = (certified_profile(spectra, beta, mu)
+                                                for spectra in loops)
+            cx_u = winding_of_phase_profile(PhaseProfile(loops[0].transverse, phases_x))
+            cy_u = -winding_of_phase_profile(PhaseProfile(loops[1].transverse, phases_y))
+            points = max(m_x, m_y)
+        except MixedTopoError as exc:
+            errors.append(f"uhlmann: {exc}")
+        try:
+            spec = GaussianStateSpec.thermal(beta, mu, model)
+            cx_e, cy_e = _egp_windings(lambda d: _line_profile(spec, chains[d], n_cells))
+        except MixedTopoError as exc:
+            errors.append(f"egp: {exc}")
+        reports.append(uhlmann.InvariantReport(
+            temperature=float(t), beta=float(beta),
+            cx_uhlmann=cx_u, cy_uhlmann=cy_u, cx_egp=cx_e, cy_egp=cy_e,
+            c_ground=c_ground, status="; ".join(errors) if errors else "ok",
+            uhlmann_path_points=points))
+    return reports
