@@ -26,12 +26,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AmplitudeZeroError, WindingMismatchError
+from .errors import AmplitudeZeroError, MixedTopoError, WindingMismatchError
 from .gaussian import GaussianStateSpec, _fermi_lines, hfict_line, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
-from .model import _LineSpectra, momentum_line
+from .model import _LineSpectra, _projector_gap, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
+CHAIN_CELL_BUDGET = 5120  # chain cells (N times chains) per `chain_traces` call of a scan
 
 
 class GaussianTrace(NamedTuple):
@@ -266,10 +267,60 @@ def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
 def _egp_windings(profile_of) -> tuple[int, int]:
     cx = winding_of_phase_profile(profile_of("x"))
     cy = -winding_of_phase_profile(profile_of("y"))
-    if cx != cy:
-        raise WindingMismatchError(
-            f"EGP Chern inconsistency: C_x = {cx} != C_y = {cy}")
+    error = _mismatch(cx, cy)
+    if error is not None:
+        raise error
     return cx, cy
+
+
+def _mismatch(cx: int, cy: int) -> Optional[WindingMismatchError]:
+    if cx != cy:
+        return WindingMismatchError(f"EGP Chern inconsistency: C_x = {cx} != C_y = {cy}")
+    return None
+
+
+def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray, mu: float,
+                    n_cells: int) -> list:
+    """Per beta of `betas`: the thermal `egp_windings` (C_x, C_y) on the n_cells-cell chains
+    of the x and y line-spectrum caches `chains`, or the MixedTopoError that stops them.
+
+    The x windings of every temperature are taken together, then the y windings
+    of those whose x windings were. In each direction the Fermi weights of a
+    chunk of temperatures are taken at once, along a leading temperature axis,
+    and the chunk's chains go through one `chain_traces` call. A chunk holds
+    max(1, CHAIN_CELL_BUDGET // (n_cells x transverse)) temperatures, so the
+    working set of a call does not grow with the number of temperatures. Each
+    temperature gets the error it would get alone: at beta = inf the GapError
+    of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
+    then the errors of its winding, then WindingMismatchError.
+    """
+    results = [None] * len(betas)
+    windings = [[] for _ in betas]
+    for lines in chains:
+        rows = [row for row, result in enumerate(results) if result is None]
+        gap = _projector_gap(lines(n_cells)[0], mu) if np.isinf(betas[rows]).any() else None
+        if gap is not None:  # refuses the beta = inf rows alone
+            for row in rows:
+                if np.isinf(betas[row]):
+                    results[row] = gap
+            rows = [row for row in rows if results[row] is None]
+        sign = 1 if lines.direction == "x" else -1
+        per_call = max(1, CHAIN_CELL_BUDGET // (n_cells * len(lines.transverse)))
+        for start in range(0, len(rows), per_call):
+            chunk = rows[start:start + per_call]
+            traces = chain_traces(_fermi_lines(lines, n_cells, betas[chunk], mu))
+            for row, phases, log_magnitudes in zip(chunk, *traces):
+                try:
+                    _require_amplitude(log_magnitudes, lines.transverse)
+                    windings[row].append(
+                        sign * winding_of_phase_profile(PhaseProfile(lines.transverse, phases)))
+                except MixedTopoError as exc:
+                    results[row] = exc
+    for row, result in enumerate(results):
+        if result is None:
+            error = _mismatch(*windings[row])
+            results[row] = tuple(windings[row]) if error is None else error
+    return results
 
 
 def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) -> PhaseProfile:
@@ -295,8 +346,7 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     chains = _LineSpectra(spec.model, direction, np.array([float(transverse_k)]))
     out = []
     for n in n_list:
-        lines = np.concatenate([_fermi_lines(chains, n, beta, spec.mu)
-                                for beta in (spec.beta, math.inf)])
+        lines = _fermi_lines(chains, n, np.array([spec.beta, math.inf]), spec.mu)[:, 0]
         (phi, phi_ref), log_magnitudes = chain_traces(lines)
         _require_amplitude(log_magnitudes, transverse_k, f", N={n}")
         out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))

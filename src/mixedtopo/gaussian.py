@@ -196,8 +196,9 @@ def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
     return _fermi_covariance(*np.linalg.eigh(spec.model.matrix(kx, ky)), spec.beta, spec.mu)
 
 
-def _fermi_covariance(energies, vectors, beta: float, mu: float) -> np.ndarray:
-    """Thermal hfict [V f V^dag]^T from a spectrum of h; only f depends on beta."""
+def _fermi_covariance(energies, vectors, beta, mu: float) -> np.ndarray:
+    """Thermal hfict [V f V^dag]^T from a spectrum of h; only f depends on beta, which may be
+    a 1-d array along a new leading axis, as in `fermi_weights`."""
     return np.swapaxes(spectral_sum(vectors, fermi_weights(energies, beta, mu)), -1, -2).copy()
 
 
@@ -233,8 +234,12 @@ def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
     return fictitious_hamiltonian(spec, kxs, kys)
 
 
-def _fermi_lines(lines: _LineSpectra, n_cells: int, beta: float, mu: float) -> np.ndarray:
-    """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache."""
+def _fermi_lines(lines: _LineSpectra, n_cells: int, beta, mu: float) -> np.ndarray:
+    """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache.
+
+    `beta` may also be a 1-d array of inverse temperatures: the lines of each come
+    along a new leading axis, (len(beta), T, n_cells, p, p), from one spectrum.
+    """
     energies, vectors = lines(n_cells)
     return _fermi_covariance(np.moveaxis(energies, 0, -1), _matrices(vectors), beta, mu)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -261,21 +261,29 @@ def _gap_at(energies: np.ndarray, mu: float, kxs, kys) -> float:
 # matrices: Fermi occupations give the covariance (EGP, Chern), Boltzmann
 # weights the density matrix (Uhlmann).
 
-def fermi_weights(energies: np.ndarray, beta: float, mu: float) -> np.ndarray:
+def fermi_weights(energies: np.ndarray, beta, mu: float) -> np.ndarray:
     """Occupations 1/(e^{beta (e - mu)} + 1); beta = inf fills strictly below mu.
 
-    The finite-beta branch is overflow safe for either sign of the exponent.
-    At beta = inf an eigenvalue within FERMI_DEGENERACY_ATOL of mu raises GapError.
+    `beta` may also be a 1-d array of inverse temperatures, broadcast along a
+    new leading axis of the occupations, as in `boltzmann_weights`. The form
+    is overflow safe for either sign of the exponent, and at beta = inf it
+    gives exactly 0 and 1. There an eigenvalue within FERMI_DEGENERACY_ATOL of
+    mu raises the GapError of `_projector_gap`.
     """
-    energies = np.asarray(energies, dtype=float)
-    if math.isinf(beta):
-        if np.abs(energies - mu).min() <= FERMI_DEGENERACY_ATOL:
-            raise GapError(f"beta = inf with an eigenvalue within {FERMI_DEGENERACY_ATOL:.0e} "
-                           f"of mu={mu}: gapless projector limit")
-        return (energies < mu).astype(float)
-    x = beta * (energies - mu)
+    energies, betas = np.asarray(energies, dtype=float), np.asarray(beta, dtype=float)
+    if np.isinf(betas).any() and (error := _projector_gap(energies, mu)) is not None:
+        raise error
+    x = betas.reshape(betas.shape + (1,) * energies.ndim) * (energies - mu)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, e / (1.0 + e), 1.0 / (1.0 + e))
+
+
+def _projector_gap(energies: np.ndarray, mu: float) -> Optional[GapError]:
+    """The GapError that refuses beta = inf occupations of these energies, or None."""
+    if np.abs(energies - mu).min() <= FERMI_DEGENERACY_ATOL:
+        return GapError(f"beta = inf with an eigenvalue within {FERMI_DEGENERACY_ATOL:.0e} "
+                        f"of mu={mu}: gapless projector limit")
+    return None
 
 
 def boltzmann_weights(energies: np.ndarray, beta, mu: float) -> np.ndarray:

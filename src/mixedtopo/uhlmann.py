@@ -16,14 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .egp import _egp_windings, _line_profile
+from .egp import _chain_windings
 from .errors import (
     MixedTopoError,
     PhaseUndefinedError,
     RankDeficiencyError,
     UnderResolvedError,
 )
-from .gaussian import GaussianStateSpec
 from .geometry import (
     JUMP_MARGIN,
     PhaseProfile,
@@ -637,10 +636,11 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     every row still open, and the rows that must double do so together. The
     scan diagonalizes each loop point once, on the finest path any row
     needed; each row records the path points it was certified at, and a row
-    that cannot be certified says why. The EGP windings are taken row by row.
-    The EGP profiles may need a finer transverse grid than the Uhlmann ones
-    at the hot end of a sweep (near-pi kinks develop toward maximal mixing),
-    hence the separate `egp_transverse` resolution.
+    that cannot be certified says why. The EGP windings of every row are taken
+    per direction in chunks of temperatures, one `chain_traces` call each, by
+    `egp._chain_windings`. The EGP profiles may need a finer transverse grid
+    than the Uhlmann ones at the hot end of a sweep (near-pi kinks develop
+    toward maximal mixing), hence the separate `egp_transverse` resolution.
     """
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
@@ -649,20 +649,14 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     betas = 1.0 / temperatures
     # h(k) spectra shared by every temperature
     uhlmann = _uhlmann_windings(_grid_loops(model, grid), betas, mu)
-    chains = {d: _LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy"}
+    chains = tuple(_LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy")
     reports = []
-    for t, beta, windings in zip(temperatures, betas, uhlmann):
-        errors = []
-        cx_u = cy_u = cx_e = cy_e = points = None
-        if isinstance(windings, MixedTopoError):
-            errors.append(f"uhlmann: {windings}")
-        else:
-            cx_u, cy_u, points = windings
-        try:
-            spec = GaussianStateSpec.thermal(beta, mu, model)
-            cx_e, cy_e = _egp_windings(lambda d: _line_profile(spec, chains[d], n_cells))
-        except MixedTopoError as exc:
-            errors.append(f"egp: {exc}")
+    for t, beta, windings, egp in zip(temperatures, betas, uhlmann,
+                                      _chain_windings(chains, betas, mu, n_cells)):
+        errors = [f"{name}: {result}" for name, result in (("uhlmann", windings), ("egp", egp))
+                  if isinstance(result, MixedTopoError)]
+        cx_u, cy_u, points = (None,) * 3 if isinstance(windings, MixedTopoError) else windings
+        cx_e, cy_e = (None,) * 2 if isinstance(egp, MixedTopoError) else egp
         reports.append(InvariantReport(
             temperature=float(t), beta=float(beta),
             cx_uhlmann=cx_u, cy_uhlmann=cy_u, cx_egp=cx_e, cy_egp=cy_e,

@@ -171,3 +171,19 @@ def test_boltzmann_weights_over_a_temperature_axis(qwz):
         mt.boltzmann_weights(energies, np.array([2.0, 500.0, 600.0]), 0.0)
     with pytest.raises(mt.RankDeficiencyError, match=r"^beta = inf"):
         mt.boltzmann_weights(energies, np.array([2.0, np.inf]), 0.0)
+
+
+def test_fermi_weights_over_a_temperature_axis(qwz):
+    """An array of betas adds a leading axis whose rows equal the one-beta occupations
+    bitwise, beta = inf included; an eigenvalue at mu refuses only an array with inf."""
+    energies = np.linalg.eigvalsh(qwz.matrix(*mt.MomentumGrid(6, 6).mesh()))
+    betas = np.array([0.1, 2.0, 800.0, np.inf])
+    occupations = mt.fermi_weights(energies, betas, 0.0)
+    assert occupations.shape == (4,) + energies.shape
+    for row, beta in zip(occupations, betas):
+        assert np.array_equal(row, mt.fermi_weights(energies, beta, 0.0))
+    assert np.array_equal(occupations[-1], (energies < 0.0).astype(float))
+    mu = energies[0, 0, 0]
+    assert np.isfinite(mt.fermi_weights(energies, betas[:3], mu)).all()
+    with pytest.raises(mt.GapError, match=r"^beta = inf with an eigenvalue within 1e-09 of mu="):
+        mt.fermi_weights(energies, betas, mu)

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from conftest import random_hermitian, random_unitary
-from mixedtopo import uhlmann
+from mixedtopo import egp, uhlmann
+from mixedtopo.egp import _egp_windings, _line_profile
+from mixedtopo.gaussian import _fermi_lines
 from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra
 from uhlmann_oracle import (
@@ -620,6 +622,88 @@ def test_scan_matches_per_temperature_oracle_through_underflow(qwz, qwz_gap):
     assert reports[0].status == ("uhlmann: Boltzmann weight underflowed at beta = 500: "
                                  "state numerically pure")
     assert [r.status for r in reports[1:]] == ["ok"] * 3
+
+
+def _count_chain_traces(monkeypatch) -> list:
+    """Records the (temperatures, transverse) batch of each `chain_traces` call."""
+    calls = []
+    original = egp.chain_traces
+
+    def counting(lines):
+        calls.append(np.shape(lines)[:-3])
+        return original(lines)
+
+    monkeypatch.setattr(egp, "chain_traces", counting)
+    return calls
+
+
+def test_scan_egp_chunks_match_per_temperature_oracle(qwz, qwz_gap, monkeypatch):
+    """On 8 transverse lines of 6 cells the EGP x profile is under-resolved from about
+    5 gap up. With two temperatures per `chain_traces` call, the five x rows span three
+    chunks: the middle one holds the passing 2 gap row and the failing 6 gap row, and
+    the last one the 50 gap row alone. Every report equals the per-temperature scan's."""
+    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 8 * 6)
+    calls = _count_chain_traces(monkeypatch)
+    args = (qwz, 0.0, np.array([0.05, 0.5, 2.0, 6.0, 50.0]) * qwz_gap, mt.MomentumGrid(8, 8), 6, 8)
+    reports = mt.uhlmann_temperature_scan(*args)
+    assert calls == [(2, 8), (2, 8), (1, 8), (2, 8), (1, 8)]  # x: five rows, y: the three that pass
+    assert reports == temperature_scan(*args)
+    assert [r.cx_egp for r in reports] == [1, 1, 1, None, None]
+    assert all(r.status.startswith("egp: max phase step ") for r in reports[3:])
+
+
+@pytest.mark.parametrize("budget,per_call", [(1, 1), (2 * 72, 2), (5 * 72 - 1, 4), (10**6, 5)])
+def test_scan_egp_calls_per_direction(qwz, qwz_gap, monkeypatch, budget, per_call):
+    """Each direction makes ceil(temperatures / per_call) `chain_traces` calls, per_call
+    = max(1, CHAIN_CELL_BUDGET // (n_cells x transverse)) with 6 x 12 = 72 cells per
+    temperature, the last call holding the rest."""
+    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", budget)
+    calls = _count_chain_traces(monkeypatch)
+    temperatures = np.array([0.05, 0.1, 0.5, 1.0, 2.0]) * qwz_gap
+    reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, mt.MomentumGrid(12, 12), 6)
+    assert all(r.status == "ok" for r in reports)
+    chunks = [min(per_call, 5 - start) for start in range(0, 5, per_call)]
+    assert len(chunks) == math.ceil(5 / per_call)
+    assert calls == [(n, 12) for n in chunks] * 2
+
+
+def test_scan_egp_pass_memory_stays_within_the_budget(qwz, qwz_gap):
+    """The EGP pass of the recipe's 48 temperatures on 128 chains of 10 cells allocates
+    about what one call of CHAIN_CELL_BUDGET cells does, where stacking every temperature
+    into one call per direction would allocate twelve times as much."""
+    chains = tuple(_LineSpectra(qwz, d, mt.momentum_line(128)) for d in "xy")
+    betas = 1.0 / (np.geomspace(0.01, 100, 48) * qwz_gap)
+    per_call = egp.CHAIN_CELL_BUDGET // (10 * 128)
+    assert 1 < per_call < 12
+
+    def one_call():
+        return egp.chain_traces(_fermi_lines(chains[0], 10, betas[:per_call], 0.0))
+
+    peak = _traced_peak(egp._chain_windings, chains, betas, 0.0, 10)
+    assert peak <= 1.5 * _traced_peak(one_call)
+
+
+@pytest.mark.parametrize("n_cells", [4, 5])
+def test_chain_windings_match_per_temperature_route(n_cells):
+    """mu at the upper level of an atomic model: at beta = inf the projector is gapless
+    (GapError), while finite temperatures fill that level by exactly 1/2, an exact zero
+    amplitude for even N and winding 0 for odd N. Each row gets the outcome the
+    per-temperature route gives it."""
+    model, mu, betas = mt.atomic_model(), 1.0, np.array([0.5, np.inf, 2.0])
+    chains = tuple(_LineSpectra(model, d, mt.momentum_line(4)) for d in "xy")
+    expected = []
+    for beta in betas:
+        spec = mt.GaussianStateSpec.thermal(beta, mu, model)
+        try:
+            expected.append(_egp_windings(lambda d: _line_profile(spec, chains["xy".index(d)],
+                                                                  n_cells)))
+        except mt.MixedTopoError as exc:
+            expected.append((type(exc), str(exc)))
+    results = [(type(r), str(r)) if isinstance(r, mt.MixedTopoError) else r
+               for r in egp._chain_windings(chains, betas, mu, n_cells)]
+    assert results == expected
+    assert results[1][0] is mt.GapError
+    assert results[0][0] is mt.AmplitudeZeroError if n_cells == 4 else results[0] == (0, 0)
 
 
 def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):

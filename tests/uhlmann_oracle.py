@@ -14,9 +14,9 @@ that it shows which double-precision route is closer to the exact value of
 the discretized loop.
 
 `temperature_scan` is `uhlmann_temperature_scan` as it was before the
-certified Uhlmann windings were batched over temperature: one temperature
-at a time, each with its own transport passes per direction, raising at the
-first failure of a pass.
+certified Uhlmann windings and the EGP chains were batched over temperature:
+one temperature at a time, each with its own transport passes and its own
+`chain_traces` call per direction, raising at the first failure of a pass.
 """
 
 from typing import Optional
