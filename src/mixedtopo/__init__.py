@@ -20,12 +20,10 @@ from .errors import (
     WindingMismatchError,
 )
 from .model import (
-    BandSystem,
     BlochModel,
     MomentumGrid,
     atomic_model,
     band_gap,
-    band_system,
     bloch_matrix_from_d,
     boltzmann_weights,
     fermi_weights,
@@ -43,9 +41,7 @@ from .gaussian import (
     fictitious_hamiltonian,
     filled_band_count,
     g_matrix,
-    load_hfict_grid,
     load_matrix_grid,
-    save_hfict_grid,
     save_matrix_grid,
 )
 from .geometry import (

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeZeroError, MixedTopoError, WindingMismatchError
-from .gaussian import GaussianStateSpec, _fermi_lines, hfict_line, hfict_lines
+from .gaussian import GaussianStateSpec, _fermi_lines, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
 from .model import _LineSpectra, _projector_gap, momentum_line
 
@@ -196,34 +196,23 @@ def _require_amplitude(log_magnitudes, transverse_ks, context: str = ""):
                                  f"{context}: generalized gap condition violated")
 
 
-def _cells_for(spec: GaussianStateSpec, direction: str, n_cells: Optional[int]) -> int:
-    """Chain length: as requested for thermal specs, grid-fixed for tabulated ones."""
+def _or_stored(spec: GaussianStateSpec, value: Optional[int], name: str, axis: str) -> int:
+    """`value` as requested, or by default the stored grid's length along `axis` for
+    tabulated specs (whose chain length `hfict_lines` enforces)."""
+    if value is not None:
+        return value
     if spec.is_thermal:
-        if n_cells is None:
-            raise ValueError("thermal specs need an explicit n_cells")
-        return n_cells
-    fixed = spec.hfict_grid.grid.nx if direction == "x" else spec.hfict_grid.grid.ny
-    if n_cells is not None and n_cells != fixed:
-        raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
-    return fixed
-
-
-def _transverse_for(spec: GaussianStateSpec, direction: str, count: Optional[int]) -> int:
-    """Transverse samples: as requested, or by default the stored grid's for tabulated specs."""
-    if count is not None:
-        return count
-    if spec.is_thermal:
-        raise ValueError("thermal specs need an explicit transverse_count")
-    return spec.hfict_grid.grid.ny if direction == "x" else spec.hfict_grid.grid.nx
+        raise ValueError(f"thermal specs need an explicit {name}")
+    return spec.hfict_grid.grid.nx if axis == "x" else spec.hfict_grid.grid.ny
 
 
 def egp_component(spec: GaussianStateSpec, direction: str, transverse_k: float,
                   n_cells: int) -> EgpResult:
     """EGP of one chain: phi = Im ln Tr[rho e^{(2 pi i / N) X}] at fixed transverse k."""
-    n_cells = _cells_for(spec, direction, n_cells)
+    n_cells = _or_stored(spec, n_cells, "n_cells", direction)
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
-    phase, log_magnitude = chain_traces(hfict_line(spec, direction, transverse_k, n_cells))
+    phase, log_magnitude = chain_traces(hfict_lines(spec, direction, [transverse_k], n_cells)[0])
     _require_amplitude(log_magnitude, transverse_k)
     return EgpResult(phase=float(phase), log_magnitude=float(log_magnitude),
                      n_cells=n_cells, direction=direction, transverse_k=float(transverse_k),
@@ -239,8 +228,9 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     Returns a PhaseProfile whose `log_moduli` carry log|z| per sample (the
     gauge-reduction diagnostic), finite however small |z| gets.
     """
-    n_cells = _cells_for(spec, direction, n_cells)
-    transverse = momentum_line(_transverse_for(spec, direction, transverse_count))
+    n_cells = _or_stored(spec, n_cells, "n_cells", direction)
+    count = _or_stored(spec, transverse_count, "transverse_count", "y" if direction == "x" else "x")
+    transverse = momentum_line(count)
     return _profile(spec, direction, transverse, hfict_lines(spec, direction, transverse, n_cells))
 
 

@@ -117,15 +117,6 @@ def load_matrix_grid(path) -> tuple[MomentumGrid, np.ndarray]:
     return MomentumGrid(nx, ny), values[..., 0] + 1j * values[..., 1]
 
 
-def save_hfict_grid(path, hgrid: FictitiousHamiltonianGrid):
-    save_matrix_grid(path, hgrid.grid, hgrid.values)
-
-
-def load_hfict_grid(path) -> FictitiousHamiltonianGrid:
-    grid, values = load_matrix_grid(path)
-    return FictitiousHamiltonianGrid(grid, values)
-
-
 @dataclass(frozen=True)
 class GaussianStateSpec:
     """Thermal state (beta, mu, model) or a directly tabulated hfict grid.
@@ -215,22 +206,21 @@ def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
                 n_cells: int) -> np.ndarray:
     """hfict samples (len(transverse_ks), n_cells, p, p) along parallel chains.
 
-    Thermal specs diagonalize h(k) once over the (transverse, chain) mesh of
-    n_cells uniform chain samples (`_fermi_lines`). Tabulated specs require
-    n_cells and every transverse momentum to match the stored grid, and must
-    keep their occupation spectrum away from 1/2 (no thermal gap information
-    exists for them, so the generalized gap is checked directly).
+    `fictitious_hamiltonian` on the (transverse, chain) mesh of n_cells uniform
+    chain samples: one eigh of the mesh for thermal specs. Tabulated specs fix
+    n_cells to the stored grid's length along `direction`, need every
+    transverse momentum on the grid, and must keep their occupation spectrum
+    away from 1/2 (no thermal gap information exists for them, so the
+    generalized gap is checked directly).
     """
     transverse_ks = np.asarray(transverse_ks, dtype=float)
-    if spec.is_thermal:
-        lines = _LineSpectra(spec.model, direction, transverse_ks)
-        return _fermi_lines(lines, n_cells, spec.beta, spec.mu)
     kxs, kys = line_momenta(direction, momentum_line(n_cells)[None, :], transverse_ks[:, None])
-    spec.hfict_grid.require_generalized_gap()
-    grid = spec.hfict_grid.grid
-    fixed = grid.nx if direction == "x" else grid.ny
-    if n_cells != fixed:
-        raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
+    if not spec.is_thermal:
+        grid = spec.hfict_grid.grid
+        fixed = grid.nx if direction == "x" else grid.ny
+        if n_cells != fixed:
+            raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
+        spec.hfict_grid.require_generalized_gap()
     return fictitious_hamiltonian(spec, kxs, kys)
 
 
@@ -242,12 +232,6 @@ def _fermi_lines(lines: _LineSpectra, n_cells: int, beta, mu: float) -> np.ndarr
     """
     energies, vectors = lines(n_cells)
     return _fermi_covariance(np.moveaxis(energies, 0, -1), _matrices(vectors), beta, mu)
-
-
-def hfict_line(spec: GaussianStateSpec, direction: str, transverse_k: float,
-               n_cells: int) -> np.ndarray:
-    """hfict samples (n_cells, p, p) along one chain through the BZ; see hfict_lines."""
-    return hfict_lines(spec, direction, [transverse_k], n_cells)[0]
 
 
 def filled_band_count(occupations: np.ndarray) -> int:

@@ -76,15 +76,8 @@ class CurvatureField:
         return float(self.values.sum())
 
 
-def _as_frames(states: np.ndarray) -> np.ndarray:
-    """Normalize state input to (..., p, nb) frames; single bands get nb = 1."""
-    states = np.asarray(states, dtype=complex)
-    if states.ndim < 2:
-        raise ValueError("states must be at least (M, p)")
-    return states[..., None] if states.ndim == 2 else states
-
-
 def _frames_on_grid(states: np.ndarray, ndim_grid: int) -> np.ndarray:
+    """(*grid, p, nb) frames from states on a rank-`ndim_grid` grid; one band gets nb = 1."""
     states = np.asarray(states, dtype=complex)
     if states.ndim == ndim_grid + 1:
         return states[..., None]
@@ -113,7 +106,7 @@ def zak_phase_wilson(states: np.ndarray) -> float:
     the loop closes periodically (u_{M+1} = u_1), so the periodic-gauge
     closure factor is included. Gauge invariant; result in (-pi, pi].
     """
-    frames = _as_frames(states)
+    frames = _frames_on_grid(states, 1)
     if frames.shape[0] < 2:
         raise ValueError("need at least 2 states around the loop")
     dets = _link_determinants(frames, np.roll(frames, -1, axis=0))

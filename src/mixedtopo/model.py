@@ -8,7 +8,7 @@ amplitude. Momenta live on [-pi, pi) and every built-in evaluator is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,10 +43,10 @@ class MomentumGrid:
             raise ValueError(f"grid must be at least 2x2, got {self.nx}x{self.ny}")
 
     def kx_values(self) -> np.ndarray:
-        return -np.pi + 2 * np.pi * np.arange(self.nx) / self.nx
+        return momentum_line(self.nx)
 
     def ky_values(self) -> np.ndarray:
-        return -np.pi + 2 * np.pi * np.arange(self.ny) / self.ny
+        return momentum_line(self.ny)
 
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(kxs, kys) of shape (nx, ny) on the "ij" mesh: kxs[ix, iy] = kx_ix."""
@@ -100,7 +100,6 @@ class BlochModel:
     p: int
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "custom"
-    parameters: dict = field(default_factory=dict)
 
     def matrix(self, kx, ky) -> np.ndarray:
         """Bloch matrices (*S, p, p) at momenta broadcast to shape S, in one evaluator call.
@@ -118,8 +117,7 @@ def qwz_model(alpha: float = 1.0, gamma: float = 3.0, m: float = 1.0) -> BlochMo
     def evaluate(kx, ky):
         return bloch_matrix_from_d(qwz_d_vector(kx, ky, alpha, gamma, m))
 
-    return BlochModel(p=2, evaluator=evaluate, name="qwz",
-                      parameters={"alpha": alpha, "gamma": gamma, "m": m})
+    return BlochModel(p=2, evaluator=evaluate, name="qwz")
 
 
 def atomic_model(d=(0.0, 0.0, 1.0)) -> BlochModel:
@@ -129,8 +127,7 @@ def atomic_model(d=(0.0, 0.0, 1.0)) -> BlochModel:
     def evaluate(kx, ky):
         return h  # BlochModel.matrix broadcasts it over the momenta
 
-    return BlochModel(p=2, evaluator=evaluate, name="atomic",
-                      parameters={"d": tuple(float(c) for c in d)})
+    return BlochModel(p=2, evaluator=evaluate, name="atomic")
 
 
 def tabulated_model(grid: MomentumGrid, values: np.ndarray, name: str = "tabulated") -> BlochModel:
@@ -164,14 +161,6 @@ def grid_lookup(grid: MomentumGrid, values: np.ndarray, kx, ky) -> np.ndarray:
     return values[_grid_index(kx, grid.nx), _grid_index(ky, grid.ny)]
 
 
-@dataclass(frozen=True)
-class BandSystem:
-    """Ascending eigenvalues and gauge-fixed orthonormal eigenvectors (columns)."""
-
-    energies: np.ndarray
-    states: np.ndarray  # states[:, n] is the n-th band vector
-
-
 def _check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix",
                      momenta=None):
     """Raise NonHermitianError at the first stacked matrix off by more than atol (or NaN).
@@ -197,19 +186,14 @@ def _gauge_fix(vectors: np.ndarray) -> np.ndarray:
     return vectors * phase.conj()
 
 
-def band_system(h: np.ndarray) -> BandSystem:
-    """Diagonalize a Hermitian Bloch matrix with a deterministic gauge.
+def band_systems(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(energies (..., p), states (..., p, p)) of Hermitian matrices (..., p, p) with a
+    deterministic gauge; states[..., :, n] is the n-th band vector.
 
     Eigenvalues ascend; each eigenvector is rephased so its largest-magnitude
     component (lowest index on ties) is real and positive, making repeated
     calls bitwise reproducible.
     """
-    energies, states = band_systems(h)
-    return BandSystem(energies=energies, states=states)
-
-
-def band_systems(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched band_system over stacked matrices (..., p, p)."""
     hs = np.asarray(hs, dtype=complex)
     _check_hermitian(hs, what="band_systems input")
     energies, vectors = np.linalg.eigh(hs)

@@ -21,7 +21,7 @@ unchanged as references for the closed-form reflectors.
 import numpy as np
 
 from mixedtopo.egp import PIVOT_FLOOR
-from mixedtopo.gaussian import hfict_line
+from mixedtopo.gaussian import hfict_lines
 
 
 def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:
 def chain_correlation_matrix(spec, direction: str, transverse_k: float,
                              n_cells: int) -> np.ndarray:
     """L x L correlation matrix of the chain cut out of a 2D Gaussian state."""
-    return correlation_from_hfict_line(hfict_line(spec, direction, transverse_k, n_cells))
+    return correlation_from_hfict_line(hfict_lines(spec, direction, [transverse_k], n_cells)[0])
 
 
 def chain_traces_loop(lines) -> tuple[np.ndarray, np.ndarray]:

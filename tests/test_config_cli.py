@@ -507,7 +507,7 @@ def test_cli_tabulated_hfict_state(tmp_path, qwz):
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
     hgrid = mt.fictitious_grid(spec, mt.MomentumGrid(8, 8))
     state_path = tmp_path / "state.dat"
-    mt.save_hfict_grid(state_path, hgrid)
+    mt.save_matrix_grid(state_path, hgrid.grid, hgrid.values)
     cfg = write_config(tmp_path / "c.txt",
                        "model = qwz\ngrid_nx = 8\ngrid_ny = 8\n"
                        f"hfict_path = {state_path}\ndirections = x\n")
@@ -520,7 +520,7 @@ def test_cli_tabulated_hfict_state(tmp_path, qwz):
 def _save_state(tmp_path, qwz, nx, ny):
     hgrid = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(nx, ny))
     path = tmp_path / "state.dat"
-    mt.save_hfict_grid(path, hgrid)
+    mt.save_matrix_grid(path, hgrid.grid, hgrid.values)
     return path
 
 
@@ -634,7 +634,8 @@ def test_cli_chern_tabulated_matches_per_k_oracle(tmp_path, qwz):
     out = tmp_path / "out"
     assert main(["chern", "--config", cfg, "--out", str(out)]) == 0
     model = mt.tabulated_model(*mt.load_matrix_grid(model_path))
-    spec = mt.GaussianStateSpec.from_grid(mt.load_hfict_grid(state_path))
+    hgrid = mt.FictitiousHamiltonianGrid(*mt.load_matrix_grid(state_path))
+    spec = mt.GaussianStateSpec.from_grid(hgrid)
     _assert_chern_outputs_match_per_k(
         out, tmp_path,
         {"h": model.matrix, "hfict": lambda kx, ky: mt.fictitious_hamiltonian(spec, kx, ky)},

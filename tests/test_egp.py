@@ -12,7 +12,7 @@ from chain_oracle import (chain_correlation_matrix, chain_traces_loop, chain_tra
 from conftest import random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
-from mixedtopo.gaussian import hfict_line, hfict_lines
+from mixedtopo.gaussian import hfict_lines
 
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
@@ -181,7 +181,7 @@ def test_exact_half_occupation_amplitude_is_zero():
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phase, log_magnitude = mt.chain_traces(hfict_line(spec, "x", 0.1, 4))
+        phase, log_magnitude = mt.chain_traces(hfict_lines(spec, "x", [0.1], 4)[0])
         with pytest.raises(mt.AmplitudeZeroError):
             mt.egp_component(spec, "x", 0.1, 4)
     assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
@@ -208,7 +208,7 @@ def test_exact_half_occupation_even_chains_are_exact_zeros(direction, n_cells):
     """det[(1 + S) / 2] = 0 at every even N: a pivot below the floor reports it as
     -inf with phase 0, where rounding would leave a finite modulus near e^-80."""
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.atomic_model((0.0, 0.0, 0.0)))
-    phase, log_magnitude = mt.chain_traces(hfict_line(spec, direction, 0.1, n_cells))
+    phase, log_magnitude = mt.chain_traces(hfict_lines(spec, direction, [0.1], n_cells)[0])
     assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
     with pytest.raises(mt.AmplitudeZeroError):
         mt.egp_component(spec, direction, 0.1, n_cells)
@@ -230,7 +230,7 @@ def test_two_cell_chain_through_time_reversal_points_is_an_exact_zero(qwz, beta)
     determinant is (1 - a)(1 - b) - a b = 1 - a - b = 0 with a + b = 1."""
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
     for direction in ("x", "y"):
-        phase, log_magnitude = mt.chain_traces(hfict_line(spec, direction, 0.0, 2))
+        phase, log_magnitude = mt.chain_traces(hfict_lines(spec, direction, [0.0], 2)[0])
         assert (float(phase), float(log_magnitude)) == (0.0, -math.inf)
 
 
@@ -384,7 +384,7 @@ def test_chain_traces_match_real_space_random_lines(p, n_cells):
 def test_chain_traces_match_real_space_qwz(qwz, beta):
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
     for n_cells in (2, 3, 6, 7, 10, 50):
-        _assert_matches_real_space(hfict_line(spec, "y", 0.7, n_cells))
+        _assert_matches_real_space(hfict_lines(spec, "y", [0.7], n_cells)[0])
 
 
 def test_chain_traces_batch_equals_single_chains(qwz):

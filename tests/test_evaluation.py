@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 import mixedtopo as mt
 from mixedtopo import cli, config
 from conftest import random_hermitian
+from mixedtopo.model import band_systems
 from per_k_oracle import stack_per_k
 
 TAB_GRID = mt.MomentumGrid(6, 5)
@@ -75,7 +76,7 @@ def test_non_finite_evaluator_output_raises_non_hermitian_naming_k():
     with pytest.raises(mt.NonHermitianError):
         mt.band_gap(model, mt.MomentumGrid(8, 8), 0.0)
     with pytest.raises(mt.NonHermitianError):
-        mt.band_system(np.full((2, 2), np.nan, dtype=complex))
+        band_systems(np.full((2, 2), np.nan, dtype=complex))
 
 
 # ---------------------------------------------------------------- call counts

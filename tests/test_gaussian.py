@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 import mixedtopo as mt
 from chain_oracle import chain_correlation_matrix, correlation_from_hfict_line
 from conftest import random_hermitian
-from mixedtopo.gaussian import hfict_line, hfict_lines
-from mixedtopo.model import line_momenta
+from mixedtopo.gaussian import _fermi_lines, hfict_lines
+from mixedtopo.model import _LineSpectra, line_momenta
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -246,8 +246,8 @@ def test_hfict_grid_file_roundtrip(tmp_path, qwz):
     grid = mt.MomentumGrid(4, 3)
     hgrid = mt.fictitious_grid(spec, grid)
     path = tmp_path / "state.dat"
-    mt.save_hfict_grid(path, hgrid)
-    loaded = mt.load_hfict_grid(path)
+    mt.save_matrix_grid(path, hgrid.grid, hgrid.values)
+    loaded = mt.FictitiousHamiltonianGrid(*mt.load_matrix_grid(path))
     assert loaded.grid == hgrid.grid
     assert np.abs(loaded.values - hgrid.values).max() == 0.0
 
@@ -255,15 +255,19 @@ def test_hfict_grid_file_roundtrip(tmp_path, qwz):
 @pytest.mark.parametrize("beta", [0.3, 2.0, math.inf])
 @pytest.mark.parametrize("direction", ["x", "y"])
 def test_thermal_hfict_lines_equal_fictitious_hamiltonian(qwz, direction, beta):
-    """The line-spectrum cache gives bit for bit the hfict of one eigh over the same mesh."""
+    """hfict_lines and the line-spectrum cache the scan shares give bit for bit the
+    hfict of one eigh over the same mesh."""
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
     transverse = mt.momentum_line(7) + 0.05
+    cache = _LineSpectra(qwz, direction, transverse)
     for n_cells in (2, 9, 16):
         kxs, kys = line_momenta(direction, mt.momentum_line(n_cells)[None, :],
                                 transverse[:, None])
+        expected = mt.fictitious_hamiltonian(spec, kxs, kys).tobytes()
         lines = hfict_lines(spec, direction, transverse, n_cells)
         assert lines.shape == (7, n_cells, 2, 2)
-        assert lines.tobytes() == mt.fictitious_hamiltonian(spec, kxs, kys).tobytes()
+        assert lines.tobytes() == expected
+        assert _fermi_lines(cache, n_cells, beta, 0.0).tobytes() == expected
 
 
 def test_tabulated_spec_matches_thermal(qwz):
@@ -281,16 +285,34 @@ def test_tabulated_spec_rejects_mismatched_chain(qwz):
     tab = mt.GaussianStateSpec.from_grid(
         mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(6, 6)))
     with pytest.raises(ValueError):
-        hfict_line(tab, "x", 0.0, 5)
+        hfict_lines(tab, "x", [0.0], 5)
     with pytest.raises(ValueError):
-        hfict_line(tab, "x", 0.1234, 6)  # off-grid transverse k
+        hfict_lines(tab, "x", [0.1234], 6)  # off-grid transverse k
+
+
+@pytest.mark.parametrize("direction, stored, transverse_count", [("x", 6, 5), ("y", 5, 6)])
+def test_tabulated_spec_fixes_chain_length(qwz, direction, stored, transverse_count):
+    """The stored grid fixes n_cells; every entry point refuses another length
+    with the one error naming the stored length."""
+    tab = mt.GaussianStateSpec.from_grid(
+        mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(6, 5)))
+    transverse_k = mt.momentum_line(transverse_count)[1]
+    wrong = stored + 1
+    message = f"tabulated spec fixes n_cells = {stored} for {direction} chains"
+    with pytest.raises(ValueError, match=message):
+        hfict_lines(tab, direction, [transverse_k], wrong)
+    with pytest.raises(ValueError, match=message):
+        mt.egp_profile(tab, direction, wrong, None)
+    with pytest.raises(ValueError, match=message):
+        mt.egp_component(tab, direction, transverse_k, wrong)
+    assert hfict_lines(tab, direction, [transverse_k], stored).shape == (1, stored, 2, 2)
 
 
 def test_tabulated_spec_enforces_generalized_gap(qwz):
     hot = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1e-4, 0.0, qwz), mt.MomentumGrid(6, 6))
     spec = mt.GaussianStateSpec.from_grid(hot)  # loading/saving is fine
     with pytest.raises(mt.GapError):
-        hfict_line(spec, "x", hot.grid.ky_values()[0], 6)
+        hfict_lines(spec, "x", [hot.grid.ky_values()[0]], 6)
 
 
 def test_hfict_grid_rejects_bad_spectrum():
@@ -327,7 +349,8 @@ def test_spec_validation(qwz):
 def test_load_matrix_grid_rejects_non_finite_entry(tmp_path, qwz):
     grid = mt.MomentumGrid(8, 8)
     path = tmp_path / "state.dat"
-    mt.save_hfict_grid(path, mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), grid))
+    hgrid = mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), grid)
+    mt.save_matrix_grid(path, grid, hgrid.values)
     lines = path.read_text().splitlines()
     ix, iy, row, p = 3, 5, 1, 2
     line = 1 + (ix * grid.ny + iy) * p + row
@@ -363,7 +386,8 @@ def load_matrix_grid_per_token(path):
 def _grid_file_lines(tmp_path, qwz):
     path = tmp_path / "state.dat"
     spec = mt.GaussianStateSpec.thermal(1.3, 0.0, qwz)
-    mt.save_hfict_grid(path, mt.fictitious_grid(spec, mt.MomentumGrid(6, 5)))
+    grid = mt.MomentumGrid(6, 5)
+    mt.save_matrix_grid(path, grid, mt.fictitious_grid(spec, grid).values)
     return path, path.read_text().splitlines()
 
 

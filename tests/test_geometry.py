@@ -69,6 +69,16 @@ def test_zak_ill_conditioned_loop():
         mt.zak_phase_wilson(states)
 
 
+def test_zak_rejects_stacked_loops(qwz):
+    """A loop of frames is (M, p) or (M, p, nb); a stack of loops is refused,
+    not summed into one meaningless phase."""
+    loop = qwz_band_line(qwz, 0.9, 24)[..., None]
+    with pytest.raises(ValueError, match="rank 4"):
+        mt.zak_phase_wilson(np.stack([loop, loop]))
+    with pytest.raises(ValueError, match="rank 1"):
+        mt.zak_phase_wilson(loop[:, 0, 0])
+
+
 def test_curvature_atomic_limit():
     states = np.tile(np.array([1.0, 0.0], dtype=complex), (8, 8, 1))
     field = mt.berry_curvature_plaquette(states)
