@@ -27,6 +27,7 @@ from .model import (
     BlochModel,
     MomentumGrid,
     _check_hermitian,
+    _eigh,
     _LineSpectra,
     _matrices,
     fermi_weights,
@@ -55,7 +56,7 @@ class FictitiousHamiltonianGrid:
             raise ValueError(f"values shape {values.shape} does not match grid "
                              f"({self.grid.nx}, {self.grid.ny}, p, p)")
         _check_hermitian(values, what="fictitious Hamiltonian grid")
-        occ = np.linalg.eigvalsh(values)
+        occ, _ = _eigh(values)
         if occ.min() < -OCCUPATION_ATOL or occ.max() > 1 + OCCUPATION_ATOL:
             raise ValueError(
                 f"occupation spectrum outside [0, 1]: [{occ.min():.3e}, {occ.max():.3e}]")
@@ -184,7 +185,7 @@ def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
     """
     if not spec.is_thermal:
         return grid_lookup(spec.hfict_grid.grid, spec.hfict_grid.values, kx, ky)
-    return _fermi_covariance(*np.linalg.eigh(spec.model.matrix(kx, ky)), spec.beta, spec.mu)
+    return _fermi_covariance(*_eigh(spec.model.matrix(kx, ky)), spec.beta, spec.mu)
 
 
 def _fermi_covariance(energies, vectors, beta, mu: float) -> np.ndarray:

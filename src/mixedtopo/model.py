@@ -143,22 +143,24 @@ def tabulated_model(grid: MomentumGrid, values: np.ndarray, name: str = "tabulat
     return BlochModel(p=p, evaluator=evaluate, name=name)
 
 
-def _grid_index(k, n: int, atol: float = 1e-12) -> np.ndarray:
-    """Indices of momenta among the n uniform samples -pi + 2pi j/n.
+def _grid_index(k, n: int, axis: str, atol: float = 1e-12) -> np.ndarray:
+    """Indices of momenta among the n uniform samples -pi + 2pi j/n along `axis`.
 
-    Raises ValueError naming the first off-grid (or non-finite) momentum.
+    Raises ValueError naming the axis, the first off-grid (or non-finite)
+    momentum and n.
     """
     k = np.asarray(k, dtype=float)
     j = np.rint((k + np.pi) * n / (2 * np.pi)) % n
     off = ~(np.abs(wrap_momentum(k - (-np.pi + 2 * np.pi * j / n))) <= atol)
     if off.any():
-        raise ValueError(f"momentum {k[off][0]!r} is not a grid sample (n={n})")
+        raise ValueError(f"{axis} = {float(k[off][0])!r} is not a grid sample: the stored "
+                         f"grid has {n} samples along {axis}")
     return j.astype(int)
 
 
 def grid_lookup(grid: MomentumGrid, values: np.ndarray, kx, ky) -> np.ndarray:
     """Stored samples values[ix, iy] at broadcast momenta that hit `grid` points."""
-    return values[_grid_index(kx, grid.nx), _grid_index(ky, grid.ny)]
+    return values[_grid_index(kx, grid.nx, "kx"), _grid_index(ky, grid.ny, "ky")]
 
 
 def _check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix",
@@ -196,8 +198,45 @@ def band_systems(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     hs = np.asarray(hs, dtype=complex)
     _check_hermitian(hs, what="band_systems input")
-    energies, vectors = np.linalg.eigh(hs)
+    energies, vectors = _eigh(hs)
     return energies, _gauge_fix(vectors)
+
+
+def _eigh(hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What np.linalg.eigh returns for Hermitian stacks (..., p, p): ascending energies
+    (..., p) and orthonormal column vectors (..., p, p); in closed form for p = 2.
+
+    Like LAPACK, the closed form reads the real diagonal and b = h[1, 0]. With
+    a = (h00 + h11)/2, dz = (h00 - h11)/2 and r = |(b, dz)| the energies are
+    a -/+ r. The lower vector is the null vector of the row of h - (a - r)
+    whose diagonal entry is |dz| + r, so nothing cancels: (-conj(b), dz + r)
+    for dz > 0, else (r - dz, -b), taken as (1, 0) at r = 0 so that the basis
+    is then the identity. The upper vector is its orthogonal complement. (b, dz)
+    is first scaled by a power of two to a largest component in [1/2, 1),
+    exactly, so no norm overflows or loses subnormal digits. Other p go to
+    LAPACK.
+    """
+    hs = np.asarray(hs)
+    if hs.shape[-2:] != (2, 2):
+        return np.linalg.eigh(hs)
+    top, bottom, b = hs[..., 0, 0].real, hs[..., 1, 1].real, hs[..., 1, 0]
+    dz = top / 2 - bottom / 2
+    _, exponent = np.frexp(np.maximum(np.maximum(np.abs(b.real), np.abs(b.imag)), np.abs(dz)))
+    re, im, z = (np.ldexp(part, -exponent) for part in (b.real, b.imag, dz))
+    modulus = np.hypot(re, im)
+    rho = np.hypot(modulus, z)
+    mean, r = top / 2 + bottom / 2, np.ldexp(rho, exponent)
+    energies = np.stack([mean - r, mean + r], axis=-1)
+
+    diagonal = np.where(rho == 0, 1.0, np.abs(z) + rho)
+    norm = np.hypot(modulus, diagonal)
+    u, diagonal = (re + 1j * im) / norm, diagonal / norm
+    up = z > 0
+    x, y = np.where(up, -u.conj(), diagonal), np.where(up, diagonal, -u)
+    vectors = np.empty(np.shape(b) + (2, 2), dtype=complex)
+    vectors[..., 0, 0], vectors[..., 1, 0] = x, y
+    vectors[..., 0, 1], vectors[..., 1, 1] = -y.conj(), x.conj()
+    return energies, vectors
 
 
 def bands_below(energies: np.ndarray, mu: float, kxs, kys) -> int:
@@ -242,8 +281,8 @@ def _gap_at(energies: np.ndarray, mu: float, kxs, kys) -> float:
 # ------------------------------------------------------------ spectral layer
 #
 # Every thermal quantity is V diag(w) V^dag over one eigh of the Bloch
-# matrices: Fermi occupations give the covariance (EGP, Chern), Boltzmann
-# weights the density matrix (Uhlmann).
+# matrices (`_eigh`): Fermi occupations give the covariance (EGP, Chern),
+# Boltzmann weights the density matrix (Uhlmann).
 
 def fermi_weights(energies: np.ndarray, beta, mu: float) -> np.ndarray:
     """Occupations 1/(e^{beta (e - mu)} + 1); beta = inf fills strictly below mu.
@@ -344,7 +383,7 @@ class _LineSpectra:
 
     def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         kxs, kys = line_momenta(self.direction, ks[None, :], self.transverse[:, None])
-        energies, vectors = np.linalg.eigh(self.model.matrix(kxs, kys))
+        energies, vectors = _eigh(self.model.matrix(kxs, kys))
         return np.ascontiguousarray(np.moveaxis(energies, -1, 0)), _planes(vectors)
 
     def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:

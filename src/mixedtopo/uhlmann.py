@@ -34,6 +34,7 @@ from .model import (
     BlochModel,
     MomentumGrid,
     _boltzmann,
+    _eigh,
     _LineSpectra,
     _matrices,
     _planes,
@@ -63,7 +64,7 @@ CAUCHY_TOL = 1e-4
 
 def thermal_density_k(model: BlochModel, beta: float, mu: float, kx, ky) -> np.ndarray:
     """rho(k) = e^{-beta (h(k) - mu)} / Tr[...] at broadcast momenta; finite beta only."""
-    energies, vectors = np.linalg.eigh(model.matrix(kx, ky))
+    energies, vectors = _eigh(model.matrix(kx, ky))
     return spectral_sum(vectors, boltzmann_weights(energies, beta, mu))
 
 
@@ -95,7 +96,7 @@ class DensityMatrixPath:
                              f"(worst deviation {trace_dev:.3e})")
         if not np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12:
             raise ValueError("path matrices must be Hermitian")
-        weights, vectors = np.linalg.eigh(rhos)
+        weights, vectors = _eigh(rhos)
         if not weights.min() >= -1e-12:
             raise ValueError(f"path matrices must be positive semi-definite "
                              f"(min eigenvalue {weights.min():.3e})")

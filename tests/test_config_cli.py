@@ -9,6 +9,7 @@ import mixedtopo as mt
 from mixedtopo import config, serialize, uhlmann
 from mixedtopo.cli import SUBCOMMANDS, main
 from mixedtopo.config import parse_config
+from conftest import count_eigh
 from per_k_oracle import frames_per_k
 
 
@@ -272,14 +273,7 @@ def test_cli_egp_profile_takes_one_gap(tmp_path, monkeypatch):
 def test_cli_egp_profile_shares_line_spectra(tmp_path, monkeypatch):
     """One line-spectrum cache per direction on the profile recipe: N = 10 and 50 are
     diagonalized once, N = 100 adds only its odd points, both temperatures reuse them."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(a, *args, **kwargs):
-        calls.append(np.shape(a)[:-2])
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = count_eigh(monkeypatch)
     recipe = pathlib.Path(__file__).parent.parent / "scripts" / "egp_profiles.cfg"
     out = tmp_path / "out"
     assert main(["egp-profile", "--config", str(recipe), "--out", str(out)]) == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 import mixedtopo as mt
 from chain_oracle import (chain_correlation_matrix, chain_traces_loop, chain_traces_qr,
                           correlation_from_hfict_line)
-from conftest import random_hermitian, random_unitary
+from conftest import count_eigh, lapack_eigh, random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
 from mixedtopo.gaussian import hfict_lines
@@ -454,18 +454,40 @@ def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeyp
     expected = [(n, abs(mt.principal_branch(
         mt.egp_component(spec, direction, 0.7, n).phase
         - mt.egp_component(spec.pure_limit(), direction, 0.7, n).phase))) for n in (10, 20, 25)]
-    counts = []
-    original = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        counts.append(int(np.prod(np.shape(a)[:-2])))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    calls = count_eigh(monkeypatch)
     got = mt.gauge_reduction_deviation(spec, direction, 0.7, [10, 20, 25])
     assert [n for n, _ in got] == [10, 20, 25]
     assert [d for _, d in got] == pytest.approx([d for _, d in expected], rel=1e-10, abs=1e-15)
-    assert counts == [10, 10, 25]
+    assert [math.prod(shape) for shape in calls] == [10, 10, 25]
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_gauge_reduction_closed_form_matches_lapack_route(qwz, qwz_gap, monkeypatch, direction):
+    """The recipe's N = 10^3 and 10^4 at T = 20 gap and k = pi/3: closed-form spectra give
+    the deviations of LAPACK spectra within 1e-13 and their log-log slope within 1e-6."""
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    closed = mt.gauge_reduction_deviation(spec, direction, np.pi / 3, [1000, 10000])
+    lapack_eigh(monkeypatch)
+    lapack = mt.gauge_reduction_deviation(spec, direction, np.pi / 3, [1000, 10000])
+    assert [n for n, _ in closed] == [n for n, _ in lapack] == [1000, 10000]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(closed, lapack)) <= 1e-13
+    assert abs(mt.gauge_reduction_exponent(closed) - mt.gauge_reduction_exponent(lapack)) <= 1e-6
+
+
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_egp_profile_closed_form_matches_lapack_route(qwz, qwz_gap, monkeypatch, direction):
+    """The profile recipe's chains, N = 10, 50 and 100 on 128 lines at T = 0 and 20 gap:
+    closed-form spectra give the phases of LAPACK spectra within 1e-12."""
+    specs = [mt.GaussianStateSpec.thermal(beta, 0.0, qwz) for beta in (math.inf, 1 / (20 * qwz_gap))]
+
+    def profiles():
+        return [mt.egp_profile(spec, direction, n, 128).phases
+                for spec in specs for n in (10, 50, 100)]
+
+    closed = profiles()
+    lapack_eigh(monkeypatch)
+    for got, expected in zip(closed, profiles(), strict=True):
+        assert np.abs(mt.principal_branch(got - expected)).max() <= 1e-12
 
 
 def test_gauge_reduction_requires_ascending():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -306,6 +307,23 @@ def test_tabulated_spec_fixes_chain_length(qwz, direction, stored, transverse_co
     with pytest.raises(ValueError, match=message):
         mt.egp_component(tab, direction, transverse_k, wrong)
     assert hfict_lines(tab, direction, [transverse_k], stored).shape == (1, stored, 2, 2)
+
+
+@pytest.mark.parametrize("direction, axis, stored", [("x", "ky", 5), ("y", "kx", 6)])
+def test_tabulated_spec_names_an_off_grid_transverse_momentum(qwz, direction, axis, stored):
+    """A transverse momentum off the stored 6 x 5 grid is named by its axis, as a plain
+    float, with the stored length along that axis."""
+    tab = mt.GaussianStateSpec.from_grid(
+        mt.fictitious_grid(mt.GaussianStateSpec.thermal(1.0, 0.0, qwz), mt.MomentumGrid(6, 5)))
+
+    def message(k):
+        return (rf"^{axis} = {re.escape(repr(k))} is not a grid sample: "
+                rf"the stored grid has {stored} samples along {axis}$")
+
+    with pytest.raises(ValueError, match=message(float(mt.momentum_line(7)[1]))):
+        mt.egp_profile(tab, direction, None, 7)
+    with pytest.raises(ValueError, match=message(0.3)):
+        mt.egp_component(tab, direction, 0.3, None)
 
 
 def test_tabulated_spec_enforces_generalized_gap(qwz):

@@ -1,10 +1,15 @@
+import warnings
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from conftest import random_hermitian
-from mixedtopo.model import band_systems
+from mixedtopo.model import _eigh, band_systems
+
+EPS = np.finfo(float).eps
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -157,6 +162,141 @@ def test_random_hermitian_band_systems_orthonormal(seed):
     energies, states = band_systems(h)
     assert np.all(np.diff(energies) >= 0)
     assert np.abs(states.conj().T @ states - np.eye(4)).max() <= 1e-10
+
+
+# ------------------------------------------------------------ _eigh against LAPACK
+
+def _exact_energies(hs: np.ndarray) -> list:
+    """(a - r, a + r, |a| + r) of each 2 x 2 Hermitian matrix in 60-digit decimals."""
+    out = []
+    with localcontext() as context:
+        context.prec = 60
+        for h in hs.reshape(-1, 2, 2):
+            top, bottom = Decimal(h[0, 0].real), Decimal(h[1, 1].real)
+            re, im = Decimal(h[1, 0].real), Decimal(h[1, 0].imag)
+            mean, dz = (top + bottom) / 2, (top - bottom) / 2
+            r = (dz * dz + re * re + im * im).sqrt()
+            out.append((mean - r, mean + r, abs(mean) + r))
+    return out
+
+
+def _assert_eigh_oracle(hs: np.ndarray):
+    """_eigh(hs) is an eigendecomposition as accurate as np.linalg.eigh's.
+
+    Energies ascend and lie within 4 eps ||h|| of the exact ones. Against
+    eigvalsh the bound is 8 eps ||h||: LAPACK's own 2 x 2 energies are off the
+    exact ones by up to 6 eps ||h|| on random matrices. ||hV - VE|| <= 8 eps ||h||
+    and ||V^dag V - 1|| <= 1e-14, with ||h|| the spectral norm.
+    """
+    energies, vectors = _eigh(hs)
+    assert energies.shape == hs.shape[:-1] and vectors.shape == hs.shape
+    assert (np.diff(energies, axis=-1) >= 0).all()
+    with localcontext() as context:
+        context.prec = 60
+        for (low, high), (exact_low, exact_high, norm) in zip(energies.reshape(-1, 2),
+                                                              _exact_energies(hs)):
+            bound = 4 * Decimal(EPS) * norm
+            assert abs(Decimal(low) - exact_low) <= bound
+            assert abs(Decimal(high) - exact_high) <= bound
+    norm = np.abs(np.linalg.eigvalsh(hs)).max(axis=-1, keepdims=True)
+    assert (np.abs(energies - np.linalg.eigvalsh(hs)) <= 8 * EPS * norm).all()
+    residual = np.linalg.norm(hs @ vectors - vectors * energies[..., None, :], axis=(-2, -1))
+    assert (residual <= 8 * EPS * norm[..., 0]).all()
+    gram = np.swapaxes(vectors.conj(), -1, -2) @ vectors
+    assert np.abs(gram - np.eye(2)).max(initial=0.0) <= 1e-14
+
+
+@given(shape=st.lists(st.integers(min_value=0, max_value=3), max_size=3),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       exponent=st.integers(min_value=-40, max_value=40),
+       shift=st.sampled_from([0.0, 1.0, -1e3]),
+       split=st.sampled_from([1.0, 1e-9, 0.0]))
+def test_eigh_closed_form_matches_lapack(shape, seed, exponent, shift, split):
+    """Random 2 x 2 Hermitian stacks of any batch shape: a shifted, scaled d . sigma
+    whose d may be small (near-degenerate) or zero (a multiple of the identity)."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(3, *shape)) * split
+    hs = (mt.bloch_matrix_from_d(d) + (shift + rng.normal(size=shape))[..., None, None]
+          * np.eye(2)) * 2.0 ** exponent
+    _assert_eigh_oracle(hs)
+
+
+@pytest.mark.parametrize("h", [
+    np.zeros((2, 2)),
+    3.0 * np.eye(2),
+    -2.5 * np.eye(2),
+    np.diag([0.0, -0.0]),  # dz = +0.0
+    np.diag([-0.0, 0.0]),  # dz = -0.0
+    np.diag([-1.0, 2.0]),  # dz < 0
+    np.diag([2.0, -1.0]),  # dz > 0
+], ids=["zero", "identity", "negative_identity", "dz_plus_zero", "dz_minus_zero",
+        "dz_negative", "dz_positive"])
+def test_eigh_closed_form_diagonal_cases(h):
+    """Diagonal input: LAPACK's energies exactly, and each column its unit vector up to a
+    sign; at r = 0 (dz = +-0.0 and no b) the basis is the identity."""
+    h = h.astype(complex)
+    energies, vectors = _eigh(h)
+    assert np.array_equal(energies, np.linalg.eigvalsh(h))
+    assert np.array_equal(np.abs(vectors), np.abs(np.linalg.eigh(h)[1]))
+    if h[0, 0] == h[1, 1]:
+        assert np.array_equal(vectors, np.eye(2))
+    _assert_eigh_oracle(h)
+
+
+@pytest.mark.parametrize("b", [5e-324, 5e-324j, 1e-310 * (1 + 1j), 3e-320 - 7e-321j])
+@pytest.mark.parametrize("diagonal", [(1.0, 1.0), (1.0, 1.0 + EPS), (0.5, -0.25)])
+def test_eigh_closed_form_subnormal_coupling(b, diagonal):
+    """A subnormal |b| keeps the vectors orthonormal: (b, dz) is scaled before its norm."""
+    h = np.array([[diagonal[0], np.conj(b)], [b, diagonal[1]]])
+    _assert_eigh_oracle(h)
+    energies, vectors = _eigh(np.array([[0.0, np.conj(b)], [b, 0.0]]))
+    assert np.array_equal(energies, [-abs(b), abs(b)])
+    assert np.abs(vectors.conj().T @ vectors - np.eye(2)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 996, 2.0 ** -997])  # about 6.7e299 and 7.5e-301
+def test_eigh_closed_form_near_the_float_limits(scale):
+    """Entries near 1e+-300 give no RuntimeWarning, energies that scale exactly and the
+    vectors of the unscaled stack, bit for bit."""
+    rng = np.random.default_rng(7)
+    hs = np.stack([random_hermitian(rng, 2) for _ in range(64)] + [np.eye(2), np.diag([1, -1])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies, vectors = _eigh(hs * scale)
+    reference_energies, reference_vectors = _eigh(hs)
+    assert np.array_equal(energies, reference_energies * scale)
+    assert np.array_equal(vectors, reference_vectors)
+    _assert_eigh_oracle(hs)
+
+
+def test_eigh_closed_form_at_the_largest_float():
+    """h00 - h11 would overflow at +-2^1023; the halves taken first do not."""
+    top = 2.0 ** 1023
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies, vectors = _eigh(np.diag([top, -top]).astype(complex))
+    assert np.array_equal(energies, [-top, top])
+    assert np.array_equal(np.abs(vectors), [[0, 1], [1, 0]])
+
+
+def test_eigh_other_p_goes_to_lapack(monkeypatch):
+    """p = 3 (and p = 1) is np.linalg.eigh's result itself; p = 2 makes no LAPACK call."""
+    calls = []
+    lapack = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return lapack(a, *args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    stacks = [np.stack([random_hermitian(rng, p) for _ in range(5)]) for p in (3, 1)]
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    _eigh(np.stack([random_hermitian(rng, 2) for _ in range(5)]))
+    assert calls == []
+    for hs in stacks:
+        got, expected = _eigh(hs), lapack(hs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert calls == [(5, 3, 3), (5, 1, 1)]
 
 
 def test_boltzmann_weights_over_a_temperature_axis(qwz):

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from conftest import random_hermitian, random_unitary
+from conftest import count_eigh, random_hermitian, random_unitary
 from mixedtopo import egp, uhlmann
 from mixedtopo.egp import _egp_windings, _line_profile
 from mixedtopo.gaussian import _fermi_lines
@@ -120,39 +119,34 @@ def test_link_validates_its_pair_as_a_path(bad):
 def test_path_diagonalizes_once(qwz, monkeypatch):
     """One eigh over the path at construction; holonomy, phase and link reuse it."""
     rhos = mt.bz_loop_path(qwz, 2.0, 0.0, "x", 0.4, 64).rhos
-    calls = {"eigh": [], "eigvalsh": []}
-    for name in calls:
-        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name].append(int(np.prod(np.shape(a)[:-2])))
-            return _original(a, *args, **kwargs)
+    calls = {"eigh": count_eigh(monkeypatch), "eigvalsh": []}
+    eigvalsh = np.linalg.eigvalsh
 
-        monkeypatch.setattr(np.linalg, name, counting)
+    def counting(a, *args, **kwargs):
+        calls["eigvalsh"].append(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     path = mt.DensityMatrixPath(np.arange(64.0), rhos)
-    assert calls == {"eigh": [64], "eigvalsh": []}
+    assert calls == {"eigh": [(64,)], "eigvalsh": []}
     mt.uhlmann_holonomy(path)
     mt.uhlmann_phase(path)
-    assert calls == {"eigh": [64], "eigvalsh": []}
+    assert calls == {"eigh": [(64,)], "eigvalsh": []}
     mt.uhlmann_link(rhos[0], rhos[1])
-    assert calls == {"eigh": [64, 2], "eigvalsh": []}
+    assert calls == {"eigh": [(64,), (2,)], "eigvalsh": []}
 
 
 def _count_uhlmann_eigh(monkeypatch) -> list:
-    """Matrix counts of the np.linalg.eigh calls that the line-spectrum cache of
+    """Batch shapes of the `_eigh` calls that the line-spectrum cache of
     mixedtopo.model makes for the Uhlmann loops, that is, for a request from
     mixedtopo.uhlmann; the EGP chain meshes are requested from elsewhere."""
-    counts = []
-    original = np.linalg.eigh
+    return count_eigh(monkeypatch, lambda cache:  # _LineSpectra._eigh, from __call__
+                      cache.f_code is _LineSpectra._eigh.__code__
+                      and cache.f_back.f_back.f_globals.get("__name__") == "mixedtopo.uhlmann")
 
-    def counting(a, *args, **kwargs):
-        cache = sys._getframe(1)  # _LineSpectra._eigh, called by _LineSpectra.__call__
-        if (cache.f_globals.get("__name__") == "mixedtopo.model"
-                and cache.f_code is _LineSpectra._eigh.__code__
-                and cache.f_back.f_back.f_globals.get("__name__") == "mixedtopo.uhlmann"):
-            counts.append(int(np.prod(np.shape(a)[:-2])))
-        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return counts
+def _matrices_per_call(calls: list) -> list:
+    return [math.prod(shape) for shape in calls]
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -161,7 +155,7 @@ def test_profile_refinement_diagonalizes_each_point_once(qwz, monkeypatch, direc
     counts = _count_uhlmann_eigh(monkeypatch)
     _, used = mt.uhlmann_phase_profile(qwz, 1.0, 0.0, direction, mt.momentum_line(32), 512)
     assert used == 1024
-    assert counts == [32 * 512, 32 * 512]  # each of the 32 x 1024 points once
+    assert _matrices_per_call(counts) == [32 * 512, 32 * 512]  # each of the 32 x 1024 points once
 
 
 def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch):
@@ -174,7 +168,7 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
         reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array(temperatures) * qwz_gap, grid,
                                               n_cells=6)
         assert all(r.status == "ok" and r.uhlmann_path_points == 32 for r in reports)
-        per_scan.append(sum(counts))
+        per_scan.append(sum(_matrices_per_call(counts)))
     # each direction: 12 lines of 32 points, once; the certificate compares them with
     # their 16-point strided view, and every row is certified at 32 points
     assert per_scan == [2 * 12 * 32, 2 * 12 * 32]
@@ -183,23 +177,16 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
 def test_temperature_scan_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch):
     """Only the Fermi weights depend on beta: the EGP chain meshes are diagonalized
     once per scan, and the scan's EGP windings equal `egp_windings` at each row."""
-    counts = []
-    original = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        counts.append(int(np.prod(np.shape(a)[:-2])))
-        return original(a, *args, **kwargs)
-
     grid = mt.MomentumGrid(12, 12)
     temperatures = np.array([0.05, 0.5, 5.0]) * qwz_gap
     expected = [mt.egp_windings(mt.GaussianStateSpec.thermal(1 / t, 0.0, qwz), 6, 12)
                 for t in temperatures]
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    counts = count_eigh(monkeypatch)
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_cells=6)
     assert [(r.cx_egp, r.cy_egp) for r in reports] == expected
     # Uhlmann loops (2 x 12 x 32, certified at their first pass), ground state (12 x 12),
     # x and y chain meshes (12 x 6 each)
-    assert sum(counts) == 2 * 12 * 32 + 12 * 12 + 2 * 12 * 6
+    assert sum(_matrices_per_call(counts)) == 2 * 12 * 32 + 12 * 12 + 2 * 12 * 6
 
 
 # ------------------------------------------------------------------ transport kernel
@@ -392,8 +379,10 @@ def test_polar_closed_form_uses_given_determinant():
 
 
 def _svd_route(monkeypatch):
+    """The oracle route: SVD polar factors over LAPACK spectra, no closed form."""
     monkeypatch.setattr(uhlmann, "_polar_unitary", lambda products, det=None:
                         uhlmann._planes(svd_polar_unitary(uhlmann._matrices(products))))
+    monkeypatch.setattr(mt.model, "_eigh", np.linalg.eigh)
 
 
 # The SVD route is the less accurate one. The link products sqrt(rho_{i+1})
@@ -717,7 +706,7 @@ def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array([0.02, 0.5, 5.0]) * qwz_gap,
                                           mt.MomentumGrid(32, 32), n_cells=6)
     assert [(r.status, r.uhlmann_path_points) for r in reports] == [("ok", 32)] * 3
-    assert counts == [32 * 32, 32 * 32]
+    assert _matrices_per_call(counts) == [32 * 32, 32 * 32]
 
 
 def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
@@ -748,7 +737,7 @@ def test_windings_stop_where_only_the_transverse_grid_can_certify(qwz, qwz_gap, 
                        match=r"^Uhlmann y profile at 32 points: max step 3\.094 .* "
                              r"only a finer transverse grid can certify the winding$"):
         mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(5, 5))
-    assert counts == [5 * 32, 5 * 32]
+    assert _matrices_per_call(counts) == [5 * 32, 5 * 32]
 
 
 def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap, monkeypatch):
