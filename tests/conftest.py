@@ -45,7 +45,7 @@ def _rebind_eigh(monkeypatch, replacement):
 
 
 def lapack_eigh(monkeypatch):
-    """Every spectrum of the package from np.linalg.eigh: the route before the closed form."""
+    """Every spectrum of the package from np.linalg.eigh: the oracle route of the closed form."""
     _rebind_eigh(monkeypatch, np.linalg.eigh)
 
 
