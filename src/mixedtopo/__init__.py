@@ -24,6 +24,7 @@ from .model import (
     MomentumGrid,
     atomic_model,
     band_gap,
+    band_systems,
     bloch_matrix_from_d,
     boltzmann_weights,
     fermi_weights,
@@ -51,8 +52,6 @@ from .geometry import (
     chern_from_zak_windings,
     chern_number,
     principal_branch,
-    states_on_grid,
-    states_on_line,
     winding_of_phase_profile,
     zak_phase_wilson,
 )

@@ -84,17 +84,16 @@ def _reflect(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
     Column c below row c, a, is zeroed by H = 1 - 2 u u^dag / (u^dag u) with
     u = a - alpha e_0 and alpha = -e^{i arg a_0} ||a||, applied to rows c + 1
-    onwards of the later columns as whole-plane multiply-adds; row c of R is
-    never read, so it is not written. Each applied reflector has
-    det H = -1 and pivot r_cc = alpha, so it contributes |r_cc| = ||a|| and the
-    unit det(H) r_cc / |r_cc| = e^{i arg a_0}. Where |a_0| is 0 or subnormal,
-    any unit phase keeps H stable and e^{i arg a_0} = 1 is used. An exactly
-    zero column gets no reflector (det 1) and reports norm 0 and phase 1,
-    with no 0 / 0.
+    onwards of all later columns at once, one whole-block multiply-add per
+    row; row c of R is never read, so it is not written. Each applied
+    reflector has det H = -1 and pivot r_cc = alpha, so it contributes
+    |r_cc| = ||a|| and the unit det(H) r_cc / |r_cc| = e^{i arg a_0}. Where
+    |a_0| is 0 or subnormal, any unit phase keeps H stable and
+    e^{i arg a_0} = 1 is used. An exactly zero column gets no reflector
+    (det 1) and reports norm 0 and phase 1, with no 0 / 0.
     """
     shape, tiny = (steps,) + work.shape[2:], np.finfo(float).tiny
     norms, phases = np.empty(shape), np.ones(shape, dtype=complex)
-    dual, product = np.empty_like(work[:, 0]), np.empty_like(work[:, 0])
     for c in range(steps):
         u, norm, phase = work[c:, c], norms[c], phases[c]
         np.sqrt((np.square(u.real) + np.square(u.imag)).sum(axis=0), out=norm)
@@ -103,12 +102,12 @@ def _reflect(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         u[0] += phase * norm
         scale = norm * (norm + modulus)  # u^dag u / 2, zero only for a zero column
         np.divide(1.0, scale, out=scale, where=scale > 0)
-        np.conj(u, out=dual[c:])
-        dual[c:] *= scale
-        for k in range(c + 1, work.shape[1]):
-            column = work[c:, k]
-            weight = np.multiply(dual[c:], column, out=product[c:]).sum(axis=0)
-            column[1:] -= np.multiply(u[1:], weight, out=product[c + 1:])
+        rest, dual = work[c:, c + 1:], np.conj(u) * scale
+        weight = dual[0] * rest[0]
+        for row in range(1, len(u)):
+            weight += dual[row] * rest[row]
+        for row in range(1, len(u)):
+            rest[row] -= u[row] * weight
     return norms, phases
 
 

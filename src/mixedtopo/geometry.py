@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import QuantizationError, UnderResolvedError
-from .model import band_systems
 
 OVERLAP_MIN_MODULUS = 1e-8
 JUMP_MARGIN = 0.1
@@ -163,29 +162,3 @@ def chern_from_zak_windings(zak_x_profile: PhaseProfile,
     cx = -winding_of_phase_profile(zak_x_profile)
     cy = winding_of_phase_profile(zak_y_profile)
     return cx, cy
-
-
-def _select_bands(vectors: np.ndarray, bands) -> np.ndarray:
-    if isinstance(bands, (int, np.integer)):
-        return vectors[..., int(bands)]
-    return vectors[..., list(bands)]
-
-
-def states_on_line(matrix_fn, ks: np.ndarray, bands) -> np.ndarray:
-    """Gauge-fixed eigenvector frames along a k-line.
-
-    matrix_fn(ks) -> (M, p, p) Hermitian, called once on the whole line;
-    `bands` is an int (single band, returns (M, p)) or a sequence of band
-    indices (returns (M, p, nb)).
-    """
-    _, vectors = band_systems(matrix_fn(np.asarray(ks, dtype=float)))
-    return _select_bands(vectors, bands)
-
-
-def states_on_grid(matrix_fn, kxs: np.ndarray, kys: np.ndarray, bands) -> np.ndarray:
-    """Gauge-fixed eigenvector frames on the full (kx, ky) grid.
-
-    matrix_fn(KX, KY) -> (nx, ny, p, p), called once on the "ij" mesh.
-    """
-    _, vectors = band_systems(matrix_fn(*np.meshgrid(kxs, kys, indexing="ij")))
-    return _select_bands(vectors, bands)

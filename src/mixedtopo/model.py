@@ -370,15 +370,15 @@ class _LineSpectra:
     Boltzmann weights from it and the EGP chains their Fermi occupations, so
     one instance serves every temperature. The spectra are kept as entry
     planes, energies (p, T, M) and vectors (p, p, T, M), the Uhlmann
-    transport kernel's layout. Only the finest line diagonalized so far is
-    kept. A coarser line whose momenta are bitwise a stride of it is served as
-    a strided view, and a line of twice the points diagonalizes only its new
-    odd points.
+    transport kernel's layout. Only the last line asked for is kept: asked
+    for again it is served as it is, and a line of twice its points
+    diagonalizes only the new odd points. The even points need no check:
+    momentum_line(2M)[::2] is momentum_line(M) bit for bit, since doubling
+    both the index and the count scales the quotient by a power of two.
     """
 
     def __init__(self, model: BlochModel, direction: str, transverse: np.ndarray):
         self.model, self.direction, self.transverse = model, direction, transverse
-        self._ks = None  # momenta of the stored line
         self._energies = self._vectors = None
 
     def _eigh(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,23 +389,14 @@ class _LineSpectra:
     def __call__(self, n_points: int) -> tuple[np.ndarray, np.ndarray]:
         """(energies (p, T, M), vectors (p, p, T, M)) on the n_points-sample lines, as planes."""
         ks = momentum_line(n_points)
-        stored = 0 if self._ks is None else len(self._ks)
-        stride = stored // n_points
-        if stride and _same_bits(self._ks[::stride], ks):
-            return self._energies[..., ::stride], self._vectors[..., ::stride]
-        if n_points == 2 * stored and _same_bits(ks[::2], self._ks):
+        stored = 0 if self._energies is None else self._energies.shape[-1]
+        if n_points == 2 * stored:
             odd_energies, odd_vectors = self._eigh(ks[1::2])
-            energies = _interleave(self._energies, odd_energies)
-            vectors = _interleave(self._vectors, odd_vectors)
-        else:
-            energies, vectors = self._eigh(ks)
-        if n_points > stored:
-            self._ks, self._energies, self._vectors = ks, energies, vectors
-        return energies, vectors
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+            self._energies = _interleave(self._energies, odd_energies)
+            self._vectors = _interleave(self._vectors, odd_vectors)
+        elif n_points != stored:
+            self._energies, self._vectors = self._eigh(ks)
+        return self._energies, self._vectors
 
 
 def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:

@@ -367,8 +367,10 @@ def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
     return DensityMatrixPath(parameters=ks, rhos=rhos)
 
 
-def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int) -> list:
-    """Per beta of `betas`: the Uhlmann phases of the m-point loops, or the error refusing them.
+def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int,
+               step: int = 1) -> list:
+    """Per beta of `betas`: the Uhlmann phases of the loops through every `step`-th point of
+    the m-point lines, or the error refusing them.
 
     One `_transport` call takes the loops of every temperature, batched over
     (temperature, transverse, path). The spectra keep their exact Boltzmann
@@ -381,7 +383,7 @@ def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int) -> l
     raise and stays out of the transport; each other one gets what
     `_transport_error` finds on its own loops, or its phases.
     """
-    energies, vectors = spectra(m)
+    energies, vectors = (planes[..., ::step] for planes in spectra(m))
     weights, pure = _boltzmann(np.moveaxis(energies, 0, -1), betas, mu)
     results = [_underflow(beta) if underflowed else None for beta, underflowed in zip(betas, pure)]
     mixed = np.flatnonzero(~pure)
@@ -398,39 +400,37 @@ def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int) -> l
 
 
 def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: int,
-                refine: bool = True, certify: bool = False) -> list:
+                certify: bool = False) -> list:
     """Per beta of `betas`: (Uhlmann phases over the transverse momenta, path points used),
     or the MixedTopoError that stops them.
 
-    Each pass makes one `_phases_at` call for every temperature still open.
-    With `refine`, m doubles from `n_points` until a stop rule holds:
+    Each pass makes one `_phases_at` call for every temperature still open,
+    and m doubles from `n_points` until a stop rule holds:
 
     - by default (the phase functions), the phases change pointwise by less
       than CAUCHY_TOL from the previous pass;
     - with `certify` (the windings), the winding of the profile is certified.
       The path error of the m-point phases falls as m^-2, so it is estimated
       as e = max |phi_m - phi_c| / ((m/c)^2 - 1) from a coarse pass of c
-      points: c = m // 2 on the first pass (a strided view of the cached
-      spectra for even m), the previous pass after that. The profile of the
-      exact path then steps by less than max step + 2e, and the winding is
-      certified when that is below pi - JUMP_MARGIN, the bound
+      points: c = m / 2 on the first pass, every second point of the m-point
+      loops (an odd m skips it), the previous pass after that. The profile
+      of the exact path then steps by less than max step + 2e, and the
+      winding is certified when that is below pi - JUMP_MARGIN, the bound
       `winding_of_phase_profile` enforces. Where max step - 2e is not below
       it, no path can certify the winding, and UnderResolvedError stops the
       temperature at once.
 
-    Under refinement a pass whose links fail the LINK_IDENTITY_MAX check is
-    not yet converged, and doubles like any other; the temperatures that
-    double do so together, as a smaller batch. Past PATH_POINTS_CAP,
-    UnderResolvedError names the direction, the points and why the last pass
-    failed.
+    A pass whose links fail the LINK_IDENTITY_MAX check is not yet converged,
+    and doubles like any other; the temperatures that double do so together,
+    as a smaller batch. Past PATH_POINTS_CAP, UnderResolvedError names the
+    direction, the points and why the last pass failed.
     """
     results = [None] * len(betas)
     previous = [None] * len(betas)  # per temperature, the phases of `coarse` points
     m, coarse = n_points, 0
-    if certify and m >= 4:
-        spectra(m)  # the m-point loops first, so that for even m the coarse ones are a view
+    if certify and m % 2 == 0:
         coarse = m // 2
-        for row, phases in enumerate(_phases_at(spectra, betas, mu, coarse)):
+        for row, phases in enumerate(_phases_at(spectra, betas, mu, m, step=2)):
             if not isinstance(phases, MixedTopoError):
                 previous[row] = phases
             elif not isinstance(phases, UnderResolvedError):  # a failed link check only doubles
@@ -439,8 +439,7 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: i
     while rows:
         doubling = []
         for row, phases in zip(rows, _phases_at(spectra, betas[rows], mu, m)):
-            results[row], reason = _stop_rule(spectra, phases, previous[row], m, coarse,
-                                              refine, certify)
+            results[row], reason = _stop_rule(spectra, phases, previous[row], m, coarse, certify)
             if results[row] is not None:
                 continue
             if 2 * m > PATH_POINTS_CAP:
@@ -455,18 +454,16 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: i
 
 
 def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray], m: int,
-               coarse: int, refine: bool, certify: bool) -> tuple[object, str]:
+               coarse: int, certify: bool) -> tuple[object, str]:
     """(what one temperature's pass of m points ends with, or None; why it doubles).
 
     `phases` is the temperature's result from `_phases_at`, and `previous` its
     phases of `coarse` points, None where there are none; see `_refinement`.
     """
-    if refine and isinstance(phases, UnderResolvedError):  # a link too far from the identity
+    if isinstance(phases, UnderResolvedError):  # a link too far from the identity
         return None, str(phases)
     if isinstance(phases, MixedTopoError):
         return phases, ""
-    if not refine:
-        return (phases, m), ""
     if previous is None:
         return None, (f"the {coarse}-point pass failed the link check" if coarse
                       else "no coarser pass to compare with")
@@ -491,9 +488,14 @@ def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray], m:
 
 def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
                     refine: bool) -> tuple[np.ndarray, int]:
-    """(Uhlmann phases, path points used) of one temperature by `_refinement`; raises the
-    error that stops them."""
-    [result] = _refinement(spectra, np.array([beta], dtype=float), mu, n_points, refine)
+    """(Uhlmann phases, path points used) of one temperature, by `_refinement` or, without
+    `refine`, at n_points; raises the error that stops them."""
+    betas = np.array([beta], dtype=float)
+    if refine:
+        [result] = _refinement(spectra, betas, mu, n_points)
+    else:
+        [phases] = _phases_at(spectra, betas, mu, n_points)
+        result = phases if isinstance(phases, MixedTopoError) else (phases, n_points)
     if isinstance(result, MixedTopoError):
         raise result
     return result

@@ -44,7 +44,7 @@ def test_acceptance_1_gaussian_trace_oracle():
 
 def test_acceptance_2_ground_state_chern(qwz):
     t0 = time.time()
-    states = mt.states_on_grid(qwz.matrix, mt.momentum_line(32), mt.momentum_line(32), 0)
+    states = mt.band_systems(qwz.matrix(*mt.MomentumGrid(32, 32).mesh()))[1][..., 0]
     field = mt.berry_curvature_plaquette(states)
     total = field.total() / (2 * np.pi)
     chern = mt.chern_number(field)
@@ -126,8 +126,8 @@ def test_acceptance_7_pure_state_reduction(qwz):
     profile = mt.egp_profile(spec, "x", n_cells, 64)
     worst = 0.0
     for tk, phase in zip(profile.parameters, profile.phases):
-        states = mt.states_on_line(
-            lambda k: mt.fictitious_hamiltonian(spec, k, tk), mt.momentum_line(n_cells), 1)
+        states = mt.band_systems(
+            mt.fictitious_hamiltonian(spec, mt.momentum_line(n_cells), tk))[1][..., 1]
         zak = mt.zak_phase_wilson(states)
         worst = max(worst, abs(mt.principal_branch(phase - zak)))
     assert worst <= 1e-10
@@ -139,7 +139,7 @@ def test_acceptance_8_gauge_invariance_suite(qwz):
     rng = np.random.default_rng(7)
     trials = 100
 
-    zak_states = mt.states_on_line(lambda k: qwz.matrix(k, 0.8), mt.momentum_line(24), 0)
+    zak_states = mt.band_systems(qwz.matrix(mt.momentum_line(24), 0.8))[1][..., 0]
     zak_base = mt.zak_phase_wilson(zak_states)
     worst_zak = 0.0
     for _ in range(trials):
@@ -148,7 +148,7 @@ def test_acceptance_8_gauge_invariance_suite(qwz):
         worst_zak = max(worst_zak, abs(mt.principal_branch(moved - zak_base)))
     assert worst_zak <= 1e-10
 
-    grid_states = mt.states_on_grid(qwz.matrix, mt.momentum_line(8), mt.momentum_line(8), 0)
+    grid_states = mt.band_systems(qwz.matrix(*mt.MomentumGrid(8, 8).mesh()))[1][..., 0]
     base_field = mt.berry_curvature_plaquette(grid_states)
     worst_curv = 0.0
     for _ in range(trials):
@@ -182,16 +182,17 @@ def test_acceptance_8_gauge_invariance_suite(qwz):
 
 
 def test_acceptance_9_thermal_correspondence(qwz):
-    kxs = mt.momentum_line(24)
-    h_cherns = [mt.chern_number(mt.berry_curvature_plaquette(
-        mt.states_on_grid(qwz.matrix, kxs, kxs, band))) for band in range(2)]
+    mesh = mt.MomentumGrid(24, 24).mesh()
+    _, frames = mt.band_systems(qwz.matrix(*mesh))
+    h_cherns = [mt.chern_number(mt.berry_curvature_plaquette(frames[..., band]))
+                for band in range(2)]
     outcomes = {}
     for t_over_gap in (0.5, 5.0):
         beta = 1.0 / (t_over_gap * GAP)
         spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-        fict_cherns = [mt.chern_number(mt.berry_curvature_plaquette(
-            mt.states_on_grid(lambda kx, ky: mt.fictitious_hamiltonian(spec, kx, ky),
-                              kxs, kxs, band))) for band in range(2)]
+        _, frames = mt.band_systems(mt.fictitious_hamiltonian(spec, *mesh))
+        fict_cherns = [mt.chern_number(mt.berry_curvature_plaquette(frames[..., band]))
+                       for band in range(2)]
         outcomes[t_over_gap] = fict_cherns
         assert fict_cherns == h_cherns
     _report(9, f"per-band Chern of hfict equals h = {h_cherns} at T/gap in {{0.5, 5}}")

@@ -150,6 +150,17 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys):
     assert any(t["status"] == "error" for t in manifest["tasks"])
 
 
+def test_cli_numerical_error_while_resolving_exit_3(tmp_path, capsys):
+    """A temperature in gap units needs the gap at mu; mu inside a band stops the run
+    before any task, and no output directory is made."""
+    cfg = write_config(tmp_path / "c.txt",
+                       "model = qwz\ngrid_nx = 8\ngrid_ny = 8\ntemperature = 20\nmu = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["egp-winding", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("numerical error: mu=1.5 lies inside a band")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,key,value,extra", [
     ("egp-winding", "alpha", "inf", {}),
     ("egp-winding", "alpha", "nan", {}),
@@ -171,15 +182,33 @@ def test_cli_numerical_error_exit_3(tmp_path, capsys):
     ("egp-profile", "temperature_list", "20,20", {}),
     ("egp-profile", "chain_cells_list", "8,8", {}),
     ("egp-profile", "temperature_list", "20,20.0000001", {}),  # one file name, T20
+    ("egp-winding", "model", "wibble", {}),
+    ("egp-winding", "t_units", "kelvin", {}),
+    ("egp-winding", "beta", "-1", {}),
+    ("egp-winding", "temperature", "-1", {}),
+    ("egp-profile", "temperature_list", "-1", {}),
+    ("egp-profile", "chain_cells_list", "1,4", {}),
+    ("invariant-scan", "scan_t_min", "5", {"scan_t_max": "1"}),
+    ("egp-winding", "grid_nx", "2.5", {}),
+    ("egp-winding", None, "grid_ny 8", {}),  # a line without '='
+    ("egp-winding", "atomic_d", "0,1", {"model": "atomic"}),
+    ("egp-winding", "model_path", None, {"model": "tabulated"}),
+    ("gauge-reduction", "chain_cells_list", "8", {}),
+    ("gauge-reduction", "beta", None, {"temperature": "0", "chain_cells_list": "4,8"}),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
-    """A non-finite number, a repeated list entry, or a descending gauge-reduction
-    list exits 2 naming its key."""
+    """A non-finite, negative or unparsable number, an unknown name, a repeated or
+    too short list, a descending gauge-reduction list or a pure gauge-reduction
+    state exits 2 naming its key, as does a key that is needed but missing (value
+    None, not written); a line without '=' (key None) exits 2 naming its line."""
     items = {"model": "qwz", "grid_nx": "8", "grid_ny": "8", "temperature": "20", **extra,
              key: value}
-    cfg = write_config(tmp_path / "c.txt", "".join(f"{k} = {v}\n" for k, v in items.items()))
+    cfg = write_config(tmp_path / "c.txt", "".join(
+        f"{v}\n" if k is None else f"{k} = {v}\n" for k, v in items.items() if v is not None))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    assert f"(key: {key})" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"(key: {key})" if key else f"(line {len(items)})") in err
+    assert not (tmp_path / "out").exists()
 
 
 def _save_model(tmp_path, qwz, n):
@@ -354,9 +383,8 @@ def test_cli_egp_profile_pure_matches_zak(tmp_path, qwz):
     results = serialize.egp_results_from_csv(out / "egp_profile_x_N9_T0.csv", "x")
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
     for r in results:
-        states = mt.states_on_line(
-            lambda k: mt.fictitious_hamiltonian(spec, k, r.transverse_k),
-            mt.momentum_line(9), 1)
+        states = mt.band_systems(
+            mt.fictitious_hamiltonian(spec, mt.momentum_line(9), r.transverse_k))[1][..., 1]
         assert abs(mt.principal_branch(r.phase - mt.zak_phase_wilson(states))) <= 1e-10
 
 
@@ -705,7 +733,8 @@ def test_cli_format_only_for_egp_profile(tmp_path, capsys, command):
 
 def test_serialize_curvature_roundtrip(tmp_path, qwz):
     kxs = mt.momentum_line(8)
-    field = mt.berry_curvature_plaquette(mt.states_on_grid(qwz.matrix, kxs, kxs, 0))
+    field = mt.berry_curvature_plaquette(
+        mt.band_systems(qwz.matrix(*np.meshgrid(kxs, kxs, indexing="ij")))[1][..., 0])
     path = tmp_path / "f.csv"
     serialize.curvature_to_csv(path, field, kxs, kxs)
     back, bkx, bky = serialize.curvature_from_csv(path)
@@ -724,7 +753,8 @@ def curvature_to_csv_per_row(path, field, kx_values, ky_values):
 
 def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
     kxs = mt.momentum_line(96)
-    field = mt.berry_curvature_plaquette(mt.states_on_grid(qwz.matrix, kxs, kxs, 0))
+    field = mt.berry_curvature_plaquette(
+        mt.band_systems(qwz.matrix(*np.meshgrid(kxs, kxs, indexing="ij")))[1][..., 0])
     special = field.values.copy()
     special[0, :6] = [0.0, -0.0, 5e-324, math.nan, math.inf, -1e300]
     for values in (field.values, special):

@@ -72,11 +72,10 @@ def test_egp_atomic_limit_parity(atomic, n_cells, expected_phase):
 
 
 def _fict_filled_zak(spec, direction, transverse_k, m):
-    def matrix_fn(k):
-        kx, ky = (k, transverse_k) if direction == "x" else (transverse_k, k)
-        return mt.fictitious_hamiltonian(spec, kx, ky)
-
-    states = mt.states_on_line(matrix_fn, mt.momentum_line(m), 1)  # occupation > 1/2 band
+    ks = mt.momentum_line(m)
+    kx, ky = (ks, transverse_k) if direction == "x" else (transverse_k, ks)
+    _, frames = mt.band_systems(mt.fictitious_hamiltonian(spec, kx, ky))
+    states = frames[..., 1]  # occupation > 1/2 band
     return mt.zak_phase_wilson(states)
 
 
@@ -141,6 +140,31 @@ def test_egp_windings_independent_of_chain_length(qwz):
     spec = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
     results = {n: mt.egp_windings(spec, n, 24) for n in (6, 10, 20)}
     assert set(results.values()) == {(1, 1)}
+
+
+def test_egp_windings_refuse_unequal_directions():
+    """An x profile of winding 1 beside a y profile of winding 0."""
+    ks = mt.momentum_line(16)
+    profiles = {"x": mt.PhaseProfile(ks, ks), "y": mt.PhaseProfile(ks, np.zeros(16))}
+    with pytest.raises(mt.WindingMismatchError, match="C_x = 1 != C_y = 0"):
+        egp._egp_windings(profiles.__getitem__)
+
+
+def test_scan_row_records_egp_winding_mismatch(qwz, qwz_gap, monkeypatch):
+    """Every EGP profile winding 1 gives C_x = 1 and C_y = -1: the row says so in its
+    status, and keeps its Uhlmann windings."""
+    monkeypatch.setattr(egp, "winding_of_phase_profile", lambda profile: 1)
+    [report] = mt.uhlmann_temperature_scan(qwz, 0.0, [0.05 * qwz_gap], mt.MomentumGrid(8, 8),
+                                           n_cells=6)
+    assert report.status == "egp: EGP Chern inconsistency: C_x = 1 != C_y = -1"
+    assert (report.cx_egp, report.cy_egp) == (None, None)
+    assert (report.cx_uhlmann, report.cy_uhlmann) == (1, 1)
+
+
+def test_thermal_egp_profile_needs_n_cells(qwz):
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
+    with pytest.raises(ValueError, match="thermal specs need an explicit n_cells"):
+        mt.egp_profile(spec, "x", None, 8)
 
 
 def test_egp_amplitude_bound_random_states():
@@ -446,6 +470,10 @@ def test_gauge_reduction_monotone(qwz, qwz_gap):
     assert mt.gauge_reduction_exponent(devs) < 0
 
 
+def test_gauge_reduction_exponent_of_a_zero_deviation():
+    assert mt.gauge_reduction_exponent([(10, 1e-3), (20, 0.0)]) == -math.inf
+
+
 @pytest.mark.parametrize("direction", ["x", "y"])
 def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeypatch, direction):
     """The thermal chain and its pure reference share one spectrum of h(k) per N,
@@ -528,7 +556,7 @@ def test_pump_rice_mele_thermal_matches_pure_oracle():
     rice_mele = pump_model(rice_mele_matrix, "rice-mele")
 
     # oracle: plaquette Chern number of the pure lower band on the (k, t) torus
-    frame = mt.states_on_grid(rice_mele.matrix, mt.momentum_line(32), mt.momentum_line(24), 0)
+    frame = mt.band_systems(rice_mele.matrix(*mt.MomentumGrid(32, 24).mesh()))[1][..., 0]
     expected = mt.chern_number(mt.berry_curvature_plaquette(frame))
 
     assert pump_winding(rice_mele, 2.0, 12, 24) == expected

@@ -7,11 +7,11 @@ from conftest import random_unitary
 
 
 def qwz_band_line(qwz, ky, m, band=0):
-    return mt.states_on_line(lambda k: qwz.matrix(k, ky), mt.momentum_line(m), band)
+    return mt.band_systems(qwz.matrix(mt.momentum_line(m), ky))[1][..., band]
 
 
 def qwz_band_grid(qwz, n, band=0):
-    return mt.states_on_grid(qwz.matrix, mt.momentum_line(n), mt.momentum_line(n), band)
+    return mt.band_systems(qwz.matrix(*mt.MomentumGrid(n, n).mesh()))[1][..., band]
 
 
 def test_principal_branch_bounds():
@@ -45,8 +45,8 @@ def test_zak_matches_connection_integral_oracle(qwz):
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
 
     def hems(m):
-        return mt.states_on_line(
-            lambda k: mt.fictitious_hamiltonian(spec, k, np.pi / 2), mt.momentum_line(m), 0)
+        return mt.band_systems(
+            mt.fictitious_hamiltonian(spec, mt.momentum_line(m), np.pi / 2))[1][..., 0]
 
     wilson = mt.zak_phase_wilson(hems(256))
     fine = hems(8192)
@@ -57,7 +57,7 @@ def test_zak_matches_connection_integral_oracle(qwz):
 
 def test_zak_multiband_frame_gauge_invariance(qwz):
     rng = np.random.default_rng(11)
-    frame = mt.states_on_line(lambda k: qwz.matrix(k, 0.4), mt.momentum_line(24), [0, 1])
+    _, frame = mt.band_systems(qwz.matrix(mt.momentum_line(24), 0.4))
     base = mt.zak_phase_wilson(frame)
     mixed = np.stack([f @ random_unitary(rng, 2) for f in frame])
     assert abs(mt.principal_branch(mt.zak_phase_wilson(mixed) - base)) <= 1e-10
@@ -162,9 +162,9 @@ def _zak_profiles(model, n, band=0, conj=False):
 
     def line(direction, tk):
         if direction == "x":
-            states = mt.states_on_line(lambda k: model.matrix(k, tk), ks, band)
+            states = mt.band_systems(model.matrix(ks, tk))[1][..., band]
         else:
-            states = mt.states_on_line(lambda k: model.matrix(tk, k), ks, band)
+            states = mt.band_systems(model.matrix(tk, ks))[1][..., band]
         return mt.zak_phase_wilson(states.conj() if conj else states)
 
     prof_x = mt.PhaseProfile(ks, [line("x", tk) for tk in ks], label="zak", direction="x")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from conftest import random_hermitian
-from mixedtopo.model import _eigh, band_systems
+from conftest import count_eigh, random_hermitian
+from mixedtopo.model import _eigh, _LineSpectra, band_systems
 
 EPS = np.finfo(float).eps
 
@@ -93,6 +93,30 @@ def test_qwz_hermitian_and_periodic(kx, ky, qwz):
     assert np.abs(h - qwz.matrix(kx, ky + 2 * np.pi)).max() <= 1e-12
 
 
+@given(m=st.integers(min_value=2, max_value=2 ** 20))
+def test_momentum_line_even_points_are_the_half_line(m):
+    """The identity the line-spectrum cache rests on: the even samples of 2M points
+    are the M-point line bit for bit."""
+    assert mt.momentum_line(2 * m)[::2].tobytes() == mt.momentum_line(m).tobytes()
+
+
+def test_line_spectra_doubling_diagonalizes_only_new_points(qwz, monkeypatch):
+    """Asked for M, 2M and 2M again, the cache diagonalizes the M points, then the M
+    odd points, then nothing; the doubled line equals a fresh one bit for bit."""
+    transverse = mt.momentum_line(5)
+    fresh = _LineSpectra(qwz, "y", transverse)(16)
+    calls = count_eigh(monkeypatch)
+    cache = _LineSpectra(qwz, "y", transverse)
+    cache(8)
+    assert calls == [(5, 8)]
+    doubled = cache(16)
+    assert calls == [(5, 8), (5, 8)]
+    again = cache(16)
+    assert calls == [(5, 8), (5, 8)]
+    for got, same, expected in zip(doubled, again, fresh):
+        assert got.tobytes() == same.tobytes() == expected.tobytes()
+
+
 def test_momentum_grid_samples():
     g = mt.MomentumGrid(4, 8)
     assert np.allclose(g.kx_values(), [-np.pi, -np.pi / 2, 0.0, np.pi / 2])
@@ -135,6 +159,14 @@ def test_band_gap_mu_inside_band(qwz):
 def test_band_gap_mu_outside_spectrum(qwz):
     with pytest.raises(mt.GapError):
         mt.band_gap(qwz, mt.MomentumGrid(16, 16), -10.0)
+
+
+def test_band_gap_refuses_an_eigenvalue_at_mu():
+    """The atomic model's upper level sits at mu = 1 at every k; the first grid point
+    is named."""
+    with pytest.raises(mt.GapError, match=r"eigenvalue within 1e-09 of mu=1\.0 "
+                                          r"at k=\(-3\.141593, -3\.141593\)"):
+        mt.band_gap(mt.atomic_model((0, 0, 1)), mt.MomentumGrid(4, 4), 1.0)
 
 
 def test_tabulated_model_roundtrip(qwz):

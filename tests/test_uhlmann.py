@@ -419,6 +419,21 @@ def test_profile_matches_extended_precision(qwz, beta, direction):
         assert np.abs(mt.principal_branch(profile.phases - reference)).max() <= 1e-13
 
 
+def test_transport_error_names_the_loop_without_a_phase():
+    """Links within LINK_IDENTITY_MAX, and |Tr[rho(0) H]| below 1e-12 on the second
+    loop: PhaseUndefinedError names that loop's transverse momentum."""
+    error = uhlmann._transport_error(np.array([0.1, 0.2]), np.array([0.5, 1e-13]),
+                                     np.array([0.3, 0.7]))
+    assert isinstance(error, mt.PhaseUndefinedError)
+    assert str(error) == ("|Tr[rho(0) H]| = 1.000e-13 < 1e-12 at transverse_k=0.700000: "
+                          "Uhlmann phase undefined")
+
+
+def test_windings_refuse_zero_temperature(qwz):
+    with pytest.raises(mt.RankDeficiencyError, match="beta = inf"):
+        mt.uhlmann_windings(qwz, math.inf, 0.0, mt.MomentumGrid(8, 8))
+
+
 def test_holonomy_rejects_projector_path():
     rhos = np.tile(np.diag([1.0, 0.0]).astype(complex), (8, 1, 1))
     path = mt.DensityMatrixPath(np.arange(8.0), rhos)
@@ -474,8 +489,8 @@ def test_cold_phase_matches_fictitious_band_zak(qwz, qwz_gap):
     beta = 20.0 / qwz_gap
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
     phase, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", np.pi / 3, 512)
-    states = mt.states_on_line(lambda k: mt.fictitious_hamiltonian(spec, k, np.pi / 3),
-                               mt.momentum_line(512), 1)
+    _, frames = mt.band_systems(mt.fictitious_hamiltonian(spec, mt.momentum_line(512), np.pi / 3))
+    states = frames[..., 1]
     assert abs(mt.principal_branch(phase - mt.zak_phase_wilson(states))) < 0.02
 
 
