@@ -232,7 +232,8 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
                           key="chain_cells_list")
     beta = cfg.beta_raw()
     if math.isinf(beta):
-        raise ConfigError("gauge-reduction needs a finite temperature", key="beta")
+        raise ConfigError("gauge-reduction needs a finite temperature",
+                          key="beta" if cfg.beta is not None else "temperature")
     spec = GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model)
 
     def task(direction):

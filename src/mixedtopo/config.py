@@ -94,9 +94,7 @@ class RunConfig:
             return qwz_model(self.alpha, self.gamma, self.mass)
         if self.model == "atomic":
             return atomic_model(self.atomic_d)
-        if self.model == "tabulated":
-            return tabulated_model(*self._model_file)
-        raise ConfigError(f"unknown model {self.model!r}", key="model")
+        return tabulated_model(*self._model_file)  # parse_config admits no other model
 
     @cached_property
     def _model_file(self) -> tuple[MomentumGrid, np.ndarray]:

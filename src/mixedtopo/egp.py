@@ -8,14 +8,18 @@ dense form for any correlation matrix.
 A chain cut out of a translation-invariant state is diagonal in momentum:
 the Fourier transform over cells turns M into the block diagonal n of the
 covariance samples hfict(k_m) and D into the cyclic block shift
-S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `chain_traces` takes
-that determinant by block cyclic reduction on entry planes, the layout of the
-line-spectrum cache and the Uhlmann transport: about log2 N levels of
-closed-form Householder reflectors applied as whole-plane multiply-adds, in
-O(N p^3) time and O(N p^2) memory per chain, batched over any leading axes,
-with no LAPACK call per matrix; every chain EGP in this module goes through
-it. Determinants are kept in log space (phase + log-magnitude) so long chains
-cannot under- or overflow.
+S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `_plane_traces` takes
+that determinant by block cyclic reduction on entry planes (p, p, N, batch),
+the layout of the line-spectrum cache and the Uhlmann transport: about
+log2 N levels of closed-form Householder reflectors applied as whole-plane
+multiply-adds, in O(N p^3) time and O(N p^2) memory per chain, with no LAPACK
+call per matrix; every chain EGP in this module goes through it. The public
+`chain_traces` hands it stacked hfict matrices as a strided view. Thermal
+chains on a line-spectrum cache (the scan, `egp-profile`, the gauge
+reduction) skip the matrices: `_fermi_planes` writes hfict straight into
+planes, and the scan's chunks of temperatures reuse one set of plane and
+level buffers. Determinants are kept in log space (phase + log-magnitude) so
+long chains cannot under- or overflow.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import AmplitudeZeroError, MixedTopoError, WindingMismatchError
-from .gaussian import GaussianStateSpec, _fermi_lines, hfict_lines
+from .gaussian import GaussianStateSpec, hfict_lines
 from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
-from .model import _LineSpectra, _projector_gap, momentum_line
+from .model import _LineSpectra, _projector_gap, fermi_weights, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
 CHAIN_CELL_BUDGET = 5120  # chain cells (N times chains) per `chain_traces` call of a scan
@@ -117,10 +121,45 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     `lines` holds hfict samples (..., N, p, p) on the chain momenta
     k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
     of the chain's real-space correlation matrix with `momentum_shift_angles`.
+    The samples go to `_plane_traces` as a strided (p, p, N, batch) view of
+    entry planes, with no copy; see there for the reduction.
+    """
+    lines = np.asarray(lines, dtype=complex)
+    n_cells, p, batch = lines.shape[-3], lines.shape[-1], lines.shape[:-3]
+    phases, log_magnitudes = _plane_traces(
+        lines.reshape(math.prod(batch), n_cells, p, p).transpose(2, 3, 1, 0))
+    return phases.reshape(batch), log_magnitudes.reshape(batch)
+
+
+def _fresh(slot: str, shape: tuple) -> np.ndarray:
+    """A new array for each request: the level buffers of a one-off chain stack."""
+    return np.empty(shape, dtype=complex)
+
+
+class _Buffers:
+    """Complex scratch arrays by slot, kept across calls: each slot holds one flat
+    buffer, grown when a larger shape is asked for, and hands out its head as a
+    contiguous array whose old contents are void. The chunks of a scan reuse them
+    instead of freeing and faulting in fresh memory for every call."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, slot: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        if slot not in self._flat or self._flat[slot].size < size:
+            self._flat.pop(slot, None)  # the smaller buffer goes before the larger comes
+            self._flat[slot] = np.empty(size, dtype=complex)
+        return self._flat[slot][:size].reshape(shape)
+
+
+def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, log magnitude), each of shape batch, of det[1 - n + n S] for the chains
+    whose hfict samples n are the entry planes `upper` (p, p, N, *batch).
+
     The N p x N p matrix is block-cyclic bidiagonal, A_i = 1 - n_i at (i, i)
-    and B_i = n_i at (i, i + 1 mod N); it is never formed. The blocks are kept
-    as entry planes (row, col, cells, batch). Each level of block cyclic
-    reduction pairs rows (j - 1, j) for odd j and zeroes the column block
+    and B_i = n_i at (i, i + 1 mod N); it is never formed. Each level of block
+    cyclic reduction pairs rows (j - 1, j) for odd j and zeroes the column block
     [B_{j-1}; A_j] with p closed-form Householder reflectors (`_reflect`),
     applied to the payloads [A_{j-1}; 0] and [0; B_j]; their bottom p rows are
     the system of half the size. Each pair adds (-1)^p det Q prod r_ii to the
@@ -132,31 +171,37 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     above: one below PIVOT_FLOOR N p eps times the largest block norm, or an
     exactly zero column, marks a determinant that rounding cannot tell from 0,
     reported as log magnitude -inf and phase 0.
+
+    `upper` is only read. The A blocks and each level come from
+    `buffers(slot, shape)`: the A blocks and the even levels from one slot, the
+    odd levels from another, as each level reads only the one before it. A level
+    is built uninitialized, with only the two zero blocks the reflectors read
+    written as zeros.
     """
-    lines = np.asarray(lines, dtype=complex)
-    n_cells, p, batch = lines.shape[-3], lines.shape[-1], lines.shape[:-3]
+    p, n_cells, batch = upper.shape[0], upper.shape[2], upper.shape[3:]
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
     size = math.prod(batch)
-    upper = lines.reshape(size, n_cells, p, p).transpose(2, 3, 1, 0)  # a view of the samples
-    diag = np.negative(upper, out=np.empty((p, p, n_cells, size), dtype=complex))
+    upper = upper.reshape(p, p, n_cells, size)
+    diag = np.negative(upper, out=buffers("even", upper.shape))
     for i in range(p):
         diag[i, i] += 1.0
     squares = [(np.square(blocks.real) + np.square(blocks.imag)).sum(axis=(0, 1)).max(axis=0)
                for blocks in (diag, upper)]
     floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(np.maximum(*squares))
-    factors = []
+    factors, slots = [], ("odd", "even")
     while diag.shape[2] > 2:
         pairs, odd = divmod(diag.shape[2], 2)
         # column blocks [B_{j-1} A_{j-1} 0; A_j 0 B_j], and the unpaired row in a last slot
-        work = np.zeros((2 * p, 3 * p, pairs + odd, size), dtype=complex)
+        work = buffers(slots[len(factors) % 2], (2 * p, 3 * p, pairs + odd, size))
         work[:p, :p, :pairs], work[p:, :p, :pairs] = upper[:, :, :-1:2], diag[:, :, 1::2]
         work[:p, p:2 * p, :pairs], work[p:, 2 * p:, :pairs] = diag[:, :, :-1:2], upper[:, :, 1::2]
+        work[p:, p:2 * p, :pairs] = work[:p, 2 * p:, :pairs] = 0.0
         if odd:
             work[p:, p:2 * p, pairs], work[p:, 2 * p:, pairs] = diag[:, :, -1], upper[:, :, -1]
         diag, upper = work[p:, p:2 * p], work[p:, 2 * p:]  # drops the previous level before the reflectors
         factors.append(_reflect(work[:, :, :pairs], p))
-    closing = np.empty((2 * p, 2 * p, 1, size), dtype=complex)
+    closing = buffers(slots[len(factors) % 2], (2 * p, 2 * p, 1, size))
     closing[:p, :p], closing[:p, p:] = diag[:, :, :1], upper[:, :, :1]
     closing[p:, :p], closing[p:, p:] = upper[:, :, 1:], diag[:, :, 1:]
     factors.append(_reflect(closing, 2 * p))
@@ -167,6 +212,26 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
         [phases.prod(axis=(0, 1)) for _, phases in factors], axis=0)
     return (np.where(exact_zero, 0.0, np.angle(unit)).reshape(batch),
             np.where(exact_zero, -np.inf, log_magnitude).reshape(batch))
+
+
+def _fermi_planes(lines: _LineSpectra, n_cells: int, betas: np.ndarray, mu: float,
+                  buffers=_fresh) -> np.ndarray:
+    """Thermal hfict on the n_cells-sample chains of a line-spectrum cache, as the entry
+    planes (p, p, n_cells, len(betas), T) that `_plane_traces` reads, from one spectrum.
+
+    hfict[a, b] = sum_j V[b, j] f_j conj(V[a, j]) is [V f V^dag]^T, summed in the
+    order of `gaussian.fictitious_hamiltonian`, so the planes hold its bits; the
+    transpose is in the subscripts, not in a copy. The einsum writes through a
+    view whose axes follow its inputs' (temperature, transverse, cell) order:
+    with the cells innermost it runs about 8 times faster on the gauge
+    reduction's one transverse line than when the planes' own order drives it.
+    """
+    energies, vectors = lines(n_cells)
+    p, transverse = energies.shape[:2]
+    planes = buffers("planes", (p, p, n_cells, len(betas), transverse))
+    np.einsum("bjtm,sjtm,ajtm->abstm", vectors, fermi_weights(energies, betas, mu),
+              vectors.conj(), out=planes.transpose(0, 1, 3, 4, 2))
+    return planes
 
 
 @dataclass(frozen=True)
@@ -230,12 +295,13 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     n_cells = _or_stored(spec, n_cells, "n_cells", direction)
     count = _or_stored(spec, transverse_count, "transverse_count", "y" if direction == "x" else "x")
     transverse = momentum_line(count)
-    return _profile(spec, direction, transverse, hfict_lines(spec, direction, transverse, n_cells))
+    return _profile(spec, direction, transverse,
+                    chain_traces(hfict_lines(spec, direction, transverse, n_cells)))
 
 
 def _profile(spec: GaussianStateSpec, direction: str, transverse: np.ndarray,
-             lines: np.ndarray) -> PhaseProfile:
-    phases, log_magnitudes = chain_traces(lines)
+             traces: tuple[np.ndarray, np.ndarray]) -> PhaseProfile:
+    phases, log_magnitudes = traces
     _require_amplitude(log_magnitudes, transverse)
     temperature = 1.0 / spec.beta if spec.is_thermal else None  # 0.0 at beta = inf
     return PhaseProfile(parameters=transverse, phases=phases, log_moduli=log_magnitudes,
@@ -274,17 +340,18 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
     of the x and y line-spectrum caches `chains`, or the MixedTopoError that stops them.
 
     The x windings of every temperature are taken together, then the y windings
-    of those whose x windings were. In each direction the Fermi weights of a
-    chunk of temperatures are taken at once, along a leading temperature axis,
-    and the chunk's chains go through one `chain_traces` call. A chunk holds
-    max(1, CHAIN_CELL_BUDGET // (n_cells x transverse)) temperatures, so the
-    working set of a call does not grow with the number of temperatures. Each
+    of those whose x windings were. In each direction the hfict planes of a
+    chunk of temperatures come from one `_fermi_planes` call and go through one
+    `_plane_traces` call, and every chunk builds its planes and levels in the
+    same buffers. A chunk holds max(1, CHAIN_CELL_BUDGET // (n_cells x transverse))
+    temperatures, so the working set does not grow with their number. Each
     temperature gets the error it would get alone: at beta = inf the GapError
     of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
     then the errors of its winding, then WindingMismatchError.
     """
     results = [None] * len(betas)
     windings = [[] for _ in betas]
+    buffers = _Buffers()
     for lines in chains:
         rows = [row for row, result in enumerate(results) if result is None]
         gap = _projector_gap(lines(n_cells)[0], mu) if np.isinf(betas[rows]).any() else None
@@ -297,7 +364,8 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
         per_call = max(1, CHAIN_CELL_BUDGET // (n_cells * len(lines.transverse)))
         for start in range(0, len(rows), per_call):
             chunk = rows[start:start + per_call]
-            traces = chain_traces(_fermi_lines(lines, n_cells, betas[chunk], mu))
+            traces = _plane_traces(_fermi_planes(lines, n_cells, betas[chunk], mu, buffers),
+                                   buffers)
             for row, phases, log_magnitudes in zip(chunk, *traces):
                 try:
                     _require_amplitude(log_magnitudes, lines.transverse)
@@ -314,8 +382,9 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
 
 def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) -> PhaseProfile:
     """egp_profile of a thermal spec on the chains of a line-spectrum cache."""
-    return _profile(spec, lines.direction, lines.transverse,
-                    _fermi_lines(lines, n_cells, spec.beta, spec.mu))
+    phases, log_magnitudes = _plane_traces(
+        _fermi_planes(lines, n_cells, np.array([spec.beta]), spec.mu))
+    return _profile(spec, lines.direction, lines.transverse, (phases[0], log_magnitudes[0]))
 
 
 def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,
@@ -335,9 +404,10 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     chains = _LineSpectra(spec.model, direction, np.array([float(transverse_k)]))
     out = []
     for n in n_list:
-        lines = _fermi_lines(chains, n, np.array([spec.beta, math.inf]), spec.mu)[:, 0]
-        (phi, phi_ref), log_magnitudes = chain_traces(lines)
+        phases, log_magnitudes = _plane_traces(
+            _fermi_planes(chains, n, np.array([spec.beta, math.inf]), spec.mu))
         _require_amplitude(log_magnitudes, transverse_k, f", N={n}")
+        phi, phi_ref = phases[:, 0]
         out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))
     return out
 

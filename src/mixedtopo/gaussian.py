@@ -28,13 +28,10 @@ from .model import (
     MomentumGrid,
     _check_hermitian,
     _eigh,
-    _LineSpectra,
-    _matrices,
     fermi_weights,
     grid_lookup,
     line_momenta,
     momentum_line,
-    spectral_sum,
 )
 
 OCCUPATION_ATOL = 1e-10
@@ -190,8 +187,10 @@ def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
 
 def _fermi_covariance(energies, vectors, beta, mu: float) -> np.ndarray:
     """Thermal hfict [V f V^dag]^T from a spectrum of h; only f depends on beta, which may be
-    a 1-d array along a new leading axis, as in `fermi_weights`."""
-    return np.swapaxes(spectral_sum(vectors, fermi_weights(energies, beta, mu)), -1, -2).copy()
+    a 1-d array along a new leading axis, as in `fermi_weights`. The transpose is in the
+    subscripts, so the result is contiguous with no copy."""
+    return np.einsum("...ij,...j,...kj->...ki", vectors, fermi_weights(energies, beta, mu),
+                     vectors.conj())
 
 
 def fictitious_grid(spec: GaussianStateSpec, grid: MomentumGrid) -> FictitiousHamiltonianGrid:
@@ -223,16 +222,6 @@ def hfict_lines(spec: GaussianStateSpec, direction: str, transverse_ks,
             raise ValueError(f"tabulated spec fixes n_cells = {fixed} for {direction} chains")
         spec.hfict_grid.require_generalized_gap()
     return fictitious_hamiltonian(spec, kxs, kys)
-
-
-def _fermi_lines(lines: _LineSpectra, n_cells: int, beta, mu: float) -> np.ndarray:
-    """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache.
-
-    `beta` may also be a 1-d array of inverse temperatures: the lines of each come
-    along a new leading axis, (len(beta), T, n_cells, p, p), from one spectrum.
-    """
-    energies, vectors = lines(n_cells)
-    return _fermi_covariance(np.moveaxis(energies, 0, -1), _matrices(vectors), beta, mu)
 
 
 def filled_band_count(occupations: np.ndarray) -> int:

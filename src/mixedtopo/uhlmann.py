@@ -640,7 +640,7 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     scan diagonalizes each loop point once, on the finest path any row
     needed; each row records the path points it was certified at, and a row
     that cannot be certified says why. The EGP windings of every row are taken
-    per direction in chunks of temperatures, one `chain_traces` call each, by
+    per direction in chunks of temperatures, one `_plane_traces` call each, by
     `egp._chain_windings`. The EGP profiles may need a finer transverse grid
     than the Uhlmann ones at the hot end of a sweep (near-pi kinks develop
     toward maximal mixing), hence the separate `egp_transverse` resolution.

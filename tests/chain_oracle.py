@@ -15,13 +15,29 @@ before block cyclic reduction: one Householder QR per block column, N - 2
 Python iterations per chain. `chain_traces_qr` is the block cyclic
 reduction `chain_traces` ran before it moved to entry planes: the same
 levels, each one batched LAPACK QR with det Q from an LU. Both are kept
-unchanged as references for the closed-form reflectors.
+unchanged as references for the closed-form reflectors. `_fermi_lines` is
+the route the scan's chains took from the line-spectrum cache before the
+package built them as entry planes: hfict samples (..., N, p, p) for
+`chain_traces`.
 """
 
 import numpy as np
 
 from mixedtopo.egp import PIVOT_FLOOR
 from mixedtopo.gaussian import hfict_lines
+from mixedtopo.model import _matrices, fermi_weights, spectral_sum
+
+
+def _fermi_lines(lines, n_cells: int, beta, mu: float) -> np.ndarray:
+    """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache.
+
+    `beta` may also be a 1-d array of inverse temperatures: the lines of each come
+    along a new leading axis, (len(beta), T, n_cells, p, p), from one spectrum.
+    hfict = [V f V^dag]^T, transposed by a copy.
+    """
+    energies, vectors = lines(n_cells)
+    weights = fermi_weights(np.moveaxis(energies, 0, -1), beta, mu)
+    return np.swapaxes(spectral_sum(_matrices(vectors), weights), -1, -2).copy()
 
 
 def correlation_from_hfict_line(line: np.ndarray) -> np.ndarray:

@@ -194,7 +194,8 @@ def test_cli_numerical_error_while_resolving_exit_3(tmp_path, capsys):
     ("egp-winding", "atomic_d", "0,1", {"model": "atomic"}),
     ("egp-winding", "model_path", None, {"model": "tabulated"}),
     ("gauge-reduction", "chain_cells_list", "8", {}),
-    ("gauge-reduction", "beta", None, {"temperature": "0", "chain_cells_list": "4,8"}),
+    ("gauge-reduction", "temperature", "0", {"chain_cells_list": "4,8"}),
+    ("gauge-reduction", "beta", "inf", {"temperature": None, "chain_cells_list": "4,8"}),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
     """A non-finite, negative or unparsable number, an unknown name, a repeated or

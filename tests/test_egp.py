@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import mixedtopo as mt
-from chain_oracle import (chain_correlation_matrix, chain_traces_loop, chain_traces_qr,
-                          correlation_from_hfict_line)
+from chain_oracle import (_fermi_lines, chain_correlation_matrix, chain_traces_loop,
+                          chain_traces_qr, correlation_from_hfict_line)
 from conftest import count_eigh, lapack_eigh, random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
 from mixedtopo.gaussian import hfict_lines
+from mixedtopo.model import _LineSpectra
 
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
@@ -346,6 +347,41 @@ def test_chain_traces_peak_memory_within_qr_reduction(qwz):
     for lines in (hfict_lines(spec, "x", mt.momentum_line(96), 96),
                   hfict_lines(spec, "x", [0.3, 1.1], 10**5)):
         assert _peak_bytes(mt.chain_traces, lines) <= _peak_bytes(chain_traces_qr, lines)
+
+
+def _three_band_model() -> mt.BlochModel:
+    """Three bands split by 4 with a k-dependent admixture; mu = 2 lies in the upper gap."""
+    rng = np.random.default_rng(3)
+    a, b = random_hermitian(rng, 3), random_hermitian(rng, 3)
+    levels = np.diag([-4.0, 0.0, 4.0])
+
+    def evaluate(kx, ky):
+        return levels + 0.3 * (np.cos(kx)[..., None, None] * a + np.sin(ky)[..., None, None] * b)
+
+    return mt.BlochModel(p=3, evaluator=evaluate, name="three-band")
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 6, 7, 10])
+@pytest.mark.parametrize("p", [2, 3])
+def test_plane_route_equals_chain_traces_of_fermi_lines(qwz, p, n_cells):
+    """The scan's route, hfict planes straight from the line-spectrum cache into the
+    plane kernel, gives bit for bit `chain_traces` of the hfict lines the oracle builds
+    from the same cache: at finite beta and at beta = inf, for p = 2 (closed-form
+    eigensolver) and p = 3 (LAPACK), in one call and in chunks of 1, 3 and 1
+    temperatures that share one set of buffers, growing and shrinking them."""
+    model, mu = (qwz, 0.0) if p == 2 else (_three_band_model(), 2.0)
+    betas = np.array([0.2, 1.0, math.inf, 5.0, 30.0])
+    for direction in "xy":
+        lines = _LineSpectra(model, direction, mt.momentum_line(9) + 0.1)
+        expected = mt.chain_traces(_fermi_lines(lines, n_cells, betas, mu))
+        assert expected[0].shape == (5, 9)
+        one_call = egp._plane_traces(egp._fermi_planes(lines, n_cells, betas, mu))
+        buffers = egp._Buffers()
+        chunks = [egp._plane_traces(egp._fermi_planes(lines, n_cells, betas[rows], mu, buffers),
+                                    buffers)
+                  for rows in (slice(0, 1), slice(1, 4), slice(4, 5))]
+        for got in (one_call, [np.concatenate(parts) for parts in zip(*chunks)]):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 @given(batch=st.lists(st.integers(0, 3), max_size=3), n_cells=st.integers(2, 9),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
-from chain_oracle import chain_correlation_matrix, correlation_from_hfict_line
+from chain_oracle import _fermi_lines, chain_correlation_matrix, correlation_from_hfict_line
 from conftest import random_hermitian
-from mixedtopo.gaussian import _fermi_lines, hfict_lines
+from mixedtopo.gaussian import hfict_lines
 from mixedtopo.model import _LineSpectra, line_momenta
 
 SZ = np.diag([1.0, -1.0]).astype(complex)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import mixedtopo as mt
+from chain_oracle import _fermi_lines
 from conftest import count_eigh, random_hermitian, random_unitary
 from mixedtopo import egp, uhlmann
 from mixedtopo.egp import _egp_windings, _line_profile
-from mixedtopo.gaussian import _fermi_lines
 from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra
 from uhlmann_oracle import (
@@ -629,23 +629,25 @@ def test_scan_matches_per_temperature_oracle_through_underflow(qwz, qwz_gap):
 
 
 def _count_chain_traces(monkeypatch) -> list:
-    """Records the (temperatures, transverse) batch of each `chain_traces` call."""
+    """Records the (temperatures, transverse) batch of each call of the plane kernel
+    `egp._plane_traces`, whose planes are (p, p, N, temperatures, transverse)."""
     calls = []
-    original = egp.chain_traces
+    original = egp._plane_traces
 
-    def counting(lines):
-        calls.append(np.shape(lines)[:-3])
-        return original(lines)
+    def counting(planes, *args):
+        calls.append(planes.shape[3:])
+        return original(planes, *args)
 
-    monkeypatch.setattr(egp, "chain_traces", counting)
+    monkeypatch.setattr(egp, "_plane_traces", counting)
     return calls
 
 
 def test_scan_egp_chunks_match_per_temperature_oracle(qwz, qwz_gap, monkeypatch):
     """On 8 transverse lines of 6 cells the EGP x profile is resolved at 2 gap and
-    under-resolved at 6 gap and above. With two temperatures per `chain_traces` call, the five x rows span three
-    chunks: the middle one holds the passing 2 gap row and the failing 6 gap row, and
-    the last one the 50 gap row alone. Every report equals the per-temperature scan's."""
+    under-resolved at 6 gap and above. With two temperatures per `_plane_traces` call, the
+    five x rows span three chunks: the middle one holds the passing 2 gap row and the
+    failing 6 gap row, and the last one the 50 gap row alone. Every report equals the
+    per-temperature scan's."""
     monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 8 * 6)
     calls = _count_chain_traces(monkeypatch)
     args = (qwz, 0.0, np.array([0.05, 0.5, 2.0, 6.0, 50.0]) * qwz_gap, mt.MomentumGrid(8, 8), 6, 8)
@@ -658,7 +660,7 @@ def test_scan_egp_chunks_match_per_temperature_oracle(qwz, qwz_gap, monkeypatch)
 
 @pytest.mark.parametrize("budget,per_call", [(1, 1), (2 * 72, 2), (5 * 72 - 1, 4), (10**6, 5)])
 def test_scan_egp_calls_per_direction(qwz, qwz_gap, monkeypatch, budget, per_call):
-    """Each direction makes ceil(temperatures / per_call) `chain_traces` calls, per_call
+    """Each direction makes ceil(temperatures / per_call) `_plane_traces` calls, per_call
     = max(1, CHAIN_CELL_BUDGET // (n_cells x transverse)) with 6 x 12 = 72 cells per
     temperature, the last call holding the rest."""
     monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", budget)

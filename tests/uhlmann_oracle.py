@@ -165,7 +165,6 @@ def certified_profile(spectra: _LineSpectra, beta: float, mu: float) -> tuple[np
 
     m, previous, coarse = uhlmann.PATH_POINTS_START, None, 0
     if m >= 4:
-        spectra(m)
         coarse = m // 2
         previous, _ = phases_at(coarse)
     while True:
