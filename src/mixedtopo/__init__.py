@@ -57,27 +57,16 @@ from .geometry import (
 )
 from .egp import (
     EgpResult,
-    GaussianTrace,
     chain_traces,
     egp_component,
     egp_profile,
     egp_windings,
     gauge_reduction_deviation,
     gauge_reduction_exponent,
-    gaussian_trace_diagonal_unitary,
-    momentum_shift_angles,
 )
 from .uhlmann import (
-    DensityMatrixPath,
     InvariantReport,
-    UhlmannHolonomy,
-    bz_loop_path,
     ground_state_chern,
-    thermal_density_k,
-    uhlmann_holonomy,
-    uhlmann_link,
-    uhlmann_phase,
-    uhlmann_phase_bz,
     uhlmann_phase_profile,
     uhlmann_temperature_scan,
     uhlmann_windings,

@@ -2,8 +2,8 @@
 
 The trace of rho times the collective momentum-shift unitary reduces, for any
 Gaussian state with correlation matrix M, to det[1 + M(D - 1)] with
-D = diag(e^{i theta}); `gaussian_trace_diagonal_unitary` evaluates that
-dense form for any correlation matrix.
+D = diag(e^{i theta}). `tests/chain_oracle.py` evaluates that dense form on
+the real-space chain correlation matrix as the reference for this module.
 
 A chain cut out of a translation-invariant state is diagonal in momentum:
 the Fourier transform over cells turns M into the block diagonal n of the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,49 +37,6 @@ from .model import _LineSpectra, _projector_gap, fermi_weights, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
 CHAIN_CELL_BUDGET = 5120  # chain cells (N times chains) per `chain_traces` call of a scan
-
-
-class GaussianTrace(NamedTuple):
-    """det[1 + M(D-1)] kept as phase + log magnitude to survive huge chains."""
-
-    phase: float
-    log_magnitude: float
-
-    @property
-    def magnitude(self) -> float:
-        return math.exp(self.log_magnitude) if math.isfinite(self.log_magnitude) else 0.0
-
-    @property
-    def value(self) -> complex:
-        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
-
-
-def momentum_shift_angles(n_cells: int, p: int) -> np.ndarray:
-    """theta_(j, lam) = 2 pi j / N in j-major composite order.
-
-    The shift couples to the unit-cell index only: all lam within a cell
-    share one angle (intracell positions are disregarded).
-    """
-    return np.repeat(2 * np.pi * np.arange(n_cells) / n_cells, p)
-
-
-def gaussian_trace_diagonal_unitary(correlation, thetas: np.ndarray) -> GaussianTrace:
-    """Tr[rho exp(i sum_a theta_a n_a)] = det[1 + M(D - 1)] in log space.
-
-    `correlation` is any L x L array of <c^dag_a c_b>, translation invariant
-    or not; the determinant is transpose invariant, so the covariance index
-    convention cannot change the result. A vanishing determinant is
-    legitimate and simply reported with log magnitude -inf.
-    """
-    matrix = np.asarray(correlation)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (matrix.shape[0],):
-        raise ValueError(f"need {matrix.shape[0]} angles, got {thetas.shape}")
-    a = np.eye(matrix.shape[0], dtype=complex) + matrix * (np.exp(1j * thetas) - 1.0)[None, :]
-    sign, logabs = np.linalg.slogdet(a)
-    if sign == 0:
-        return GaussianTrace(phase=0.0, log_magnitude=-math.inf)
-    return GaussianTrace(phase=float(np.angle(sign)), log_magnitude=float(logabs))
 
 
 def _reflect(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -119,8 +76,8 @@ def chain_traces(lines) -> tuple[np.ndarray, np.ndarray]:
     """(phase, log magnitude) of det[1 - n + n S] for stacked chains.
 
     `lines` holds hfict samples (..., N, p, p) on the chain momenta
-    k_m = -pi + 2 pi m / N; the result equals `gaussian_trace_diagonal_unitary`
-    of the chain's real-space correlation matrix with `momentum_shift_angles`.
+    k_m = -pi + 2 pi m / N; the result equals det[1 + M(D - 1)] of the chain's
+    real-space correlation matrix M, the dense trace of `tests/chain_oracle.py`.
     The samples go to `_plane_traces` as a strided (p, p, N, batch) view of
     entry planes, with no copy; see there for the reduction.
     """

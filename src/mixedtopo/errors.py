@@ -30,7 +30,8 @@ class RankDeficiencyError(MixedTopoError):
 
 
 class PhaseUndefinedError(MixedTopoError):
-    """Trace underlying a geometric phase is numerically zero."""
+    """A geometric phase is undefined: its trace is numerically zero, or its input is not
+    finite."""
 
 
 class WindingMismatchError(MixedTopoError):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuantizationError, UnderResolvedError
+from .errors import PhaseUndefinedError, QuantizationError, UnderResolvedError
 
 OVERLAP_MIN_MODULUS = 1e-8
 JUMP_MARGIN = 0.1
@@ -75,15 +75,30 @@ class CurvatureField:
         return float(self.values.sum())
 
 
+def _first_false(mask: np.ndarray) -> list:
+    """The grid index of the first False entry of `mask`."""
+    return [int(i) for i in np.argwhere(~mask)[0]]
+
+
 def _frames_on_grid(states: np.ndarray, ndim_grid: int) -> np.ndarray:
-    """(*grid, p, nb) frames from states on a rank-`ndim_grid` grid; one band gets nb = 1."""
+    """(*grid, p, nb) frames from states on a rank-`ndim_grid` grid; one band gets nb = 1.
+
+    A state with a non-finite entry raises PhaseUndefinedError naming its grid
+    index, before any overlap determinant is taken.
+    """
     states = np.asarray(states, dtype=complex)
     if states.ndim == ndim_grid + 1:
-        return states[..., None]
-    if states.ndim == ndim_grid + 2:
-        return states
-    raise ValueError(f"expected grid states of rank {ndim_grid + 1} or {ndim_grid + 2}, "
-                     f"got rank {states.ndim}")
+        frames = states[..., None]
+    elif states.ndim == ndim_grid + 2:
+        frames = states
+    else:
+        raise ValueError(f"expected grid states of rank {ndim_grid + 1} or {ndim_grid + 2}, "
+                         f"got rank {states.ndim}")
+    finite = np.isfinite(frames).all(axis=(-2, -1))
+    if not finite.all():
+        raise PhaseUndefinedError(f"state at grid index {_first_false(finite)} is not finite: "
+                                  "geometric phase undefined")
+    return frames
 
 
 def _link_determinants(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
@@ -127,7 +142,14 @@ def berry_curvature_plaquette(state_grid: np.ndarray) -> CurvatureField:
 
 
 def chern_number(curvature: CurvatureField) -> int:
-    """Round the plaquette sum / 2pi to an integer; large residue means trouble."""
+    """Round the plaquette sum / 2pi to an integer; large residue means trouble.
+
+    A non-finite plaquette phase raises PhaseUndefinedError naming its grid index.
+    """
+    finite = np.isfinite(curvature.values)
+    if not finite.all():
+        raise PhaseUndefinedError(f"plaquette phase at grid index {_first_false(finite)} is "
+                                  "not finite: Chern number undefined")
     total = curvature.total() / (2 * np.pi)
     rounded = int(np.rint(total))
     residue = abs(total - rounded)
@@ -139,7 +161,14 @@ def chern_number(curvature: CurvatureField) -> int:
 
 
 def winding_of_phase_profile(profile: PhaseProfile) -> int:
-    """Integer winding (1/2pi) sum of principal-value steps around the loop."""
+    """Integer winding (1/2pi) sum of principal-value steps around the loop.
+
+    A non-finite phase raises PhaseUndefinedError naming its parameter.
+    """
+    finite = np.isfinite(profile.phases)
+    if not finite.all():
+        raise PhaseUndefinedError(f"phase at parameter {profile.parameters[np.argmin(finite)]:.6f} "
+                                  "is not finite: winding undefined")
     if profile.under_resolved():
         raise UnderResolvedError(
             f"max phase step {profile.max_jump():.3f} rad >= pi - {JUMP_MARGIN}: "

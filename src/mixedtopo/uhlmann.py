@@ -6,12 +6,16 @@ sqrt(rho_{i+1}) sqrt(rho_i); the holonomy is their ordered product,
 H = V_M ... V_1, and the phase is Im ln Tr[rho_1 H]. Unlike the EGP, the
 windings of this phase in x and y need not agree at intermediate
 temperatures; that asymmetry is the point of the comparison scan.
+
+Every loop comes from one spectrum of h(k) per point and the exact Boltzmann
+weights; no density matrix is assembled. The route through assembled density
+matrices (a validated path, its holonomy and phase, refused at a rank noise
+floor) is a reference in `tests/uhlmann_oracle.py`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,100 +38,18 @@ from .model import (
     BlochModel,
     MomentumGrid,
     _boltzmann,
-    _eigh,
     _LineSpectra,
     _matrices,
-    _planes,
     _require_finite_beta,
     _underflow,
     band_systems,
     bands_below,
-    boltzmann_weights,
-    line_momenta,
     momentum_line,
-    spectral_sum,
 )
 
-# Below this floor an assembled density matrix is indistinguishable from an
-# exactly pure one at double precision: the polar transport factor would be
-# basis dependent in the near-null subspace, so raw-matrix input is refused.
-# Thermal entry points avoid assembly altogether: they carry exact spectral
-# weights (representable down to ~1e-308), which is what keeps deep-cold
-# scans usable.
-RANK_NOISE_FLOOR = 1e-14
 LINK_IDENTITY_MAX = 0.5
-PATH_POINTS_DEFAULT = 512
 PATH_POINTS_START = 32
 PATH_POINTS_CAP = 8192
-CAUCHY_TOL = 1e-4
-
-
-def thermal_density_k(model: BlochModel, beta: float, mu: float, kx, ky) -> np.ndarray:
-    """rho(k) = e^{-beta (h(k) - mu)} / Tr[...] at broadcast momenta; finite beta only."""
-    energies, vectors = _eigh(model.matrix(kx, ky))
-    return spectral_sum(vectors, boltzmann_weights(energies, beta, mu))
-
-
-@dataclass(frozen=True)
-class DensityMatrixPath:
-    """Closed loop of density matrices; rho(M+1) is rho(1).
-
-    The spectrum of every point is taken once, at construction, and kept as
-    entry planes in the transport kernel's layout; the holonomy and the phase
-    read it and diagonalize nothing again.
-    """
-
-    parameters: np.ndarray
-    rhos: np.ndarray  # (M, p, p)
-    # (vectors (p, p, M), weights (p, M)) as entry planes
-    _spectrum: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rhos = np.asarray(self.rhos, dtype=complex)
-        params = np.asarray(self.parameters, dtype=float)
-        if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
-            raise ValueError("rhos must be (M, p, p)")
-        if params.shape != (rhos.shape[0],):
-            raise ValueError("parameters must match the number of path points")
-        # `not dev <= tol` refuses NaN entries too
-        trace_dev = np.abs(np.einsum("kii->k", rhos) - 1).max()
-        if not trace_dev <= 1e-12:
-            raise ValueError(f"path matrices must have unit trace "
-                             f"(worst deviation {trace_dev:.3e})")
-        if not np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12:
-            raise ValueError("path matrices must be Hermitian")
-        weights, vectors = _eigh(rhos)
-        if not weights.min() >= -1e-12:
-            raise ValueError(f"path matrices must be positive semi-definite "
-                             f"(min eigenvalue {weights.min():.3e})")
-        object.__setattr__(self, "rhos", rhos)
-        object.__setattr__(self, "parameters", params)
-        object.__setattr__(self, "_spectrum", (_planes(vectors), np.ascontiguousarray(weights.T)))
-
-    def __len__(self) -> int:
-        return self.rhos.shape[0]
-
-
-@dataclass(frozen=True)
-class UhlmannHolonomy:
-    """Path-ordered product of transport unitaries, with link diagnostics."""
-
-    matrix: np.ndarray
-    n_points: int
-    max_link_deviation: float = math.nan
-
-
-def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray]:
-    """The stored (vector, weight) planes of a path; refused at the rank noise floor."""
-    vectors, weights = path._spectrum
-    smallest = weights[0].min()
-    if smallest <= RANK_NOISE_FLOOR:
-        raise RankDeficiencyError(
-            f"density matrix numerically rank deficient (min eigenvalue {smallest:.3e} "
-            f"<= {RANK_NOISE_FLOOR:.0e}); mixed-state holonomy undefined at exact purity. "
-            "For cold thermal states use the thermal entry points, which work with exact "
-            "weights")
-    return vectors, weights
 
 
 # ------------------------------------------------------------ entry planes
@@ -252,19 +174,6 @@ def _link_deviations(links: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return np.sqrt(total.max(axis=-1))
 
 
-def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
-    """Discrete parallel-transport unitary from rho_a to rho_b.
-
-    V = W Z^dag from the SVD sqrt(rho_b) sqrt(rho_a) = W S Z^dag; equivalently
-    the unitary maximizing Re Tr[V^dag sqrt(rho_b) sqrt(rho_a)], which is the
-    w_b^dag w_a > 0 transport condition. The pair is validated as a
-    two-point DensityMatrixPath.
-    """
-    pair = DensityMatrixPath(np.arange(2.0), np.stack([rho_a, rho_b]))
-    _, links = _loop_links(*_full_rank_spectrum(pair))
-    return links[..., 0].copy()
-
-
 def _ordered_product_reversed(links: np.ndarray) -> np.ndarray:
     """V_M ... V_1 for link planes (p, p, ..., M) in path order, as planes (p, p, ..., 1).
 
@@ -331,42 +240,6 @@ def _transport_error(deviations: np.ndarray, moduli: np.ndarray,
     return None
 
 
-def _checked_transport(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray, float]:
-    """(holonomy, phase, link deviation) of a path, raising what `_transport_error` finds."""
-    holonomy, phase, deviation, modulus = _transport(*_full_rank_spectrum(path))
-    error = _transport_error(deviation, modulus)
-    if error is not None:
-        raise error
-    return holonomy, phase, float(deviation)
-
-
-def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
-    """H = V_M ... V_1 along the closed path; refuses badly resolved paths.
-
-    Raises PhaseUndefinedError where Tr[rho(0) H] vanishes, like uhlmann_phase.
-    """
-    holonomy, _, dev = _checked_transport(path)
-    return UhlmannHolonomy(matrix=holonomy, n_points=len(path), max_link_deviation=dev)
-
-
-def uhlmann_phase(path: DensityMatrixPath) -> float:
-    """phi_U = Im ln Tr[rho(0) H] on the principal branch."""
-    return float(_checked_transport(path)[1])
-
-
-def bz_loop_path(model: BlochModel, beta: float, mu: float, direction: str,
-                 transverse_k: float, n_points: int) -> DensityMatrixPath:
-    """Thermal density matrices along a straight BZ loop at fixed transverse k.
-
-    Note: assembling explicit matrices caps the usable coldness at the
-    double-precision noise floor; the profile/winding entry points go through
-    exact spectral weights instead and reach much larger beta.
-    """
-    ks = momentum_line(n_points)
-    rhos = thermal_density_k(model, beta, mu, *line_momenta(direction, ks, transverse_k))
-    return DensityMatrixPath(parameters=ks, rhos=rhos)
-
-
 def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int,
                step: int = 1) -> list:
     """Per beta of `betas`: the Uhlmann phases of the loops through every `step`-th point of
@@ -399,26 +272,22 @@ def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int,
     return results
 
 
-def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: int,
-                certify: bool = False) -> list:
-    """Per beta of `betas`: (Uhlmann phases over the transverse momenta, path points used),
-    or the MixedTopoError that stops them.
+def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float) -> list:
+    """Per beta of `betas`: (Uhlmann phases over the transverse momenta, path points used)
+    once the winding of the profile is certified, or the MixedTopoError that stops them.
 
     Each pass makes one `_phases_at` call for every temperature still open,
-    and m doubles from `n_points` until a stop rule holds:
-
-    - by default (the phase functions), the phases change pointwise by less
-      than CAUCHY_TOL from the previous pass;
-    - with `certify` (the windings), the winding of the profile is certified.
-      The path error of the m-point phases falls as m^-2, so it is estimated
-      as e = max |phi_m - phi_c| / ((m/c)^2 - 1) from a coarse pass of c
-      points: c = m / 2 on the first pass, every second point of the m-point
-      loops (an odd m skips it), the previous pass after that. The profile
-      of the exact path then steps by less than max step + 2e, and the
-      winding is certified when that is below pi - JUMP_MARGIN, the bound
-      `winding_of_phase_profile` enforces. Where max step - 2e is not below
-      it, no path can certify the winding, and UnderResolvedError stops the
-      temperature at once.
+    and m doubles from PATH_POINTS_START until the certificate holds. The path
+    error of the m-point phases falls as m^-2, so it is estimated as
+    e = max |phi_m - phi_c| / ((m/c)^2 - 1) from a coarse pass of c = m / 2
+    points: every second point of the m-point loops on the first pass, the
+    previous pass after that. The profile of the exact path then steps by
+    less than max step + 2e, and the winding is certified when that is below
+    pi - JUMP_MARGIN, the bound `winding_of_phase_profile` enforces. Where
+    max step - 2e is not below it, no path can certify the winding, and
+    UnderResolvedError stops the temperature at once. This is the only stop
+    rule; the Cauchy rule (pointwise change below 1e-4) that the phase
+    functions once stopped on is a reference in `tests/uhlmann_oracle.py`.
 
     A pass whose links fail the LINK_IDENTITY_MAX check is not yet converged,
     and doubles like any other; the temperatures that double do so together,
@@ -426,20 +295,18 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: i
     direction, the points and why the last pass failed.
     """
     results = [None] * len(betas)
-    previous = [None] * len(betas)  # per temperature, the phases of `coarse` points
-    m, coarse = n_points, 0
-    if certify and m % 2 == 0:
-        coarse = m // 2
-        for row, phases in enumerate(_phases_at(spectra, betas, mu, m, step=2)):
-            if not isinstance(phases, MixedTopoError):
-                previous[row] = phases
-            elif not isinstance(phases, UnderResolvedError):  # a failed link check only doubles
-                results[row] = phases
+    previous = [None] * len(betas)  # per temperature, the phases of m / 2 points
+    m = PATH_POINTS_START
+    for row, phases in enumerate(_phases_at(spectra, betas, mu, m, step=2)):
+        if not isinstance(phases, MixedTopoError):
+            previous[row] = phases
+        elif not isinstance(phases, UnderResolvedError):  # a failed link check only doubles
+            results[row] = phases
     rows = [row for row, result in enumerate(results) if result is None]
     while rows:
         doubling = []
         for row, phases in zip(rows, _phases_at(spectra, betas[rows], mu, m)):
-            results[row], reason = _stop_rule(spectra, phases, previous[row], m, coarse, certify)
+            results[row], reason = _stop_rule(spectra, phases, previous[row], m)
             if results[row] is not None:
                 continue
             if 2 * m > PATH_POINTS_CAP:
@@ -449,30 +316,25 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float, n_points: i
             else:
                 previous[row] = None if isinstance(phases, MixedTopoError) else phases
                 doubling.append(row)
-        rows, coarse, m = doubling, m, 2 * m
+        rows, m = doubling, 2 * m
     return results
 
 
-def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray], m: int,
-               coarse: int, certify: bool) -> tuple[object, str]:
+def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray],
+               m: int) -> tuple[object, str]:
     """(what one temperature's pass of m points ends with, or None; why it doubles).
 
     `phases` is the temperature's result from `_phases_at`, and `previous` its
-    phases of `coarse` points, None where there are none; see `_refinement`.
+    phases of m / 2 points, None where there are none; see `_refinement`.
     """
     if isinstance(phases, UnderResolvedError):  # a link too far from the identity
         return None, str(phases)
     if isinstance(phases, MixedTopoError):
         return phases, ""
     if previous is None:
-        return None, (f"the {coarse}-point pass failed the link check" if coarse
-                      else "no coarser pass to compare with")
+        return None, f"the {m // 2}-point pass failed the link check"
     change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
-    if not certify:
-        if change < CAUCHY_TOL:
-            return (phases, m), ""
-        return None, f"pointwise change {change:.3e} >= {CAUCHY_TOL:.0e}: not Cauchy-converged"
-    error = change / ((m / coarse) ** 2 - 1)
+    error = change / 3  # (m / c)^2 - 1 at c = m / 2
     steps = np.abs(PhaseProfile(spectra.transverse, phases).jumps())
     worst = steps.argmax()
     if steps[worst] + 2 * error < np.pi - JUMP_MARGIN:
@@ -486,45 +348,22 @@ def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray], m:
     return None, reason + ": winding not certified"
 
 
-def _refined_phases(spectra: _LineSpectra, beta: float, mu: float, n_points: int,
-                    refine: bool) -> tuple[np.ndarray, int]:
-    """(Uhlmann phases, path points used) of one temperature, by `_refinement` or, without
-    `refine`, at n_points; raises the error that stops them."""
-    betas = np.array([beta], dtype=float)
-    if refine:
-        [result] = _refinement(spectra, betas, mu, n_points)
-    else:
-        [phases] = _phases_at(spectra, betas, mu, n_points)
-        result = phases if isinstance(phases, MixedTopoError) else (phases, n_points)
-    if isinstance(result, MixedTopoError):
-        raise result
-    return result
-
-
-def uhlmann_phase_bz(model: BlochModel, beta: float, mu: float, direction: str,
-                     transverse_k: float, n_points: int = PATH_POINTS_DEFAULT,
-                     refine: bool = True) -> tuple[float, int]:
-    """phi_U for one straight Brillouin-zone loop; returns (phase, points used)."""
-    spectra = _LineSpectra(model, direction, np.array([float(transverse_k)]))
-    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
-    return float(phases[0]), m
-
-
 def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: str,
-                          transverse: np.ndarray, n_points: int = PATH_POINTS_DEFAULT,
-                          refine: bool = True) -> tuple[PhaseProfile, int]:
-    """Profile of phi_U over the transverse BZ with automatic path refinement.
+                          transverse: np.ndarray, n_points: int) -> PhaseProfile:
+    """Profile of phi_U over the transverse BZ on loops of exactly n_points points.
 
-    The path resolution doubles until the profile changes pointwise by less
-    than CAUCHY_TOL (Cauchy criterion), capped at PATH_POINTS_CAP points. A
-    pass whose links deviate from the identity by LINK_IDENTITY_MAX or more
-    doubles too.
+    Raises what `_phases_at` finds: RankDeficiencyError where the Boltzmann
+    weights underflow, UnderResolvedError where a link deviates from the
+    identity by LINK_IDENTITY_MAX or more, PhaseUndefinedError where
+    |Tr[rho(0) H]| vanishes. The windings pick their own path instead; see
+    `uhlmann_windings`.
     """
     spectra = _LineSpectra(model, direction, np.asarray(transverse, dtype=float))
-    phases, m = _refined_phases(spectra, beta, mu, n_points, refine)
-    profile = PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
-                           direction=spectra.direction, temperature=1.0 / beta)
-    return profile, m
+    [phases] = _phases_at(spectra, np.array([beta], dtype=float), mu, n_points)
+    if isinstance(phases, MixedTopoError):
+        raise phases
+    return PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
+                        direction=spectra.direction, temperature=1.0 / beta)
 
 
 def uhlmann_windings(model: BlochModel, beta: float, mu: float,
@@ -574,8 +413,7 @@ def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], betas: np.ndarra
         rows = [row for row, result in enumerate(results) if result is None]
         if not rows:
             break
-        for row, result in zip(rows, _refinement(spectra, betas[rows], mu, PATH_POINTS_START,
-                                                 certify=True)):
+        for row, result in zip(rows, _refinement(spectra, betas[rows], mu)):
             if isinstance(result, MixedTopoError):
                 results[row] = result
             else:

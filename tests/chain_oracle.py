@@ -1,14 +1,18 @@
-"""Reference routes for `chain_traces`: the real-space chain and the per-cell loop.
+"""Reference routes for `chain_traces`: the dense trace, the real-space chain and the
+per-cell loop.
 
-A chain cut out of a 2D Gaussian state at fixed transverse momentum has the
-L x L (L = p N) correlation matrix
+`gaussian_trace_diagonal_unitary` takes Tr[rho exp(i sum_a theta_a n_a)] =
+det[1 + M(D - 1)] of any Gaussian state with L x L correlation matrix M, in
+O(L^3), and the tests hold it to a Fock-space enumeration. A chain cut out of
+a 2D Gaussian state at fixed transverse momentum has the L x L (L = p N)
+correlation matrix
 
     M[(j,lam),(j',lam')] = <c^dag_{j lam} c_{j' lam'}>,  j-major ordering,
 
-whose `gaussian_trace_diagonal_unitary` with `momentum_shift_angles` is the
-chain's EGP trace. Building it costs O(N^2 p^2) time and memory and the
-determinant O((N p)^3); the package takes the same trace in momentum space.
-The tests use this route as the reference for it.
+whose dense trace with `momentum_shift_angles` is the chain's EGP trace.
+Building it costs O(N^2 p^2) time and memory and the determinant
+O((N p)^3); the package takes the same trace in momentum space. The tests
+use this route as the reference for it.
 
 `chain_traces_loop` is the momentum-space elimination `chain_traces` used
 before block cyclic reduction: one Householder QR per block column, N - 2
@@ -21,12 +25,58 @@ package built them as entry planes: hfict samples (..., N, p, p) for
 `chain_traces`.
 """
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
 from mixedtopo.egp import PIVOT_FLOOR
 from mixedtopo.gaussian import hfict_lines
 from mixedtopo.model import _matrices, fermi_weights, spectral_sum
 
+
+
+class GaussianTrace(NamedTuple):
+    """det[1 + M(D-1)] kept as phase + log magnitude to survive huge chains."""
+
+    phase: float
+    log_magnitude: float
+
+    @property
+    def magnitude(self) -> float:
+        return math.exp(self.log_magnitude) if math.isfinite(self.log_magnitude) else 0.0
+
+    @property
+    def value(self) -> complex:
+        return self.magnitude * complex(math.cos(self.phase), math.sin(self.phase))
+
+
+def momentum_shift_angles(n_cells: int, p: int) -> np.ndarray:
+    """theta_(j, lam) = 2 pi j / N in j-major composite order.
+
+    The shift couples to the unit-cell index only: all lam within a cell
+    share one angle (intracell positions are disregarded).
+    """
+    return np.repeat(2 * np.pi * np.arange(n_cells) / n_cells, p)
+
+
+def gaussian_trace_diagonal_unitary(correlation, thetas: np.ndarray) -> GaussianTrace:
+    """Tr[rho exp(i sum_a theta_a n_a)] = det[1 + M(D - 1)] in log space.
+
+    `correlation` is any L x L array of <c^dag_a c_b>, translation invariant
+    or not; the determinant is transpose invariant, so the covariance index
+    convention cannot change the result. A vanishing determinant is
+    legitimate and simply reported with log magnitude -inf.
+    """
+    matrix = np.asarray(correlation)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape != (matrix.shape[0],):
+        raise ValueError(f"need {matrix.shape[0]} angles, got {thetas.shape}")
+    a = np.eye(matrix.shape[0], dtype=complex) + matrix * (np.exp(1j * thetas) - 1.0)[None, :]
+    sign, logabs = np.linalg.slogdet(a)
+    if sign == 0:
+        return GaussianTrace(phase=0.0, log_magnitude=-math.inf)
+    return GaussianTrace(phase=float(np.angle(sign)), log_magnitude=float(logabs))
 
 def _fermi_lines(lines, n_cells: int, beta, mu: float) -> np.ndarray:
     """Thermal hfict (T, n_cells, p, p) on the n_cells-sample chains of a line-spectrum cache.

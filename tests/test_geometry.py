@@ -206,3 +206,37 @@ def test_orientation_reversal_negates_windings(qwz):
 def test_profile_requires_two_samples():
     with pytest.raises(ValueError):
         mt.PhaseProfile(np.array([0.0]), np.array([0.1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_zak_refuses_non_finite_states(qwz, bad):
+    """A non-finite state is refused before any overlap determinant is taken."""
+    states = qwz_band_line(qwz, 0.9, 16)
+    states[5, 1] = bad
+    with pytest.raises(mt.PhaseUndefinedError, match=r"^state at grid index \[5\] is not finite"):
+        mt.zak_phase_wilson(states)
+
+
+def test_curvature_refuses_non_finite_states(qwz):
+    states = qwz_band_grid(qwz, 6)
+    states[2, 3, 0] = np.nan
+    with pytest.raises(mt.PhaseUndefinedError,
+                       match=r"^state at grid index \[2, 3\] is not finite"):
+        mt.berry_curvature_plaquette(states)
+
+
+def test_chern_number_refuses_non_finite_plaquette_phase():
+    values = np.zeros((4, 4))
+    values[1, 2] = np.nan
+    with pytest.raises(mt.PhaseUndefinedError,
+                       match=r"^plaquette phase at grid index \[1, 2\] is not finite"):
+        mt.chern_number(mt.CurvatureField(values))
+
+
+def test_winding_refuses_non_finite_phase():
+    ks = mt.momentum_line(8)
+    phases = ks.copy()
+    phases[3] = np.nan
+    with pytest.raises(mt.PhaseUndefinedError,
+                       match=rf"^phase at parameter {ks[3]:.6f} is not finite: winding undefined$"):
+        mt.winding_of_phase_profile(mt.PhaseProfile(ks, phases))

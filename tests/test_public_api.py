@@ -1,9 +1,12 @@
-"""The README names exactly what the package exports and the config keys it accepts."""
+"""The README names exactly what the package exports and the config keys it accepts, and
+its Python examples give the values their comments state."""
 
 import ast
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import mixedtopo as mt
 from mixedtopo import config, errors
@@ -41,3 +44,36 @@ def test_readme_config_keys_match_parser():
     section = readme.split("### Config file", 1)[1].split("### Matrix-grid files", 1)[0]
     key_cells = re.findall(r"^\| ([^|]*) \|", section, flags=re.MULTILINE)
     assert {name for cell in key_cells for name in re.findall(r"`(\w+)`", cell)} == config._ALL_KEYS
+
+
+def _expected(lines: list, node: ast.stmt):
+    """The literal after `# -> ` on the lines of statement `node`, or None."""
+    for line in lines[node.lineno - 1:node.end_lineno]:
+        if "# -> " in line:
+            return ast.literal_eval(line.split("# -> ", 1)[1].strip())
+    return None
+
+
+def test_readme_python_blocks_give_their_commented_values():
+    """The ```python blocks of the README run in order in one namespace, and each
+    statement commented `# -> value` gives that value: an expression its own value, an
+    assignment that of its targets. Floats compare to 1e-12 relative (band_gap reads
+    1.9999999999999996 for 2.0)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    namespace, checked = {}, 0
+    for block in blocks:
+        lines = block.splitlines()
+        for node in ast.parse(block).body:
+            expected = _expected(lines, node)
+            if isinstance(node, ast.Expr) and expected is not None:
+                got = eval(ast.get_source_segment(block, node), namespace)
+            else:
+                exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+                if expected is None:
+                    continue
+                assert isinstance(node, ast.Assign), ast.get_source_segment(block, node)
+                got = eval(ast.get_source_segment(block, node.targets[0]), namespace)
+            assert got == pytest.approx(expected, rel=1e-12), ast.get_source_segment(block, node)
+            checked += 1
+    assert checked == sum(block.count("# -> ") for block in blocks) == 5

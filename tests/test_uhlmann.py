@@ -12,63 +12,72 @@ from conftest import count_eigh, random_hermitian, random_unitary
 from mixedtopo import egp, uhlmann
 from mixedtopo.egp import _egp_windings, _line_profile
 from mixedtopo.geometry import JUMP_MARGIN
-from mixedtopo.model import _LineSpectra
+from mixedtopo.model import _LineSpectra, _planes
 from uhlmann_oracle import (
     EXTENDED,
+    DensityMatrixPath,
+    bz_loop_path,
+    cauchy_phases,
+    fixed_phases,
+    loop_phase,
     qwz_phases_extended,
     svd_polar_unitary,
     temperature_scan,
+    thermal_density_k,
     transport,
+    uhlmann_holonomy,
+    uhlmann_link,
+    uhlmann_phase,
 )
 
 
 def thermal_path(model, beta, ky, m=64, direction="x"):
-    return mt.bz_loop_path(model, beta, 0.0, direction, ky, m)
+    return bz_loop_path(model, beta, 0.0, direction, ky, m)
 
 
 def test_thermal_density_infinite_temperature_limit(qwz):
-    rho = mt.thermal_density_k(qwz, 1e-9, 0.0, 0.4, -0.8)
+    rho = thermal_density_k(qwz, 1e-9, 0.0, 0.4, -0.8)
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-8
 
 
 def test_thermal_density_sigma_z():
     model = mt.atomic_model((0.0, 0.0, 1.0))
     beta = 1.7
-    rho = mt.thermal_density_k(model, beta, 0.0, 0.0, 0.0)
+    rho = thermal_density_k(model, beta, 0.0, 0.0, 0.0)
     z = 2 * np.cosh(beta)
     assert np.allclose(rho, np.diag([np.exp(-beta), np.exp(beta)]) / z, atol=1e-15)
 
 
 @given(kx=st.floats(-np.pi, np.pi), ky=st.floats(-np.pi, np.pi), beta=st.floats(0.01, 30.0))
 def test_thermal_density_unit_trace(kx, ky, beta, qwz):
-    rho = mt.thermal_density_k(qwz, beta, 0.0, kx, ky)
+    rho = thermal_density_k(qwz, beta, 0.0, kx, ky)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() >= -1e-12  # positive within assembly noise
 
 
 def test_thermal_density_rejects_pure(qwz):
     with pytest.raises(mt.RankDeficiencyError):
-        mt.thermal_density_k(qwz, math.inf, 0.0, 0.0, 0.0)
+        thermal_density_k(qwz, math.inf, 0.0, 0.0, 0.0)
 
 
 def test_link_identity_for_equal_states(qwz):
-    rho = mt.thermal_density_k(qwz, 2.0, 0.0, 0.3, 0.3)
-    v = mt.uhlmann_link(rho, rho)
+    rho = thermal_density_k(qwz, 2.0, 0.0, 0.3, 0.3)
+    v = uhlmann_link(rho, rho)
     assert np.abs(v - np.eye(2)).max() <= 1e-12
 
 
 def test_link_identity_for_commuting_pair():
     rho_a = np.diag([0.7, 0.3]).astype(complex)
     rho_b = np.diag([0.2, 0.8]).astype(complex)
-    v = mt.uhlmann_link(rho_a, rho_b)
+    v = uhlmann_link(rho_a, rho_b)
     assert np.abs(v - np.eye(2)).max() <= 1e-12
 
 
 def test_link_unitary_and_polar_optimal(qwz):
     rng = np.random.default_rng(2)
-    rho_a = mt.thermal_density_k(qwz, 1.5, 0.0, 0.3, -0.2)
-    rho_b = mt.thermal_density_k(qwz, 1.5, 0.0, 0.9, 1.4)
-    v = mt.uhlmann_link(rho_a, rho_b)
+    rho_a = thermal_density_k(qwz, 1.5, 0.0, 0.3, -0.2)
+    rho_b = thermal_density_k(qwz, 1.5, 0.0, 0.9, 1.4)
+    v = uhlmann_link(rho_a, rho_b)
     assert np.abs(v.conj().T @ v - np.eye(2)).max() <= 1e-12
     w, vecs = np.linalg.eigh(rho_a)
     sq_a = (vecs * np.sqrt(w)) @ vecs.conj().T
@@ -85,18 +94,18 @@ def test_link_rejects_rank_deficiency():
     pure = np.diag([1.0, 0.0]).astype(complex)
     mixed = np.diag([0.6, 0.4]).astype(complex)
     with pytest.raises(mt.RankDeficiencyError):
-        mt.uhlmann_link(pure, mixed)
+        uhlmann_link(pure, mixed)
 
 
 def test_path_validation():
     good = np.tile(np.diag([0.6, 0.4]).astype(complex), (4, 1, 1))
-    mt.DensityMatrixPath(np.arange(4.0), good)
+    DensityMatrixPath(np.arange(4.0), good)
     with pytest.raises(ValueError):
-        mt.DensityMatrixPath(np.arange(4.0), 2 * good)  # trace 2
+        DensityMatrixPath(np.arange(4.0), 2 * good)  # trace 2
     bad = good.copy()
     bad[1] = np.array([[0.6, 0.4], [0.1, 0.4]])
     with pytest.raises(ValueError):
-        mt.DensityMatrixPath(np.arange(4.0), bad)  # not Hermitian
+        DensityMatrixPath(np.arange(4.0), bad)  # not Hermitian
 
 
 @pytest.mark.parametrize("entry", [(2, 0, 0), (2, 0, 1)])
@@ -104,7 +113,7 @@ def test_path_rejects_nan_entries(entry):
     rhos = np.tile(np.diag([0.6, 0.4]).astype(complex), (4, 1, 1))
     rhos[entry] = np.nan
     with pytest.raises(ValueError):
-        mt.DensityMatrixPath(np.arange(4.0), rhos)
+        DensityMatrixPath(np.arange(4.0), rhos)
 
 
 @pytest.mark.parametrize("bad", [np.array([[0.6, 0.3], [0.0, 0.4]]),  # not Hermitian
@@ -113,12 +122,12 @@ def test_link_validates_its_pair_as_a_path(bad):
     good = np.diag([0.7, 0.3])
     for pair in ((good, bad), (bad, good)):
         with pytest.raises(ValueError):
-            mt.uhlmann_link(*pair)
+            uhlmann_link(*pair)
 
 
 def test_path_diagonalizes_once(qwz, monkeypatch):
     """One eigh over the path at construction; holonomy, phase and link reuse it."""
-    rhos = mt.bz_loop_path(qwz, 2.0, 0.0, "x", 0.4, 64).rhos
+    rhos = bz_loop_path(qwz, 2.0, 0.0, "x", 0.4, 64).rhos
     calls = {"eigh": count_eigh(monkeypatch), "eigvalsh": []}
     eigvalsh = np.linalg.eigvalsh
 
@@ -127,12 +136,12 @@ def test_path_diagonalizes_once(qwz, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    path = mt.DensityMatrixPath(np.arange(64.0), rhos)
+    path = DensityMatrixPath(np.arange(64.0), rhos)
     assert calls == {"eigh": [(64,)], "eigvalsh": []}
-    mt.uhlmann_holonomy(path)
-    mt.uhlmann_phase(path)
+    uhlmann_holonomy(path)
+    uhlmann_phase(path)
     assert calls == {"eigh": [(64,)], "eigvalsh": []}
-    mt.uhlmann_link(rhos[0], rhos[1])
+    uhlmann_link(rhos[0], rhos[1])
     assert calls == {"eigh": [(64,), (2,)], "eigvalsh": []}
 
 
@@ -150,12 +159,18 @@ def _matrices_per_call(calls: list) -> list:
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
-def test_profile_refinement_diagonalizes_each_point_once(qwz, monkeypatch, direction):
-    """512 -> 1024 over 32 lines: the doubling diagonalizes only its new odd points."""
+def test_profile_refinement_diagonalizes_each_point_once(qwz, qwz_gap, monkeypatch, direction):
+    """The certified winding over 32 lines at T = 0.05 gap, from 8 path points: x doubles
+    to 16 points and y to 32, and each doubling diagonalizes only its new odd points."""
+    monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 8)
     counts = _count_uhlmann_eigh(monkeypatch)
-    _, used = mt.uhlmann_phase_profile(qwz, 1.0, 0.0, direction, mt.momentum_line(32), 512)
-    assert used == 1024
-    assert _matrices_per_call(counts) == [32 * 512, 32 * 512]  # each of the 32 x 1024 points once
+    spectra = _LineSpectra(qwz, direction, mt.momentum_line(32))
+    [(_, used)] = uhlmann._refinement(spectra, np.array([1.0 / (0.05 * qwz_gap)]), 0.0)
+    assert used == {"x": 16, "y": 32}[direction]
+    # the 4-point coarse loops are a strided view of the 8-point ones; then each of the
+    # 32 x `used` points once
+    assert _matrices_per_call(counts) == {"x": [32 * 8, 32 * 8],
+                                          "y": [32 * 8, 32 * 8, 32 * 16]}[direction]
 
 
 def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch):
@@ -205,7 +220,7 @@ def _random_loop_spectra(p, loops, n_points, seed):
     c = np.stack([random_hermitian(rng, p) for _ in range(loops)])[:, None]
     t = mt.momentum_line(n_points)[None, :, None, None]
     energies, vectors = np.linalg.eigh(c + a * np.cos(t) + b * np.sin(t))
-    return uhlmann._planes(vectors), np.moveaxis(mt.boltzmann_weights(energies, 1.0, 0.0), -1, 0)
+    return _planes(vectors), np.moveaxis(mt.boltzmann_weights(energies, 1.0, 0.0), -1, 0)
 
 
 def _oracle_transport(vectors, weights):
@@ -255,15 +270,15 @@ def test_transport_independent_of_batch_shape(p):
         assert single[0].shape == (p, p) and np.shape(single[1]) == ()
         _assert_transport_matches(single, tuple(a[t] for a in stacked), 1e-14)
 
-    # the public routes: a path of assembled matrices and the two-point link
+    # the assembled-matrix routes of the oracle: a path and the two-point link
     rhos = mt.spectral_sum(uhlmann._matrices(vectors[:, :, 0]), weights[:, 0].T)
-    path = mt.DensityMatrixPath(mt.momentum_line(128), rhos)
-    holonomy = mt.uhlmann_holonomy(path)
+    path = DensityMatrixPath(mt.momentum_line(128), rhos)
+    holonomy = uhlmann_holonomy(path)
     assert holonomy.matrix.shape == (p, p)
     assert np.abs(holonomy.matrix - stacked[0][0]).max() <= 1e-12
-    assert mt.uhlmann_phase(path) == pytest.approx(stacked[1][0], abs=1e-12)
+    assert uhlmann_phase(path) == pytest.approx(stacked[1][0], abs=1e-12)
     _, links = uhlmann._loop_links(vectors, weights)
-    link = mt.uhlmann_link(rhos[0], rhos[1])
+    link = uhlmann_link(rhos[0], rhos[1])
     assert link.shape == (p, p)
     assert np.abs(link - links[:, :, 0, 0]).max() <= 1e-12
 
@@ -312,7 +327,7 @@ def test_transport_transient_memory_within_oracle(qwz):
 
 def _polar(products, det=None):
     """The kernel's polar factor on (..., p, p) matrices; the input is left as it was."""
-    return uhlmann._matrices(uhlmann._polar_unitary(uhlmann._planes(products), det))
+    return uhlmann._matrices(uhlmann._polar_unitary(_planes(products), det))
 
 
 def _assert_polar_factor(products, unitary):
@@ -381,7 +396,7 @@ def test_polar_closed_form_uses_given_determinant():
 def _svd_route(monkeypatch):
     """The oracle route: SVD polar factors over LAPACK spectra, no closed form."""
     monkeypatch.setattr(uhlmann, "_polar_unitary", lambda products, det=None:
-                        uhlmann._planes(svd_polar_unitary(uhlmann._matrices(products))))
+                        _planes(svd_polar_unitary(uhlmann._matrices(products))))
     monkeypatch.setattr(mt.model, "_eigh", np.linalg.eigh)
 
 
@@ -399,12 +414,16 @@ def _svd_route(monkeypatch):
 @pytest.mark.parametrize("beta, tol", [(0.1, 1e-12), (1.0, 1e-12), (2.0, 1e-12),
                                        (3.0, 1e-11), (5.0, 3e-8)])
 def test_profile_closed_form_matches_svd_route(qwz, monkeypatch, beta, tol, direction, refine):
-    transverse = mt.momentum_line(32)
-    closed, used = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, 512, refine)
+    """At 512 points, and (`refine`) through the Cauchy refinement of the oracle."""
+    def phases():
+        args = (qwz, beta, 0.0, direction, mt.momentum_line(32), 512)
+        return cauchy_phases(*args) if refine else (mt.uhlmann_phase_profile(*args).phases, 512)
+
+    closed, used = phases()
     _svd_route(monkeypatch)
-    svd, svd_used = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, 512, refine)
+    svd, svd_used = phases()
     assert used == svd_used
-    assert np.abs(mt.principal_branch(closed.phases - svd.phases)).max() <= tol
+    assert np.abs(mt.principal_branch(closed - svd)).max() <= tol
 
 
 @pytest.mark.skipif(not EXTENDED, reason="long double is not wider than double here")
@@ -413,8 +432,7 @@ def test_profile_closed_form_matches_svd_route(qwz, monkeypatch, beta, tol, dire
 def test_profile_matches_extended_precision(qwz, beta, direction):
     transverse = mt.momentum_line(32)
     for n_points in (512, 1024):
-        profile, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, n_points,
-                                              refine=False)
+        profile = mt.uhlmann_phase_profile(qwz, beta, 0.0, direction, transverse, n_points)
         reference = qwz_phases_extended(beta, direction, transverse, n_points)
         assert np.abs(mt.principal_branch(profile.phases - reference)).max() <= 1e-13
 
@@ -436,25 +454,25 @@ def test_windings_refuse_zero_temperature(qwz):
 
 def test_holonomy_rejects_projector_path():
     rhos = np.tile(np.diag([1.0, 0.0]).astype(complex), (8, 1, 1))
-    path = mt.DensityMatrixPath(np.arange(8.0), rhos)
+    path = DensityMatrixPath(np.arange(8.0), rhos)
     with pytest.raises(mt.RankDeficiencyError):
-        mt.uhlmann_phase(path)
+        uhlmann_phase(path)
 
 
 def test_phase_constant_path(qwz):
-    rho = mt.thermal_density_k(qwz, 1.0, 0.0, 0.5, 0.5)
-    path = mt.DensityMatrixPath(np.arange(6.0), np.tile(rho, (6, 1, 1)))
-    assert mt.uhlmann_phase(path) == pytest.approx(0.0, abs=1e-12)
+    rho = thermal_density_k(qwz, 1.0, 0.0, 0.5, 0.5)
+    path = DensityMatrixPath(np.arange(6.0), np.tile(rho, (6, 1, 1)))
+    assert uhlmann_phase(path) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phase_maximally_mixed_is_trivial(qwz):
-    phase, _ = mt.uhlmann_phase_bz(qwz, 1e-4, 0.0, "x", 0.9, 128, refine=False)
+    phase = loop_phase(qwz, 1e-4, 0.0, "x", 0.9, 128)
     assert abs(phase) < 1e-6
 
 
 def test_holonomy_unitary(qwz):
     path = thermal_path(qwz, 2.0, np.pi / 3, m=128)
-    hol = mt.uhlmann_holonomy(path)
+    hol = uhlmann_holonomy(path)
     assert np.abs(hol.matrix.conj().T @ hol.matrix - np.eye(2)).max() <= 1e-10
 
 
@@ -462,33 +480,32 @@ def test_holonomy_unitary(qwz):
 @pytest.mark.parametrize("beta", [0.1, 2.0, 3.0])
 def test_phase_path_object_matches_profile_machinery(qwz, beta, direction):
     path = thermal_path(qwz, beta, np.pi / 3, m=512, direction=direction)
-    phase_path = mt.uhlmann_phase(path)
-    phase_prof, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, direction, np.pi / 3, 512,
-                                        refine=False)
+    phase_path = uhlmann_phase(path)
+    phase_prof = loop_phase(qwz, beta, 0.0, direction, np.pi / 3, 512)
     assert abs(mt.principal_branch(phase_path - phase_prof)) <= 1e-12
 
 
 def test_cauchy_criterion_512_to_1024(qwz):
     for beta in (10.0, 0.5):
-        a, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", np.pi / 3, 512, refine=False)
-        b, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", np.pi / 3, 1024, refine=False)
+        a = loop_phase(qwz, beta, 0.0, "x", np.pi / 3, 512)
+        b = loop_phase(qwz, beta, 0.0, "x", np.pi / 3, 1024)
         assert abs(mt.principal_branch(b - a)) < 1e-4
 
 
 def test_refinement_reports_points_used(qwz):
-    _, m_used = mt.uhlmann_phase_bz(qwz, 2.0, 0.0, "x", 0.7, 512)
+    _, m_used = cauchy_phases(qwz, 2.0, 0.0, "x", [0.7], 512)
     assert 512 < m_used <= 8192
 
 
 def test_under_resolved_coarse_path(qwz):
     with pytest.raises(mt.UnderResolvedError):
-        mt.uhlmann_phase_bz(qwz, 20.0, 0.0, "y", np.pi / 2, 4, refine=False)
+        loop_phase(qwz, 20.0, 0.0, "y", np.pi / 2, 4)
 
 
 def test_cold_phase_matches_fictitious_band_zak(qwz, qwz_gap):
     beta = 20.0 / qwz_gap
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    phase, _ = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", np.pi / 3, 512)
+    [phase], _ = cauchy_phases(qwz, beta, 0.0, "x", [np.pi / 3], 512)
     _, frames = mt.band_systems(mt.fictitious_hamiltonian(spec, mt.momentum_line(512), np.pi / 3))
     states = frames[..., 1]
     assert abs(mt.principal_branch(phase - mt.zak_phase_wilson(states))) < 0.02
@@ -498,7 +515,7 @@ def test_amplitude_gauge_freedom(qwz):
     """w -> w U right gauges drop out of the transport construction."""
     rng = np.random.default_rng(9)
     path = thermal_path(qwz, 2.0, 1.1, m=48)
-    reference = mt.uhlmann_phase(path)
+    reference = uhlmann_phase(path)
 
     eig, vec = np.linalg.eigh(path.rhos)
     sqrts = np.einsum("tij,tj,tkj->tik", vec, np.sqrt(np.clip(eig, 0, None)), vec.conj())
@@ -535,14 +552,16 @@ def test_windings_asymmetric_window_exists(qwz, qwz_gap):
 
 def test_certified_windings_match_cauchy_route(qwz, qwz_gap):
     """Through the split window the certified windings equal those of the Cauchy-converged
-    profiles, the oracle: `uhlmann_phase_profile` and `winding_of_phase_profile`."""
+    profiles, the oracle: `cauchy_phases` and `winding_of_phase_profile`."""
     grid = mt.MomentumGrid(16, 16)
     certified, cauchy = [], []
     for t_over_gap in np.geomspace(0.25, 1.0, 8):
         beta = 1.0 / (t_over_gap * qwz_gap)
         certified.append(mt.uhlmann_windings(qwz, beta, 0.0, grid))
-        prof_x, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), 128)
-        prof_y, _ = mt.uhlmann_phase_profile(qwz, beta, 0.0, "y", grid.kx_values(), 128)
+        phases_x, _ = cauchy_phases(qwz, beta, 0.0, "x", grid.ky_values(), 128)
+        phases_y, _ = cauchy_phases(qwz, beta, 0.0, "y", grid.kx_values(), 128)
+        prof_x = mt.PhaseProfile(grid.ky_values(), phases_x)
+        prof_y = mt.PhaseProfile(grid.kx_values(), phases_y)
         cauchy.append((mt.winding_of_phase_profile(prof_x), -mt.winding_of_phase_profile(prof_y)))
     assert certified == cauchy
     assert any(cx != cy for cx, cy in cauchy)  # the sweep crosses the split window
@@ -555,9 +574,8 @@ def test_path_error_estimate_bounds_next_refinement(qwz, qwz_gap, t_over_gap, di
                                                     n_points):
     """e = max |phi_M - phi_c| / ((M/c)^2 - 1), c = M // 2, bounds max |phi_2M - phi_M|."""
     def phases(m):
-        profile, _ = mt.uhlmann_phase_profile(qwz, 1.0 / (t_over_gap * qwz_gap), 0.0, direction,
-                                              mt.momentum_line(16), m, refine=False)
-        return profile.phases
+        return mt.uhlmann_phase_profile(qwz, 1.0 / (t_over_gap * qwz_gap), 0.0, direction,
+                                        mt.momentum_line(16), m).phases
 
     coarse, fine, finer = (phases(m) for m in (n_points // 2, n_points, 2 * n_points))
     error = np.abs(mt.principal_branch(fine - coarse)).max() / (
@@ -575,7 +593,7 @@ def test_path_error_estimate_bounds_true_error_at_the_start(qwz, qwz_gap, direct
     spectra(4096)  # the start path and its half are strided views of these
     for t_over_gap in (0.01, 0.34, 0.5, 5.0):
         beta = 1.0 / (t_over_gap * qwz_gap)
-        coarse, fine, exact = (uhlmann._refined_phases(spectra, beta, 0.0, m, refine=False)[0]
+        coarse, fine, exact = (fixed_phases(spectra, beta, 0.0, m)
                                for m in (start // 2, start, 4096))
         error = np.abs(mt.principal_branch(fine - coarse)).max() / 3
         assert np.abs(mt.principal_branch(exact - fine)).max() <= 2 * error
@@ -732,8 +750,8 @@ def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
     beta, grid = 1.0 / (0.3 * qwz_gap), mt.MomentumGrid(8, 8)
     monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
     monkeypatch.setattr(uhlmann, "PATH_POINTS_CAP", 4)
-    coarse, fine = (mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), m,
-                                             refine=False)[0] for m in (2, 4))
+    coarse, fine = (mt.uhlmann_phase_profile(qwz, beta, 0.0, "x", grid.ky_values(), m)
+                    for m in (2, 4))
     steps = np.abs(fine.jumps())
     two_e = 2 * np.abs(mt.principal_branch(fine.phases - coarse.phases)).max() / 3
     assert steps.max() + two_e >= np.pi - JUMP_MARGIN
@@ -761,10 +779,10 @@ def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap, monkeypatch):
     """A pass whose links fail LINK_IDENTITY_MAX is not converged yet: it doubles."""
     beta = 1.0 / (0.02 * qwz_gap)
     with pytest.raises(mt.UnderResolvedError, match="link deviates"):
-        mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4, refine=False)
+        loop_phase(qwz, beta, 0.0, "x", 0.0, 4)
     monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 4)
     assert mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(8, 8)) == (1, 1)
-    _, used = mt.uhlmann_phase_bz(qwz, beta, 0.0, "x", 0.0, 4)
+    _, used = cauchy_phases(qwz, beta, 0.0, "x", [0.0], 4)
     assert used > 4
 
 

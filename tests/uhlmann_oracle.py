@@ -1,5 +1,18 @@
-"""References for the Uhlmann transport: the matmul kernel, the SVD polar factor, an
-extended-precision loop and the per-temperature scan.
+"""References for the Uhlmann transport: the assembled-matrix route, the Cauchy
+refinement, the matmul kernel, the SVD polar factor, an extended-precision loop and
+the per-temperature scan.
+
+The assembled-matrix route (`thermal_density_k`, `DensityMatrixPath`,
+`uhlmann_link`, `uhlmann_holonomy`, `uhlmann_phase`, `bz_loop_path`) takes
+explicit density matrices, validates them, diagonalizes each path once and
+hands its spectrum to the entry-plane kernel `mixedtopo.uhlmann._transport`.
+It refuses a path whose smallest eigenvalue is at or below RANK_NOISE_FLOOR;
+the package's thermal loops carry exact Boltzmann weights and need no floor.
+
+`cauchy_phases` is the refinement the Uhlmann phase functions once stopped
+on: the path doubles until the phases change pointwise by less than
+CAUCHY_TOL. `fixed_phases` and `loop_phase` evaluate the same
+`mixedtopo.uhlmann._phases_at` at one path, raising what refuses it.
 
 `transport` is the Uhlmann transport written with batched matmul and einsum
 on (..., M, p, p) stacks, which the entry-plane kernel of `mixedtopo.uhlmann`
@@ -19,18 +32,196 @@ one temperature at a time, each with its own transport passes and its own
 `chain_traces` call per direction, raising at the first failure of a pass.
 """
 
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from mixedtopo import uhlmann
+from mixedtopo import model, uhlmann
 from mixedtopo.egp import _egp_windings, _line_profile
-from mixedtopo.errors import MixedTopoError, PhaseUndefinedError, UnderResolvedError
+from mixedtopo.errors import (MixedTopoError, PhaseUndefinedError, RankDeficiencyError,
+                              UnderResolvedError)
 from mixedtopo.gaussian import GaussianStateSpec
 from mixedtopo.geometry import JUMP_MARGIN, PhaseProfile, winding_of_phase_profile
-from mixedtopo.model import _LineSpectra, boltzmann_weights, momentum_line, spectral_sum
+from mixedtopo.model import (BlochModel, _LineSpectra, _planes, boltzmann_weights, line_momenta,
+                             momentum_line, spectral_sum)
 
+# Below this floor an assembled density matrix is indistinguishable from an
+# exactly pure one at double precision: the polar transport factor would be
+# basis dependent in the near-null subspace, so raw-matrix input is refused.
+# The thermal loops of the package avoid assembly altogether: they carry exact
+# spectral weights (representable down to ~1e-308), which is what keeps
+# deep-cold scans usable.
+RANK_NOISE_FLOOR = 1e-14
+CAUCHY_TOL = 1e-4
 EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+
+def thermal_density_k(bloch: BlochModel, beta: float, mu: float, kx, ky) -> np.ndarray:
+    """rho(k) = e^{-beta (h(k) - mu)} / Tr[...] at broadcast momenta; finite beta only."""
+    energies, vectors = model._eigh(bloch.matrix(kx, ky))
+    return spectral_sum(vectors, boltzmann_weights(energies, beta, mu))
+
+
+@dataclass(frozen=True)
+class DensityMatrixPath:
+    """Closed loop of density matrices; rho(M+1) is rho(1).
+
+    The spectrum of every point is taken once, at construction, and kept as
+    entry planes in the transport kernel's layout; the holonomy and the phase
+    read it and diagonalize nothing again.
+    """
+
+    parameters: np.ndarray
+    rhos: np.ndarray  # (M, p, p)
+    # (vectors (p, p, M), weights (p, M)) as entry planes
+    _spectrum: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rhos = np.asarray(self.rhos, dtype=complex)
+        params = np.asarray(self.parameters, dtype=float)
+        if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
+            raise ValueError("rhos must be (M, p, p)")
+        if params.shape != (rhos.shape[0],):
+            raise ValueError("parameters must match the number of path points")
+        # `not dev <= tol` refuses NaN entries too
+        trace_dev = np.abs(np.einsum("kii->k", rhos) - 1).max()
+        if not trace_dev <= 1e-12:
+            raise ValueError(f"path matrices must have unit trace "
+                             f"(worst deviation {trace_dev:.3e})")
+        if not np.abs(rhos - rhos.conj().transpose(0, 2, 1)).max() <= 1e-12:
+            raise ValueError("path matrices must be Hermitian")
+        weights, vectors = model._eigh(rhos)
+        if not weights.min() >= -1e-12:
+            raise ValueError(f"path matrices must be positive semi-definite "
+                             f"(min eigenvalue {weights.min():.3e})")
+        object.__setattr__(self, "rhos", rhos)
+        object.__setattr__(self, "parameters", params)
+        object.__setattr__(self, "_spectrum", (_planes(vectors), np.ascontiguousarray(weights.T)))
+
+    def __len__(self) -> int:
+        return self.rhos.shape[0]
+
+
+@dataclass(frozen=True)
+class UhlmannHolonomy:
+    """Path-ordered product of transport unitaries, with link diagnostics."""
+
+    matrix: np.ndarray
+    n_points: int
+    max_link_deviation: float = math.nan
+
+
+def _full_rank_spectrum(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray]:
+    """The stored (vector, weight) planes of a path; refused at the rank noise floor."""
+    vectors, weights = path._spectrum
+    smallest = weights[0].min()
+    if smallest <= RANK_NOISE_FLOOR:
+        raise RankDeficiencyError(
+            f"density matrix numerically rank deficient (min eigenvalue {smallest:.3e} "
+            f"<= {RANK_NOISE_FLOOR:.0e}); mixed-state holonomy undefined at exact purity. "
+            "For cold thermal states use the thermal entry points, which work with exact "
+            "weights")
+    return vectors, weights
+
+
+def uhlmann_link(rho_a: np.ndarray, rho_b: np.ndarray) -> np.ndarray:
+    """Discrete parallel-transport unitary from rho_a to rho_b.
+
+    V = W Z^dag from the SVD sqrt(rho_b) sqrt(rho_a) = W S Z^dag; equivalently
+    the unitary maximizing Re Tr[V^dag sqrt(rho_b) sqrt(rho_a)], which is the
+    w_b^dag w_a > 0 transport condition. The pair is validated as a
+    two-point DensityMatrixPath.
+    """
+    pair = DensityMatrixPath(np.arange(2.0), np.stack([rho_a, rho_b]))
+    _, links = uhlmann._loop_links(*_full_rank_spectrum(pair))
+    return links[..., 0].copy()
+
+
+def _checked_transport(path: DensityMatrixPath) -> tuple[np.ndarray, np.ndarray, float]:
+    """(holonomy, phase, link deviation) of a path, raising what `_transport_error` finds."""
+    holonomy, phase, deviation, modulus = uhlmann._transport(*_full_rank_spectrum(path))
+    error = uhlmann._transport_error(deviation, modulus)
+    if error is not None:
+        raise error
+    return holonomy, phase, float(deviation)
+
+
+def uhlmann_holonomy(path: DensityMatrixPath) -> UhlmannHolonomy:
+    """H = V_M ... V_1 along the closed path; refuses badly resolved paths.
+
+    Raises PhaseUndefinedError where Tr[rho(0) H] vanishes, like uhlmann_phase.
+    """
+    holonomy, _, dev = _checked_transport(path)
+    return UhlmannHolonomy(matrix=holonomy, n_points=len(path), max_link_deviation=dev)
+
+
+def uhlmann_phase(path: DensityMatrixPath) -> float:
+    """phi_U = Im ln Tr[rho(0) H] on the principal branch."""
+    return float(_checked_transport(path)[1])
+
+
+def bz_loop_path(bloch: BlochModel, beta: float, mu: float, direction: str,
+                 transverse_k: float, n_points: int) -> DensityMatrixPath:
+    """Thermal density matrices along a straight BZ loop at fixed transverse k.
+
+    Assembling explicit matrices caps the usable coldness at the
+    double-precision noise floor; the package's thermal loops go through
+    exact spectral weights instead and reach much larger beta.
+    """
+    ks = momentum_line(n_points)
+    rhos = thermal_density_k(bloch, beta, mu, *line_momenta(direction, ks, transverse_k))
+    return DensityMatrixPath(parameters=ks, rhos=rhos)
+
+
+def fixed_phases(spectra: _LineSpectra, beta: float, mu: float, m: int) -> np.ndarray:
+    """Uhlmann phases of one temperature on the m-point loops of a line-spectrum cache,
+    by `mixedtopo.uhlmann._phases_at`; raises the error that refuses them."""
+    [phases] = uhlmann._phases_at(spectra, np.array([beta], dtype=float), mu, m)
+    if isinstance(phases, MixedTopoError):
+        raise phases
+    return phases
+
+
+def loop_phase(bloch: BlochModel, beta: float, mu: float, direction: str,
+               transverse_k: float, n_points: int) -> float:
+    """phi_U of one straight BZ loop of n_points points."""
+    spectra = _LineSpectra(bloch, direction, np.array([float(transverse_k)]))
+    return float(fixed_phases(spectra, beta, mu, n_points)[0])
+
+
+def cauchy_phases(bloch: BlochModel, beta: float, mu: float, direction: str,
+                  transverse, n_points: int) -> tuple[np.ndarray, int]:
+    """(Uhlmann phases over `transverse`, path points used), Cauchy-converged.
+
+    m doubles from n_points until the phases change pointwise by less than
+    CAUCHY_TOL from the previous pass. A pass whose links fail the
+    LINK_IDENTITY_MAX check is not converged yet and doubles too; past
+    PATH_POINTS_CAP, UnderResolvedError names the direction, the points and
+    why the last pass failed. Any other error of a pass is raised.
+    """
+    spectra = _LineSpectra(bloch, direction, np.asarray(transverse, dtype=float))
+    m, previous = n_points, None
+    while True:
+        [phases] = uhlmann._phases_at(spectra, np.array([beta], dtype=float), mu, m)
+        if isinstance(phases, UnderResolvedError):  # a link too far from the identity
+            reason, phases = str(phases), None
+        elif isinstance(phases, MixedTopoError):
+            raise phases
+        elif previous is None:
+            reason = (f"the {m // 2}-point pass failed the link check" if m > n_points
+                      else "no coarser pass to compare with")
+        else:
+            change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
+            if change < CAUCHY_TOL:
+                return phases, m
+            reason = f"pointwise change {change:.3e} >= {CAUCHY_TOL:.0e}: not Cauchy-converged"
+        if 2 * m > uhlmann.PATH_POINTS_CAP:
+            raise UnderResolvedError(f"Uhlmann {spectra.direction} path unresolved at {m} points "
+                                     f"(cap {uhlmann.PATH_POINTS_CAP}): {reason}")
+        previous, m = phases, 2 * m
 
 
 def svd_polar_unitary(products: np.ndarray) -> np.ndarray:
@@ -156,7 +347,7 @@ def _checked_phases(spectra: _LineSpectra, beta: float, mu: float, m: int) -> np
 
 def certified_profile(spectra: _LineSpectra, beta: float, mu: float) -> tuple[np.ndarray, int]:
     """(phases, path points) of one temperature's certified Uhlmann winding, by the rule of
-    `mixedtopo.uhlmann._refinement` with `certify`, from PATH_POINTS_START points."""
+    `mixedtopo.uhlmann._refinement`, from PATH_POINTS_START points."""
     def phases_at(m: int) -> tuple[Optional[np.ndarray], str]:
         try:
             return _checked_phases(spectra, beta, mu, m), ""
