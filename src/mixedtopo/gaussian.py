@@ -103,6 +103,9 @@ def load_matrix_grid(path) -> tuple[MomentumGrid, np.ndarray]:
     if len(tokens) < 3:
         raise ValueError(f"{path}: missing 'p nx ny' header")
     p, nx, ny = (int(t) for t in tokens[:3])
+    if p < 1 or nx < 2 or ny < 2:
+        raise ValueError(f"{path}: header 'p nx ny' = '{p} {nx} {ny}' needs p >= 1, nx >= 2 "
+                         "and ny >= 2")
     data = np.array(tokens[3:], dtype=float)  # float() of each token, in C
     expected = nx * ny * p * p * 2
     if data.size != expected:

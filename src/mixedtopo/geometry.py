@@ -84,7 +84,7 @@ def _frames_on_grid(states: np.ndarray, ndim_grid: int) -> np.ndarray:
     """(*grid, p, nb) frames from states on a rank-`ndim_grid` grid; one band gets nb = 1.
 
     A state with a non-finite entry raises PhaseUndefinedError naming its grid
-    index, before any overlap determinant is taken.
+    index, before any link is taken.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim == ndim_grid + 1:
@@ -102,15 +102,21 @@ def _frames_on_grid(states: np.ndarray, ndim_grid: int) -> np.ndarray:
 
 
 def _link_determinants(frames_a: np.ndarray, frames_b: np.ndarray) -> np.ndarray:
-    """det of the overlap matrix U_a^dag U_b per grid point; checks conditioning."""
-    overlap = np.einsum("...pi,...pj->...ij", frames_a.conj(), frames_b)
-    dets = np.linalg.det(overlap)
-    worst = np.abs(dets).min()
+    """Link variable per grid point; checks conditioning.
+
+    One band (nb = 1): the overlap <u_a|u_b>, a single contraction over p.
+    A multiband frame: det of the overlap matrix U_a^dag U_b.
+    """
+    if frames_a.shape[-1] == 1:
+        links = np.einsum("...p,...p->...", frames_a[..., 0].conj(), frames_b[..., 0])
+    else:
+        links = np.linalg.det(np.einsum("...pi,...pj->...ij", frames_a.conj(), frames_b))
+    worst = np.abs(links).min()
     if worst < OVERLAP_MIN_MODULUS:
         raise UnderResolvedError(
             f"overlap determinant modulus {worst:.3e} < {OVERLAP_MIN_MODULUS:.0e}: "
             "loop ill-conditioned (grid too coarse or gap closing)")
-    return dets
+    return links
 
 
 def zak_phase_wilson(states: np.ndarray) -> float:
@@ -131,7 +137,8 @@ def berry_curvature_plaquette(state_grid: np.ndarray) -> CurvatureField:
     """Field strength per plaquette from states on a full periodic grid.
 
     F(k) = Im ln [<u(k)|u(k+ex)><u(k+ex)|u(k+ex+ey)><u(k+ex+ey)|u(k+ey)><u(k+ey)|u(k)>]
-    on the principal branch, with overlap determinants for multiband frames.
+    on the principal branch. A one-band link is the overlap itself; the links
+    of a multiband (p, nb) frame are the determinants of the nb x nb overlaps.
     """
     frames = _frames_on_grid(state_grid, 2)
     ux = _link_determinants(frames, np.roll(frames, -1, axis=0))

@@ -91,14 +91,19 @@ def profile_from_json(path) -> PhaseProfile:
 # ---------------------------------------------------------------- curvature
 
 def curvature_to_csv(path, field: CurvatureField, kx_values, ky_values):
-    """One "kx,ky,value" row per grid point, kx outer; the text write_csv would give."""
-    kys = [fmt(ky) for ky in ky_values]
-    lines = ["kx,ky,value"]
-    for kx, row in zip(kx_values, field.values.tolist(), strict=True):
-        kx = fmt(kx)
-        lines.extend(f"{kx},{ky},{value:.17g}" for ky, value in zip(kys, row, strict=True))
+    """One "kx,ky,value" row per grid point, kx outer; the text write_csv would give.
+
+    Each kx block is one %-template over its row ("%.17g" % x is fmt(x)).
+    """
+    if field.values.shape != (len(kx_values), len(ky_values)):
+        raise ValueError(f"momenta ({len(kx_values)}, {len(ky_values)}) do not match "
+                         f"the curvature field {field.values.shape}")
+    cells = [""] + [f",{fmt(ky)},%.17g\n" for ky in ky_values]
+    blocks = ["kx,ky,value\n"]
+    blocks.extend(fmt(kx).join(cells) % tuple(row)
+                  for kx, row in zip(kx_values, field.values.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(blocks))
 
 
 def curvature_from_csv(path) -> tuple[CurvatureField, np.ndarray, np.ndarray]:

@@ -766,6 +766,14 @@ def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
     for kx_values, ky_values in ((kxs[:-1], kxs), (kxs, kxs[:-1])):
         with pytest.raises(ValueError):  # momenta that do not match the field
             serialize.curvature_to_csv(tmp_path / "bad.csv", field, kx_values, ky_values)
+    # a non-square grid, the special values in a later row
+    grid = mt.MomentumGrid(7, 5)
+    values = mt.berry_curvature_plaquette(mt.band_systems(qwz.matrix(*grid.mesh()))[1][..., 0]).values
+    values[3, :] = [-0.0, 5e-324, math.nan, -math.inf, 1e300]
+    field = mt.CurvatureField(values=values)
+    serialize.curvature_to_csv(tmp_path / "new.csv", field, grid.kx_values(), grid.ky_values())
+    curvature_to_csv_per_row(tmp_path / "old.csv", field, grid.kx_values(), grid.ky_values())
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_serialize_reports_roundtrip(tmp_path):

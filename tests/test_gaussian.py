@@ -422,6 +422,18 @@ def test_load_matrix_grid_matches_per_token_parser(tmp_path, qwz):
     assert values.tobytes() == ref_values.tobytes()
 
 
+@pytest.mark.parametrize("header, count", [("0 4 4", 0), ("2 -2 -2", 32), ("2 -1 4", 32),
+                                           ("2 1 4", 32), ("2 4 1", 32)])
+def test_load_matrix_grid_refuses_impossible_header(tmp_path, header, count):
+    """p < 1, nx < 2 or ny < 2 is refused with the file and the header named,
+    before the body is read: even a body of the count the header implies."""
+    path = tmp_path / "state.dat"
+    path.write_text(header + "\n" + " ".join(["0.25"] * count) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: header 'p nx ny' = "
+                                         rf"'{header}' needs p >= 1, nx >= 2 and ny >= 2$"):
+        mt.load_matrix_grid(path)
+
+
 @pytest.mark.parametrize("damage", ["no header", "short header", "wrong count", "non-finite",
                                     "malformed token", "malformed header", "underscore token"])
 def test_load_matrix_grid_errors_match_per_token_parser(tmp_path, qwz, damage):

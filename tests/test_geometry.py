@@ -4,6 +4,9 @@ from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from conftest import random_unitary
+from mixedtopo import geometry
+
+_lapack_det = np.linalg.det
 
 
 def qwz_band_line(qwz, ky, m, band=0):
@@ -12,6 +15,32 @@ def qwz_band_line(qwz, ky, m, band=0):
 
 def qwz_band_grid(qwz, n, band=0):
     return mt.band_systems(qwz.matrix(*mt.MomentumGrid(n, n).mesh()))[1][..., band]
+
+
+def det_links(frames_a, frames_b):
+    """The link route the one-band contraction replaced: LAPACK det of every overlap."""
+    return _lapack_det(np.einsum("...pi,...pj->...ij", frames_a.conj(), frames_b))
+
+
+def det_curvature(states):
+    """Plaquette phases of one band on a periodic grid, from det_links."""
+    frames = states[..., None]
+    ux = det_links(frames, np.roll(frames, -1, axis=0))
+    uy = det_links(frames, np.roll(frames, -1, axis=1))
+    return np.angle(ux * np.roll(uy, -1, axis=0) * np.roll(ux, -1, axis=1).conj() * uy.conj())
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.det while the test runs."""
+    calls = []
+
+    def det(a):
+        calls.append(np.shape(a))
+        return _lapack_det(a)
+
+    monkeypatch.setattr(np.linalg, "det", det)
+    return calls
 
 
 def test_principal_branch_bounds():
@@ -115,6 +144,62 @@ def test_curvature_gauge_invariance(qwz):
     rotated = states * phases[:, :, None]
     moved = mt.berry_curvature_plaquette(rotated)
     assert np.abs(moved.values - base.values).max() <= 1e-10
+
+
+@pytest.mark.parametrize("band, chern", [(0, 1), (1, -1)])
+def test_one_band_links_match_det_oracle(qwz, det_calls, band, chern):
+    """One-band links are the overlap itself, with no det call, and agree with
+    det of the 1 x 1 overlap to a few ulp; so do the plaquette phases."""
+    states = qwz_band_grid(qwz, 96, band)
+    frames = states[..., None]
+    for axis in (0, 1):
+        shifted = np.roll(frames, -1, axis=axis)
+        links = geometry._link_determinants(frames, shifted)
+        assert np.abs(links - det_links(frames, shifted)).max() <= 4 * np.finfo(float).eps
+    field = mt.berry_curvature_plaquette(states)
+    oracle = det_curvature(states)
+    assert np.abs(field.values - oracle).max() <= 1e-15
+    assert mt.chern_number(field) == mt.chern_number(mt.CurvatureField(oracle)) == chern
+    assert det_calls == []
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-9])
+def test_one_band_links_refuse_orthogonal_neighbours(det_calls, leak):
+    """A state (nearly) orthogonal to its neighbours stops the one-band path."""
+    states = np.tile(np.array([1.0, 0.0], dtype=complex), (6, 6, 1))
+    states[3, 2] = [leak, np.sqrt(1 - leak ** 2)]
+    with pytest.raises(mt.UnderResolvedError, match=r"^overlap determinant modulus"):
+        mt.berry_curvature_plaquette(states)
+    with pytest.raises(mt.UnderResolvedError, match=r"^overlap determinant modulus"):
+        mt.zak_phase_wilson(states[:, 2])
+    assert det_calls == []
+
+
+def three_band_model():
+    """qwz on orbitals 0, 1 and a dispersive orbital 2 coupled to orbital 0.
+
+    Bands (1, -2, 1) from the bottom, with gaps 1.67 and 0.48 on a 48^2 grid.
+    """
+    def evaluate(kx, ky):
+        h = np.zeros(kx.shape + (3, 3), dtype=complex)
+        h[..., :2, :2] = mt.bloch_matrix_from_d(mt.qwz_d_vector(kx, ky))
+        h[..., 2, 2] = 1.5 + np.cos(kx) + np.cos(ky)
+        h[..., 0, 2] = np.sin(kx) - 1j * np.sin(ky)
+        h[..., 2, 0] = np.sin(kx) + 1j * np.sin(ky)
+        return h
+
+    return mt.BlochModel(p=3, evaluator=evaluate, name="three-band")
+
+
+def test_two_band_frame_links_take_det(det_calls):
+    """A filled frame of nb = 2 goes through det; its Chern number is the sum of its bands'."""
+    _, vectors = mt.band_systems(three_band_model().matrix(*mt.MomentumGrid(48, 48).mesh()))
+    bands = [mt.chern_number(mt.berry_curvature_plaquette(vectors[..., b])) for b in range(3)]
+    assert bands == [1, -2, 1]
+    assert det_calls == []
+    frame = mt.berry_curvature_plaquette(vectors[..., :2])
+    assert det_calls == [(48, 48, 2, 2)] * 2
+    assert mt.chern_number(frame) == bands[0] + bands[1] == -1
 
 
 def test_chern_number_zero_field():
