@@ -13,13 +13,14 @@ that determinant by block cyclic reduction on entry planes (p, p, N, batch),
 the layout of the line-spectrum cache and the Uhlmann transport: about
 log2 N levels of closed-form Householder reflectors applied as whole-plane
 multiply-adds, in O(N p^3) time and O(N p^2) memory per chain, with no LAPACK
-call per matrix; every chain EGP in this module goes through it. The public
-`chain_traces` hands it stacked hfict matrices as a strided view. Thermal
-chains on a line-spectrum cache (the scan, `egp-profile`, the gauge
-reduction) skip the matrices: `_fermi_planes` writes hfict straight into
-planes, and the scan's chunks of temperatures reuse one set of plane and
-level buffers. Determinants are kept in log space (phase + log-magnitude) so
-long chains cannot under- or overflow.
+call per matrix; every chain EGP in this module goes through it. Thermal
+chains (`egp_profile`, `egp_windings`, the scan, the gauge reduction) skip the
+matrices: `_fermi_planes` writes hfict from a line-spectrum cache straight
+into planes, and the scan's chunks of temperatures reuse one set of plane and
+level buffers. The public `chain_traces` takes the stacked hfict matrices of
+tabulated specs and of `egp_component` as a strided view. Determinants are
+kept in log space (phase + log-magnitude) so long chains cannot under- or
+overflow.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
                 transverse_count: Optional[int]) -> PhaseProfile:
     """Sample the EGP over the transverse Brillouin zone.
 
-    All chains of the profile go through one `chain_traces` call. Tabulated
+    All chains of the profile go through one `_plane_traces` call. Tabulated
     specs fix n_cells and default transverse_count to their stored grid.
     Returns a PhaseProfile whose `log_moduli` carry log|z| per sample (the
     gauge-reduction diagnostic), finite however small |z| gets.
@@ -252,6 +253,8 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     n_cells = _or_stored(spec, n_cells, "n_cells", direction)
     count = _or_stored(spec, transverse_count, "transverse_count", "y" if direction == "x" else "x")
     transverse = momentum_line(count)
+    if spec.is_thermal:
+        return _line_profile(spec, _LineSpectra(spec.model, direction, transverse), n_cells)
     return _profile(spec, direction, transverse,
                     chain_traces(hfict_lines(spec, direction, transverse, n_cells)))
 
@@ -271,18 +274,21 @@ def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
 
     C_x = winding of phi_x over ky, C_y = -(winding of phi_y over kx). For a
     valid Gaussian state both integers must agree; disagreement signals
-    under-resolution or a generalized-gap violation and raises.
+    under-resolution or a generalized-gap violation and raises. A thermal spec
+    runs `_chain_windings`, the scan's EGP pass, at its one temperature.
     """
-    return _egp_windings(lambda direction: egp_profile(spec, direction, n_cells, transverse_count))
-
-
-def _egp_windings(profile_of) -> tuple[int, int]:
-    cx = winding_of_phase_profile(profile_of("x"))
-    cy = -winding_of_phase_profile(profile_of("y"))
-    error = _mismatch(cx, cy)
-    if error is not None:
-        raise error
-    return cx, cy
+    if spec.is_thermal:
+        n_cells = _or_stored(spec, n_cells, "n_cells", "x")
+        transverse = momentum_line(_or_stored(spec, transverse_count, "transverse_count", "y"))
+        chains = tuple(_LineSpectra(spec.model, d, transverse) for d in "xy")
+        [result] = _chain_windings(chains, np.array([spec.beta]), spec.mu, n_cells)
+    else:
+        cx = winding_of_phase_profile(egp_profile(spec, "x", n_cells, transverse_count))
+        cy = -winding_of_phase_profile(egp_profile(spec, "y", n_cells, transverse_count))
+        result = _mismatch(cx, cy) or (cx, cy)
+    if isinstance(result, MixedTopoError):
+        raise result
+    return result
 
 
 def _mismatch(cx: int, cy: int) -> Optional[WindingMismatchError]:
@@ -306,6 +312,8 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
     of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
     then the errors of its winding, then WindingMismatchError.
     """
+    if n_cells < 2:
+        raise ValueError(f"need n_cells >= 2, got {n_cells}")
     results = [None] * len(betas)
     windings = [[] for _ in betas]
     buffers = _Buffers()

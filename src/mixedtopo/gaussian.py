@@ -9,15 +9,16 @@ is the spectral Fermi function of g(k) read in transposed index order. That
 transpose is fixed here once and honored everywhere downstream; thermal
 invariants do not feel it, user-supplied non-equilibrium grids do.
 
-`hfict_lines` samples hfict along the chains whose EGP `egp.chain_traces`
-takes in momentum space; no real-space chain correlation matrix is built.
+`hfict_lines` samples hfict along the chains of tabulated specs and of
+`egp.egp_component`, whose EGP `egp.chain_traces` takes in momentum space; no
+real-space chain correlation matrix is built.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -150,24 +151,15 @@ class GaussianStateSpec:
         return self.model is not None
 
     @property
-    def is_pure(self) -> bool:
-        return self.is_thermal and math.isinf(self.beta)
-
-    @property
     def p(self) -> int:
         return self.model.p if self.is_thermal else self.hfict_grid.p
-
-    def pure_limit(self) -> "GaussianStateSpec":
-        if not self.is_thermal:
-            raise ValueError("pure limit only defined for thermal specs")
-        return replace(self, beta=math.inf)
 
 
 def g_matrix(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
     """g(k) = beta (h(k) - mu) at broadcast momenta; finite temperature only."""
     if not spec.is_thermal:
         raise ValueError("g_matrix requires a thermal spec")
-    if spec.is_pure:
+    if math.isinf(spec.beta):
         raise ValueError("beta = inf has no finite g; use the projector path "
                          "of fictitious_hamiltonian")
     h = spec.model.matrix(kx, ky)

@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import GapError, NonHermitianError, RankDeficiencyError
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 HERMITICITY_ATOL = 1e-12
 FERMI_DEGENERACY_ATOL = 1e-9
 

@@ -62,3 +62,18 @@ def count_eigh(monkeypatch, counted=lambda caller: True) -> list:
 
     _rebind_eigh(monkeypatch, counting)
     return calls
+
+
+def count_plane_traces(monkeypatch) -> list:
+    """Batch shapes of the calls of the plane kernel `mixedtopo.egp._plane_traces`, whose
+    planes are (p, p, N, *batch): (temperatures, transverse) on a line-spectrum cache,
+    (chains,) from `chain_traces`."""
+    calls = []
+    original = mt.egp._plane_traces
+
+    def counting(planes, *args):
+        calls.append(planes.shape[3:])
+        return original(planes, *args)
+
+    monkeypatch.setattr(mt.egp, "_plane_traces", counting)
+    return calls

@@ -84,7 +84,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name, command", [("egp_profiles.cfg", "egp-profile"),
                                            ("invariant_scan.cfg", "invariant-scan"),
-                                           ("gauge_reduction.cfg", "gauge-reduction")])
+                                           ("gauge_reduction.cfg", "gauge-reduction"),
+                                           ("egp_winding.cfg", "egp-winding")])
 def test_experiment_configs_parse(name, command):
     """The experiment configs under scripts/ parse, and README runs each of them."""
     cfg = parse_config(ROOT / "scripts" / name)

@@ -10,7 +10,8 @@ import mixedtopo as mt
 from chain_oracle import (GaussianTrace, _fermi_lines, chain_correlation_matrix,
                           chain_traces_loop, chain_traces_qr, correlation_from_hfict_line,
                           gaussian_trace_diagonal_unitary, momentum_shift_angles)
-from conftest import count_eigh, lapack_eigh, random_hermitian, random_unitary
+from conftest import (count_eigh, count_plane_traces, lapack_eigh, random_hermitian,
+                      random_unitary)
 from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
 from mixedtopo.gaussian import hfict_lines
@@ -107,7 +108,7 @@ def test_egp_profile_pure_matches_zak_profile(qwz):
 def test_egp_profile_high_temperature_approaches_pure(qwz, qwz_gap):
     beta = 1.0 / (20.0 * qwz_gap)
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    pure = spec.pure_limit()
+    pure = mt.GaussianStateSpec.thermal(math.inf, spec.mu, spec.model)
     devs = {}
     for n in (10, 100):
         thermal_prof = mt.egp_profile(spec, "x", n, 16)
@@ -144,12 +145,64 @@ def test_egp_windings_independent_of_chain_length(qwz):
     assert set(results.values()) == {(1, 1)}
 
 
-def test_egp_windings_refuse_unequal_directions():
-    """An x profile of winding 1 beside a y profile of winding 0."""
-    ks = mt.momentum_line(16)
-    profiles = {"x": mt.PhaseProfile(ks, ks), "y": mt.PhaseProfile(ks, np.zeros(16))}
-    with pytest.raises(mt.WindingMismatchError, match="C_x = 1 != C_y = 0"):
-        egp._egp_windings(profiles.__getitem__)
+def _tabulated_qwz(qwz):
+    thermal = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
+    return mt.GaussianStateSpec.from_grid(mt.fictitious_grid(thermal, mt.MomentumGrid(12, 10)))
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_egp_windings_refuse_unequal_directions(qwz, monkeypatch, tabulated):
+    """Every profile winding 1 gives C_x = 1 beside C_y = -1, on either route."""
+    spec = _tabulated_qwz(qwz) if tabulated else mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
+    monkeypatch.setattr(egp, "winding_of_phase_profile", lambda profile: 1)
+    with pytest.raises(mt.WindingMismatchError, match="C_x = 1 != C_y = -1"):
+        mt.egp_windings(spec, None if tabulated else 6, None if tabulated else 12)
+
+
+def _record_matrix_route(monkeypatch) -> list:
+    """Names of the matrix-route calls `egp` makes (`hfict_lines`, `chain_traces`), in order."""
+    calls = []
+    for name in ("hfict_lines", "chain_traces"):
+        def recording(*args, name=name, original=getattr(egp, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(egp, name, recording)
+    return calls
+
+
+def test_thermal_egp_windings_make_one_plane_call_per_direction(qwz, monkeypatch):
+    """Thermal windings are the scan's EGP pass at one temperature: one `_plane_traces`
+    call of (1 temperature, 12 transverse) chains per direction."""
+    calls = count_plane_traces(monkeypatch)
+    assert mt.egp_windings(mt.GaussianStateSpec.thermal(0.5, 0.0, qwz), 6, 12) == (1, 1)
+    assert calls == [(1, 12), (1, 12)]
+
+
+def test_thermal_egp_windings_and_profiles_skip_the_matrix_route(qwz, monkeypatch):
+    """Thermal windings and profiles read a line-spectrum cache: they neither sample
+    hfict matrices nor hand them to `chain_traces`."""
+    spec = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
+    calls = _record_matrix_route(monkeypatch)
+    mt.egp_windings(spec, 6, 12)
+    for direction in "xy":
+        mt.egp_profile(spec, direction, 6, 12)
+    assert calls == []
+
+
+def test_tabulated_egp_windings_take_the_matrix_route(qwz, monkeypatch):
+    """A tabulated spec has no spectrum to cache: each direction samples its stored grid
+    and takes one `chain_traces` call."""
+    spec = _tabulated_qwz(qwz)
+    calls = _record_matrix_route(monkeypatch)
+    assert mt.egp_windings(spec, None, None) == (1, 1)
+    assert calls == ["hfict_lines", "chain_traces"] * 2
+
+
+@pytest.mark.parametrize("n_cells", [0, 1])
+def test_thermal_egp_windings_refuse_short_chains(qwz, n_cells):
+    spec = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
+    with pytest.raises(ValueError, match=f"need n_cells >= 2, got {n_cells}"):
+        mt.egp_windings(spec, n_cells, 8)
 
 
 def test_scan_row_records_egp_winding_mismatch(qwz, qwz_gap, monkeypatch):
@@ -516,9 +569,10 @@ def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeyp
     """The thermal chain and its pure reference share one spectrum of h(k) per N,
     and N = 20 after N = 10 diagonalizes only its 10 new odd samples."""
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    pure = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
     expected = [(n, abs(mt.principal_branch(
         mt.egp_component(spec, direction, 0.7, n).phase
-        - mt.egp_component(spec.pure_limit(), direction, 0.7, n).phase))) for n in (10, 20, 25)]
+        - mt.egp_component(pure, direction, 0.7, n).phase))) for n in (10, 20, 25)]
     calls = count_eigh(monkeypatch)
     got = mt.gauge_reduction_deviation(spec, direction, 0.7, [10, 20, 25])
     assert [n for n, _ in got] == [10, 20, 25]

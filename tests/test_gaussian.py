@@ -82,7 +82,7 @@ def test_fictitious_pure_idempotent(qwz):
 def test_fictitious_large_beta_matches_projector(qwz, qwz_gap):
     beta = 60.0 / qwz_gap
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    pure = spec.pure_limit()
+    pure = mt.GaussianStateSpec.thermal(math.inf, spec.mu, spec.model)
     for kx, ky in [(0.1, 0.2), (2.1, -0.9), (-np.pi, np.pi / 2)]:
         diff = np.abs(mt.fictitious_hamiltonian(spec, kx, ky)
                       - mt.fictitious_hamiltonian(pure, kx, ky)).max()

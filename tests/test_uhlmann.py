@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 import mixedtopo as mt
 from chain_oracle import _fermi_lines
-from conftest import count_eigh, random_hermitian, random_unitary
+from conftest import count_eigh, count_plane_traces, random_hermitian, random_unitary
 from mixedtopo import egp, uhlmann
-from mixedtopo.egp import _egp_windings, _line_profile
 from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra, _planes
 from uhlmann_oracle import (
@@ -19,6 +18,7 @@ from uhlmann_oracle import (
     bz_loop_path,
     cauchy_phases,
     fixed_phases,
+    line_egp_windings,
     loop_phase,
     qwz_phases_extended,
     svd_polar_unitary,
@@ -646,20 +646,6 @@ def test_scan_matches_per_temperature_oracle_through_underflow(qwz, qwz_gap):
     assert [r.status for r in reports[1:]] == ["ok"] * 3
 
 
-def _count_chain_traces(monkeypatch) -> list:
-    """Records the (temperatures, transverse) batch of each call of the plane kernel
-    `egp._plane_traces`, whose planes are (p, p, N, temperatures, transverse)."""
-    calls = []
-    original = egp._plane_traces
-
-    def counting(planes, *args):
-        calls.append(planes.shape[3:])
-        return original(planes, *args)
-
-    monkeypatch.setattr(egp, "_plane_traces", counting)
-    return calls
-
-
 def test_scan_egp_chunks_match_per_temperature_oracle(qwz, qwz_gap, monkeypatch):
     """On 8 transverse lines of 6 cells the EGP x profile is resolved at 2 gap and
     under-resolved at 6 gap and above. With two temperatures per `_plane_traces` call, the
@@ -667,7 +653,7 @@ def test_scan_egp_chunks_match_per_temperature_oracle(qwz, qwz_gap, monkeypatch)
     failing 6 gap row, and the last one the 50 gap row alone. Every report equals the
     per-temperature scan's."""
     monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 8 * 6)
-    calls = _count_chain_traces(monkeypatch)
+    calls = count_plane_traces(monkeypatch)
     args = (qwz, 0.0, np.array([0.05, 0.5, 2.0, 6.0, 50.0]) * qwz_gap, mt.MomentumGrid(8, 8), 6, 8)
     reports = mt.uhlmann_temperature_scan(*args)
     assert calls == [(2, 8), (2, 8), (1, 8), (2, 8), (1, 8)]  # x: five rows, y: the three that pass
@@ -682,7 +668,7 @@ def test_scan_egp_calls_per_direction(qwz, qwz_gap, monkeypatch, budget, per_cal
     = max(1, CHAIN_CELL_BUDGET // (n_cells x transverse)) with 6 x 12 = 72 cells per
     temperature, the last call holding the rest."""
     monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", budget)
-    calls = _count_chain_traces(monkeypatch)
+    calls = count_plane_traces(monkeypatch)
     temperatures = np.array([0.05, 0.1, 0.5, 1.0, 2.0]) * qwz_gap
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, mt.MomentumGrid(12, 12), 6)
     assert all(r.status == "ok" for r in reports)
@@ -707,6 +693,13 @@ def test_scan_egp_pass_memory_stays_within_the_budget(qwz, qwz_gap):
     assert peak <= 1.5 * _traced_peak(one_call)
 
 
+@pytest.mark.parametrize("n_cells", [0, 1])
+def test_scan_refuses_short_chains(qwz, n_cells):
+    """Chains of fewer than two cells are refused before any chain work."""
+    with pytest.raises(ValueError, match=f"need n_cells >= 2, got {n_cells}"):
+        mt.uhlmann_temperature_scan(qwz, 0.0, [0.5], mt.MomentumGrid(8, 8), n_cells=n_cells)
+
+
 @pytest.mark.parametrize("n_cells", [4, 5])
 def test_chain_windings_match_per_temperature_route(n_cells):
     """mu at the upper level of an atomic model: at beta = inf the projector is gapless
@@ -719,8 +712,7 @@ def test_chain_windings_match_per_temperature_route(n_cells):
     for beta in betas:
         spec = mt.GaussianStateSpec.thermal(beta, mu, model)
         try:
-            expected.append(_egp_windings(lambda d: _line_profile(spec, chains["xy".index(d)],
-                                                                  n_cells)))
+            expected.append(line_egp_windings(spec, chains, n_cells))
         except mt.MixedTopoError as exc:
             expected.append((type(exc), str(exc)))
     results = [(type(r), str(r)) if isinstance(r, mt.MixedTopoError) else r
