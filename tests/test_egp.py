@@ -150,13 +150,20 @@ def _tabulated_qwz(qwz):
     return mt.GaussianStateSpec.from_grid(mt.fictitious_grid(thermal, mt.MomentumGrid(12, 10)))
 
 
-@pytest.mark.parametrize("tabulated", [False, True])
-def test_egp_windings_refuse_unequal_directions(qwz, monkeypatch, tabulated):
-    """Every profile winding 1 gives C_x = 1 beside C_y = -1, on either route."""
-    spec = _tabulated_qwz(qwz) if tabulated else mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
+def test_egp_windings_refuse_unequal_directions(qwz, monkeypatch):
+    """Every profile winding 1 gives C_x = 1 beside C_y = -1 on the thermal route."""
+    spec = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
     monkeypatch.setattr(egp, "winding_of_phase_profile", lambda profile: 1)
     with pytest.raises(mt.WindingMismatchError, match="C_x = 1 != C_y = -1"):
-        mt.egp_windings(spec, None if tabulated else 6, None if tabulated else 12)
+        mt.egp_windings(spec, 6, 12)
+
+
+def test_tabulated_egp_windings_refuse_unequal_directions(qwz, monkeypatch):
+    """Every profile winding 1 gives C_x = 1 beside C_y = -1 on the matrix route."""
+    spec = _tabulated_qwz(qwz)
+    monkeypatch.setattr(egp, "winding_of_phase_profile", lambda profile: 1)
+    with pytest.raises(mt.WindingMismatchError, match="C_x = 1 != C_y = -1"):
+        mt.egp_windings(spec, None, None)
 
 
 def _record_matrix_route(monkeypatch) -> list:
