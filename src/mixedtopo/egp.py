@@ -275,20 +275,14 @@ def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
     C_x = winding of phi_x over ky, C_y = -(winding of phi_y over kx). For a
     valid Gaussian state both integers must agree; disagreement signals
     under-resolution or a generalized-gap violation and raises. A thermal spec
-    runs `_chain_windings`, the scan's EGP pass, at its one temperature.
+    reads a line-spectrum cache per direction, as `egp_profile` does.
     """
-    if spec.is_thermal:
-        n_cells = _or_stored(spec, n_cells, "n_cells", "x")
-        transverse = momentum_line(_or_stored(spec, transverse_count, "transverse_count", "y"))
-        chains = tuple(_LineSpectra(spec.model, d, transverse) for d in "xy")
-        [result] = _chain_windings(chains, np.array([spec.beta]), spec.mu, n_cells)
-    else:
-        cx = winding_of_phase_profile(egp_profile(spec, "x", n_cells, transverse_count))
-        cy = -winding_of_phase_profile(egp_profile(spec, "y", n_cells, transverse_count))
-        result = _mismatch(cx, cy) or (cx, cy)
-    if isinstance(result, MixedTopoError):
-        raise result
-    return result
+    cx = winding_of_phase_profile(egp_profile(spec, "x", n_cells, transverse_count))
+    cy = -winding_of_phase_profile(egp_profile(spec, "y", n_cells, transverse_count))
+    error = _mismatch(cx, cy)
+    if error is not None:
+        raise error
+    return cx, cy
 
 
 def _mismatch(cx: int, cy: int) -> Optional[WindingMismatchError]:

@@ -178,8 +178,8 @@ def _record_matrix_route(monkeypatch) -> list:
 
 
 def test_thermal_egp_windings_make_one_plane_call_per_direction(qwz, monkeypatch):
-    """Thermal windings are the scan's EGP pass at one temperature: one `_plane_traces`
-    call of (1 temperature, 12 transverse) chains per direction."""
+    """Thermal windings read one line-spectrum cache per direction: one `_plane_traces`
+    call of (1 temperature, 12 transverse) chains each."""
     calls = count_plane_traces(monkeypatch)
     assert mt.egp_windings(mt.GaussianStateSpec.thermal(0.5, 0.0, qwz), 6, 12) == (1, 1)
     assert calls == [(1, 12), (1, 12)]
@@ -207,8 +207,9 @@ def test_tabulated_egp_windings_take_the_matrix_route(qwz, monkeypatch):
 
 @pytest.mark.parametrize("n_cells", [0, 1])
 def test_thermal_egp_windings_refuse_short_chains(qwz, n_cells):
+    """A chain of fewer than two cells has no momentum line to cache."""
     spec = mt.GaussianStateSpec.thermal(0.5, 0.0, qwz)
-    with pytest.raises(ValueError, match=f"need n_cells >= 2, got {n_cells}"):
+    with pytest.raises(ValueError, match="need at least 2 momentum samples"):
         mt.egp_windings(spec, n_cells, 8)
 
 

@@ -18,7 +18,6 @@ from uhlmann_oracle import (
     bz_loop_path,
     cauchy_phases,
     fixed_phases,
-    line_egp_windings,
     loop_phase,
     qwz_phases_extended,
     svd_polar_unitary,
@@ -695,7 +694,7 @@ def test_scan_egp_pass_memory_stays_within_the_budget(qwz, qwz_gap):
 
 @pytest.mark.parametrize("n_cells", [0, 1])
 def test_scan_refuses_short_chains(qwz, n_cells):
-    """Chains of fewer than two cells are refused before any chain work."""
+    """Chains of fewer than two cells are refused before any EGP chain work."""
     with pytest.raises(ValueError, match=f"need n_cells >= 2, got {n_cells}"):
         mt.uhlmann_temperature_scan(qwz, 0.0, [0.5], mt.MomentumGrid(8, 8), n_cells=n_cells)
 
@@ -704,15 +703,15 @@ def test_scan_refuses_short_chains(qwz, n_cells):
 def test_chain_windings_match_per_temperature_route(n_cells):
     """mu at the upper level of an atomic model: at beta = inf the projector is gapless
     (GapError), while finite temperatures fill that level by exactly 1/2, an exact zero
-    amplitude for even N and winding 0 for odd N. Each row gets the outcome the
-    per-temperature route gives it."""
+    amplitude for even N and winding 0 for odd N. Each row gets the outcome
+    `egp_windings` gives it at that temperature."""
     model, mu, betas = mt.atomic_model(), 1.0, np.array([0.5, np.inf, 2.0])
     chains = tuple(_LineSpectra(model, d, mt.momentum_line(4)) for d in "xy")
     expected = []
     for beta in betas:
         spec = mt.GaussianStateSpec.thermal(beta, mu, model)
         try:
-            expected.append(line_egp_windings(spec, chains, n_cells))
+            expected.append(mt.egp_windings(spec, n_cells, 4))
         except mt.MixedTopoError as exc:
             expected.append((type(exc), str(exc)))
     results = [(type(r), str(r)) if isinstance(r, mt.MixedTopoError) else r

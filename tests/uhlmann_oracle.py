@@ -29,7 +29,7 @@ the discretized loop.
 `temperature_scan` is `uhlmann_temperature_scan` as it was before the
 certified Uhlmann windings and the EGP chains were batched over temperature:
 one temperature at a time, each with its own transport passes and its own
-`chain_traces` call per direction, raising at the first failure of a pass.
+`egp_windings` call, raising at the first failure of a pass.
 """
 
 import math
@@ -38,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from mixedtopo import egp, model, uhlmann
-from mixedtopo.egp import _line_profile
+from mixedtopo import model, uhlmann
+from mixedtopo.egp import egp_windings
 from mixedtopo.errors import (MixedTopoError, PhaseUndefinedError, RankDeficiencyError,
                               UnderResolvedError)
 from mixedtopo.gaussian import GaussianStateSpec
@@ -383,17 +383,6 @@ def certified_profile(spectra: _LineSpectra, beta: float, mu: float) -> tuple[np
         previous, coarse, m = phases, m, 2 * m
 
 
-def line_egp_windings(spec: GaussianStateSpec, chains: tuple, n_cells: int) -> tuple[int, int]:
-    """(C_x, C_y) of one thermal spec on the x and y chain caches `chains`: the winding of
-    each direction's `_line_profile`, x first, then the check that they agree."""
-    cx = winding_of_phase_profile(_line_profile(spec, chains[0], n_cells))
-    cy = -winding_of_phase_profile(_line_profile(spec, chains[1], n_cells))
-    error = egp._mismatch(cx, cy)
-    if error is not None:
-        raise error
-    return cx, cy
-
-
 def temperature_scan(model, mu: float, temperatures, grid, n_cells: int = 10,
                      egp_transverse: Optional[int] = None) -> list:
     """The InvariantReport rows of `uhlmann_temperature_scan`, one temperature at a time."""
@@ -401,7 +390,6 @@ def temperature_scan(model, mu: float, temperatures, grid, n_cells: int = 10,
         egp_transverse = max(grid.nx, grid.ny)
     c_ground = uhlmann.ground_state_chern(model, mu, grid)
     loops = (_LineSpectra(model, "x", grid.ky_values()), _LineSpectra(model, "y", grid.kx_values()))
-    chains = tuple(_LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy")
     reports = []
     for t in np.asarray(temperatures, dtype=float):
         beta = 1.0 / t
@@ -417,7 +405,7 @@ def temperature_scan(model, mu: float, temperatures, grid, n_cells: int = 10,
             errors.append(f"uhlmann: {exc}")
         try:
             spec = GaussianStateSpec.thermal(beta, mu, model)
-            cx_e, cy_e = line_egp_windings(spec, chains, n_cells)
+            cx_e, cy_e = egp_windings(spec, n_cells, egp_transverse)
         except MixedTopoError as exc:
             errors.append(f"egp: {exc}")
         reports.append(uhlmann.InvariantReport(
