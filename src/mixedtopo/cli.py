@@ -1,7 +1,6 @@
 """Command-line driver: each subcommand reproduces one figure/claim recipe.
 
     mixedtopo <subcommand> --config cfg.txt [--out DIR]
-    mixedtopo egp-profile --config cfg.txt [--out DIR] [--format csv|json]
 
 Subcommands: spectrum | egp-profile | egp-winding | invariant-scan | chern |
 gauge-reduction. Exit codes: 0 success, 2 configuration error, 3 numerical
@@ -26,8 +25,8 @@ import numpy as np
 from . import __version__
 from . import serialize
 from .config import RunConfig, parse_config
-from .egp import (EgpResult, _line_profile, egp_profile, egp_windings,
-                  gauge_reduction_deviation, gauge_reduction_exponent)
+from .egp import (_line_profile, egp_profile, egp_windings, gauge_reduction_deviation,
+                  gauge_reduction_exponent)
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
 from .geometry import berry_curvature_plaquette, chern_number
@@ -127,7 +126,7 @@ def cmd_chern(cfg: RunConfig, out_dir: str):
     return [("chern", task)]
 
 
-def cmd_egp_profile(cfg: RunConfig, out_dir: str, fmt: str):
+def cmd_egp_profile(cfg: RunConfig, out_dir: str):
     if cfg.hfict_path:
         spec = cfg.build_state()
         grid = spec.hfict_grid.grid
@@ -151,24 +150,12 @@ def cmd_egp_profile(cfg: RunConfig, out_dir: str, fmt: str):
     def task(direction, n, spec, suffix, lines):
         profile = (egp_profile(spec, direction, n, None) if lines is None
                    else _line_profile(spec, lines, n))
-        base = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_{suffix}")
-        return [_emit_egp(base, profile, n, spec.beta, fmt)]
+        path = os.path.join(out_dir, f"egp_profile_{direction}_N{n}_{suffix}.csv")
+        serialize.profile_to_csv(path, profile, n, spec.beta)
+        return [path]
 
     return [(f"egp-profile:{d}:N{n}:{suffix}", functools.partial(task, d, n, spec, suffix, lines))
             for d, n, spec, suffix, lines in profiles]
-
-
-def _emit_egp(base, profile, n, beta, fmt):
-    if fmt == "json":
-        path = base + ".json"
-        serialize.profile_to_json(path, profile)
-    else:
-        path = base + ".csv"
-        serialize.egp_results_to_csv(path, [
-            EgpResult(phase=ph, log_magnitude=lm, n_cells=n, direction=profile.direction,
-                      transverse_k=tk, beta=beta, mu=None)
-            for tk, ph, lm in zip(profile.parameters, profile.phases, profile.log_moduli)])
-    return path
 
 
 def cmd_egp_winding(cfg: RunConfig, out_dir: str):
@@ -274,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         # tasks run in order; perfbench still passes --jobs 1, so 1 parses and does nothing
         p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
-        if name == "egp-profile":
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -284,8 +269,7 @@ def main(argv=None) -> int:
     started = _timestamp()
     try:
         cfg = parse_config(args.config)
-        options = {"fmt": args.format} if args.command == "egp-profile" else {}
-        tasks = _COMMANDS[args.command](cfg, args.out, **options)
+        tasks = _COMMANDS[args.command](cfg, args.out)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -255,17 +255,13 @@ def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
     transverse = momentum_line(count)
     if spec.is_thermal:
         return _line_profile(spec, _LineSpectra(spec.model, direction, transverse), n_cells)
-    return _profile(spec, direction, transverse,
-                    chain_traces(hfict_lines(spec, direction, transverse, n_cells)))
+    return _profile(transverse, *chain_traces(hfict_lines(spec, direction, transverse, n_cells)))
 
 
-def _profile(spec: GaussianStateSpec, direction: str, transverse: np.ndarray,
-             traces: tuple[np.ndarray, np.ndarray]) -> PhaseProfile:
-    phases, log_magnitudes = traces
+def _profile(transverse: np.ndarray, phases: np.ndarray,
+             log_magnitudes: np.ndarray) -> PhaseProfile:
     _require_amplitude(log_magnitudes, transverse)
-    temperature = 1.0 / spec.beta if spec.is_thermal else None  # 0.0 at beta = inf
-    return PhaseProfile(parameters=transverse, phases=phases, log_moduli=log_magnitudes,
-                        label="egp", direction=direction, temperature=temperature)
+    return PhaseProfile(parameters=transverse, phases=phases, log_moduli=log_magnitudes)
 
 
 def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
@@ -306,8 +302,6 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
     of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
     then the errors of its winding, then WindingMismatchError.
     """
-    if n_cells < 2:
-        raise ValueError(f"need n_cells >= 2, got {n_cells}")
     results = [None] * len(betas)
     windings = [[] for _ in betas]
     buffers = _Buffers()
@@ -343,7 +337,7 @@ def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) ->
     """egp_profile of a thermal spec on the chains of a line-spectrum cache."""
     phases, log_magnitudes = _plane_traces(
         _fermi_planes(lines, n_cells, np.array([spec.beta]), spec.mu))
-    return _profile(spec, lines.direction, lines.transverse, (phases[0], log_magnitudes[0]))
+    return _profile(lines.transverse, phases[0], log_magnitudes[0])
 
 
 def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,

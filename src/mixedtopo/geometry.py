@@ -35,9 +35,6 @@ class PhaseProfile:
 
     parameters: np.ndarray
     phases: np.ndarray
-    label: str = ""
-    direction: str = ""
-    temperature: Optional[float] = None
     log_moduli: Optional[np.ndarray] = None  # diagnostic side channel, e.g. EGP log|z|
 
     def __post_init__(self):

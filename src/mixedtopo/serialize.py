@@ -64,30 +64,6 @@ def write_json_atomic(path, payload):
     os.replace(tmp, path)
 
 
-# ---------------------------------------------------------------- profiles
-
-def profile_to_json(path, profile: PhaseProfile):
-    write_json(path, {
-        "label": profile.label,
-        "direction": profile.direction,
-        "temperature": profile.temperature,
-        "parameters": [fmt(p) for p in profile.parameters],
-        "phases": [fmt(v) for v in profile.phases],
-        "log_moduli": None if profile.log_moduli is None else [fmt(m) for m in profile.log_moduli],
-    })
-
-
-def profile_from_json(path) -> PhaseProfile:
-    with open(path, encoding="utf-8") as f:
-        d = json.load(f)
-    return PhaseProfile(parameters=np.array([float(x) for x in d["parameters"]]),
-                        phases=np.array([float(x) for x in d["phases"]]),
-                        label=d.get("label", ""), direction=d.get("direction", ""),
-                        temperature=d.get("temperature"),
-                        log_moduli=None if d.get("log_moduli") is None
-                        else np.array([float(x) for x in d["log_moduli"]]))
-
-
 # ---------------------------------------------------------------- curvature
 
 def curvature_to_csv(path, field: CurvatureField, kx_values, ky_values):
@@ -125,9 +101,10 @@ def curvature_from_csv(path) -> tuple[CurvatureField, np.ndarray, np.ndarray]:
 EGP_HEADER = ["transverse_k", "phase", "log_modulus", "N", "beta"]
 
 
-def egp_results_to_csv(path, results: list[EgpResult]):
-    rows = [[fmt(r.transverse_k), fmt(r.phase), fmt(r.log_magnitude), str(r.n_cells),
-             _opt(r.beta)] for r in results]
+def profile_to_csv(path, profile: PhaseProfile, n_cells: int, beta):
+    """One EGP_HEADER row per transverse sample of an EGP profile of n_cells-cell chains."""
+    rows = [[fmt(tk), fmt(phase), fmt(lm), str(n_cells), _opt(beta)]
+            for tk, phase, lm in zip(profile.parameters, profile.phases, profile.log_moduli)]
     write_csv(path, EGP_HEADER, rows)
 
 

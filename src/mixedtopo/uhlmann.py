@@ -342,9 +342,16 @@ def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray],
     reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
               f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
     if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
+        where = f"Uhlmann {spectra.direction} profile at {m} points"
+        pinned = np.abs(np.sin(phases)).max()
+        if pinned < 1e-6:  # a phase quantized to {0, pi} steps by pi on every grid
+            return UnderResolvedError(
+                f"{where}: phase pinned to 0 or pi (max |sin phi| = {pinned:.3e}), stepping "
+                f"by {steps[worst]:.3f} rad at transverse_k={spectra.transverse[worst]:.6f}: "
+                "winding undefined"), ""
         return UnderResolvedError(
-            f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
-            "max step - 2e: only a finer transverse grid can certify the winding"), ""
+            f"{where}: {reason}, and so is max step - 2e: only a finer transverse grid can "
+            "certify the winding"), ""
     return None, reason + ": winding not certified"
 
 
@@ -362,8 +369,7 @@ def uhlmann_phase_profile(model: BlochModel, beta: float, mu: float, direction: 
     [phases] = _phases_at(spectra, np.array([beta], dtype=float), mu, n_points)
     if isinstance(phases, MixedTopoError):
         raise phases
-    return PhaseProfile(parameters=spectra.transverse, phases=phases, label="uhlmann",
-                        direction=spectra.direction, temperature=1.0 / beta)
+    return PhaseProfile(parameters=spectra.transverse, phases=phases)
 
 
 def uhlmann_windings(model: BlochModel, beta: float, mu: float,
@@ -378,8 +384,10 @@ def uhlmann_windings(model: BlochModel, beta: float, mu: float,
     PATH_POINTS_CAP points, or at once where the step less 2e is not below
     it either (a transverse grid too coarse for any path), UnderResolvedError
     names the direction, the points, the step and 2e, and the transverse_k of
-    the worst line. No equality is asserted; directional disagreement at
-    intermediate temperature is a physical finding, not an error.
+    the worst line. A profile pinned to {0, pi} (max |sin phi| below 1e-6)
+    steps by pi on any grid: its error says the winding is undefined. No
+    equality is asserted; directional disagreement at intermediate
+    temperature is a physical finding, not an error.
     """
     [result] = _uhlmann_windings(_grid_loops(model, grid), np.array([beta], dtype=float), mu)
     if isinstance(result, MixedTopoError):
@@ -482,15 +490,18 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     `egp._chain_windings`. The EGP profiles may need a finer transverse grid
     than the Uhlmann ones at the hot end of a sweep (near-pi kinks develop
     toward maximal mixing), hence the separate `egp_transverse` resolution.
+    Fewer than 2 chain cells or EGP lines raise ValueError before any work.
     """
+    if n_cells < 2:
+        raise ValueError(f"need n_cells >= 2, got {n_cells}")
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
+    # h(k) spectra shared by every temperature, diagonalized only when first read
+    chains = tuple(_LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy")
     c_ground = ground_state_chern(model, mu, grid)
     temperatures = np.asarray(temperatures, dtype=float)
     betas = 1.0 / temperatures
-    # h(k) spectra shared by every temperature
     uhlmann = _uhlmann_windings(_grid_loops(model, grid), betas, mu)
-    chains = tuple(_LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy")
     reports = []
     for t, beta, windings, egp in zip(temperatures, betas, uhlmann,
                                       _chain_windings(chains, betas, mu, n_cells)):

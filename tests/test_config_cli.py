@@ -303,14 +303,19 @@ def test_cli_egp_profile_takes_one_gap(tmp_path, monkeypatch):
 
 def test_cli_egp_profile_shares_line_spectra(tmp_path, monkeypatch):
     """One line-spectrum cache per direction on the profile recipe: N = 10 and 50 are
-    diagonalized once, N = 100 adds only its odd points, both temperatures reuse them."""
+    diagonalized once, N = 100 adds only its odd points, both temperatures reuse them.
+    The 12 CSVs are the committed copies under tests/data/egp_profiles, byte for byte."""
     calls = count_eigh(monkeypatch)
     recipe = pathlib.Path(__file__).parent.parent / "scripts" / "egp_profiles.cfg"
     out = tmp_path / "out"
     assert main(["egp-profile", "--config", str(recipe), "--out", str(out)]) == 0
     assert calls == [(128, 10), (128, 50), (128, 50)] * 2
     assert sum(math.prod(shape) for shape in calls) == 28160
-    assert len(list(out.glob("egp_profile_*.csv"))) == 12
+    written = sorted(out.glob("egp_profile_*.csv"))
+    committed = sorted((pathlib.Path(__file__).parent / "data" / "egp_profiles").glob("*.csv"))
+    assert [f.name for f in written] == [f.name for f in committed] and len(written) == 12
+    for got, expected in zip(written, committed):
+        assert got.read_bytes() == expected.read_bytes(), got.name
 
 
 def test_cli_spectrum_diagonalizes_once(tmp_path, monkeypatch):
@@ -666,33 +671,19 @@ def test_cli_chern_tabulated_matches_per_k_oracle(tmp_path, qwz):
         grid.kx_values(), grid.ky_values())
 
 
-def test_cli_format_json(tmp_path):
-    cfg = write_config(tmp_path / "c.txt", BASE + "chain_cells_list = 9\ntemperature_list = 0\n"
-                       + "directions = x\n")
-    out = tmp_path / "out"
-    assert main(["egp-profile", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
-    profile = serialize.profile_from_json(out / "egp_profile_x_N9_T0.json")
-    assert len(profile.phases) == 16
-    assert np.isfinite(profile.log_moduli).all()
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cli_long_chain_profile_keeps_finite_log_modulus(tmp_path, qwz, qwz_gap, fmt):
+def test_cli_long_chain_profile_keeps_finite_log_modulus(tmp_path, qwz, qwz_gap):
     """qwz at T = 20 gap, N = 1000: log|z| reaches about -1360, far below the log of
     the smallest double, and the written profile still carries it."""
     cfg = write_config(tmp_path / "c.txt", BASE + "chain_cells_list = 1000\n"
                        + "temperature_list = 20\ndirections = x\n")
     out = tmp_path / "out"
-    assert main(["egp-profile", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+    assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 0
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
     expected = np.array([mt.egp_component(spec, "x", tk, 1000).log_magnitude
                          for tk in mt.momentum_line(16)])
     assert expected.max() < -745  # exp() of these underflows to 0.0
-    if fmt == "csv":
-        results = serialize.egp_results_from_csv(out / "egp_profile_x_N1000_T20.csv", "x")
-        got = np.array([r.log_magnitude for r in results])
-    else:
-        got = serialize.profile_from_json(out / "egp_profile_x_N1000_T20.json").log_moduli
+    results = serialize.egp_results_from_csv(out / "egp_profile_x_N1000_T20.csv", "x")
+    got = np.array([r.log_magnitude for r in results])
     assert np.isfinite(got).all()
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -722,9 +713,8 @@ def test_write_json_writes_non_finite_floats_as_strings(tmp_path):
         "e": None, "f": 3}
 
 
-@pytest.mark.parametrize("command", ["spectrum", "chern", "egp-winding", "invariant-scan",
-                                     "gauge-reduction"])
-def test_cli_format_only_for_egp_profile(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_every_subcommand_rejects_format(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.txt", BASE + "beta = 5\n")
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--format", "json"])
@@ -794,14 +784,16 @@ def test_serialize_reports_roundtrip(tmp_path):
 
 
 def test_serialize_egp_results_roundtrip(tmp_path):
-    results = [mt.EgpResult(phase=0.3, log_magnitude=-130.0, n_cells=10, direction="x",
-                            transverse_k=-1.2, beta=5.0, mu=None)]
+    profile = mt.PhaseProfile(parameters=[-1.2, 0.4], phases=[0.3, -2.9],
+                              log_moduli=np.array([-130.0, -1e-300]))
     path = tmp_path / "e.csv"
-    serialize.egp_results_to_csv(path, results)
-    back = serialize.egp_results_from_csv(path, "x")
-    assert back[0].phase == results[0].phase
-    assert back[0].n_cells == 10
-    assert back[0].log_magnitude == pytest.approx(-130.0, abs=1e-12)
+    for beta in (5.0, math.inf, None):
+        serialize.profile_to_csv(path, profile, 10, beta)
+        back = serialize.egp_results_from_csv(path, "x")
+        assert [r.transverse_k for r in back] == list(profile.parameters)
+        assert [r.phase for r in back] == list(profile.phases)
+        assert [r.log_magnitude for r in back] == list(profile.log_moduli)
+        assert {(r.n_cells, r.direction, r.beta, r.mu) for r in back} == {(10, "x", beta, None)}
 
 
 def test_fmt_seventeen_digits_roundtrip():

@@ -252,8 +252,8 @@ def _zak_profiles(model, n, band=0, conj=False):
             states = mt.band_systems(model.matrix(tk, ks))[1][..., band]
         return mt.zak_phase_wilson(states.conj() if conj else states)
 
-    prof_x = mt.PhaseProfile(ks, [line("x", tk) for tk in ks], label="zak", direction="x")
-    prof_y = mt.PhaseProfile(ks, [line("y", tk) for tk in ks], label="zak", direction="y")
+    prof_x = mt.PhaseProfile(ks, [line("x", tk) for tk in ks])
+    prof_y = mt.PhaseProfile(ks, [line("y", tk) for tk in ks])
     return prof_x, prof_y
 
 

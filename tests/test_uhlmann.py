@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from conftest import count_eigh, count_plane_traces, random_hermitian, random_un
 from mixedtopo import egp, uhlmann
 from mixedtopo.geometry import JUMP_MARGIN
 from mixedtopo.model import _LineSpectra, _planes
+from multiband import layered_qwz
 from uhlmann_oracle import (
     EXTENDED,
     DensityMatrixPath,
@@ -692,11 +694,19 @@ def test_scan_egp_pass_memory_stays_within_the_budget(qwz, qwz_gap):
     assert peak <= 1.5 * _traced_peak(one_call)
 
 
-@pytest.mark.parametrize("n_cells", [0, 1])
-def test_scan_refuses_short_chains(qwz, n_cells):
-    """Chains of fewer than two cells are refused before any EGP chain work."""
-    with pytest.raises(ValueError, match=f"need n_cells >= 2, got {n_cells}"):
-        mt.uhlmann_temperature_scan(qwz, 0.0, [0.5], mt.MomentumGrid(8, 8), n_cells=n_cells)
+@pytest.mark.parametrize("n_cells, egp_transverse, message", [
+    pytest.param(0, None, "need n_cells >= 2, got 0", id="0"),
+    pytest.param(1, None, "need n_cells >= 2, got 1", id="1"),
+    pytest.param(10, 1, "need at least 2 momentum samples", id="transverse1"),
+])
+def test_scan_refuses_short_chains(qwz, monkeypatch, n_cells, egp_transverse, message):
+    """Chains of fewer than two cells, or fewer than two EGP lines, are refused before
+    any work: no h(k) is diagonalized, not even for the ground-state Chern number."""
+    calls = count_eigh(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        mt.uhlmann_temperature_scan(qwz, 0.0, [0.5], mt.MomentumGrid(8, 8), n_cells=n_cells,
+                                    egp_transverse=egp_transverse)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_cells", [4, 5])
@@ -779,6 +789,41 @@ def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap, monkeypatch):
 
 def test_ground_state_chern(qwz):
     assert mt.ground_state_chern(qwz, 0.0, mt.MomentumGrid(24, 24)) == 1
+
+
+@pytest.mark.parametrize("mirrored, chern", [(False, 2), (True, 0)])
+def test_ground_state_chern_of_two_filled_bands(monkeypatch, mirrored, chern):
+    """Two coupled qwz layers fill two bands at mu = 0: the plaquette links are the
+    determinants of 2 x 2 overlaps, one det call per link direction."""
+    det, calls = np.linalg.det, []
+
+    def counting_det(a):
+        calls.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    assert mt.ground_state_chern(layered_qwz(mirrored), 0.0, mt.MomentumGrid(32, 32)) == chern
+    assert calls == [(32, 32, 2, 2)] * 2
+
+
+def test_windings_say_when_the_phase_is_pinned():
+    """The time-reversed pair of layers at T = 0.05 gap: every x phase is 0 or pi, so the
+    profile steps by pi on any grid, and the error says the winding is undefined instead
+    of asking for a finer transverse grid."""
+    model, grid = layered_qwz(mirrored=True), mt.MomentumGrid(32, 32)
+    beta = 1.0 / (0.05 * mt.band_gap(model, grid, 0.0))
+    profile = mt.uhlmann_phase_profile(model, beta, 0.0, "x", grid.ky_values(), 32)
+    assert np.abs(np.sin(profile.phases)).max() < 1e-12
+    with pytest.raises(mt.UnderResolvedError) as exc:
+        mt.uhlmann_windings(model, beta, 0.0, grid)
+    found = re.fullmatch(r"Uhlmann x profile at 32 points: phase pinned to 0 or pi "
+                         r"\(max \|sin phi\| = (\S+)\), stepping by 3\.142 rad at "
+                         r"transverse_k=(\S+): winding undefined", str(exc.value))
+    assert found, str(exc.value)
+    assert float(found[1]) < 1e-12
+    worst = np.abs(grid.ky_values() - float(found[2])).argmin()
+    assert abs(grid.ky_values()[worst] - float(found[2])) < 1e-6
+    assert abs(profile.jumps()[worst]) > np.pi - JUMP_MARGIN
 
 
 def test_ground_state_chern_rejects_metal(qwz):

@@ -373,9 +373,16 @@ def certified_profile(spectra: _LineSpectra, beta: float, mu: float) -> tuple[np
             reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
                       f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
             if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
+                where = f"Uhlmann {spectra.direction} profile at {m} points"
+                pinned = np.abs(np.sin(phases)).max()
+                if pinned < 1e-6:
+                    raise UnderResolvedError(
+                        f"{where}: phase pinned to 0 or pi (max |sin phi| = {pinned:.3e}), "
+                        f"stepping by {steps[worst]:.3f} rad at "
+                        f"transverse_k={spectra.transverse[worst]:.6f}: winding undefined")
                 raise UnderResolvedError(
-                    f"Uhlmann {spectra.direction} profile at {m} points: {reason}, and so is "
-                    "max step - 2e: only a finer transverse grid can certify the winding")
+                    f"{where}: {reason}, and so is max step - 2e: only a finer transverse "
+                    "grid can certify the winding")
             reason += ": winding not certified"
         if 2 * m > uhlmann.PATH_POINTS_CAP:
             raise UnderResolvedError(f"Uhlmann {spectra.direction} path unresolved at {m} points "
