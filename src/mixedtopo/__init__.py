@@ -46,7 +46,6 @@ from .gaussian import (
     save_matrix_grid,
 )
 from .geometry import (
-    CurvatureField,
     PhaseProfile,
     berry_curvature_plaquette,
     chern_from_zak_windings,
@@ -56,7 +55,6 @@ from .geometry import (
     zak_phase_wilson,
 )
 from .egp import (
-    EgpResult,
     chain_traces,
     egp_component,
     egp_profile,

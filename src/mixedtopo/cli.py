@@ -109,10 +109,10 @@ def cmd_chern(cfg: RunConfig, out_dir: str):
             _, frames = band_systems(hs)
             numbers = []
             for band in range(frames.shape[-1]):
-                field = berry_curvature_plaquette(frames[..., band])
-                numbers.append(chern_number(field))
+                curvature = berry_curvature_plaquette(frames[..., band])
+                numbers.append(chern_number(curvature))
                 path = os.path.join(out_dir, f"curvature_{name}_band{band}.csv")
-                serialize.curvature_to_csv(path, field, kxs, kys)
+                serialize.curvature_to_csv(path, curvature, kxs, kys)
                 files.append(path)
             return numbers
 

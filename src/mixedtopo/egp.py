@@ -26,7 +26,6 @@ overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,23 +191,6 @@ def _fermi_planes(lines: _LineSpectra, n_cells: int, betas: np.ndarray, mu: floa
     return planes
 
 
-@dataclass(frozen=True)
-class EgpResult:
-    """Phase and amplitude of Tr[rho e^{(2 pi i / N) X}] for one chain."""
-
-    phase: float
-    log_magnitude: float
-    n_cells: int
-    direction: str
-    transverse_k: float
-    beta: Optional[float]
-    mu: Optional[float]
-
-    @property
-    def magnitude(self) -> float:
-        return math.exp(self.log_magnitude) if math.isfinite(self.log_magnitude) else 0.0
-
-
 def _require_amplitude(log_magnitudes, transverse_ks, context: str = ""):
     """AmplitudeZeroError at the first chain whose determinant vanished."""
     bad = ~np.isfinite(np.atleast_1d(log_magnitudes))
@@ -229,16 +211,14 @@ def _or_stored(spec: GaussianStateSpec, value: Optional[int], name: str, axis: s
 
 
 def egp_component(spec: GaussianStateSpec, direction: str, transverse_k: float,
-                  n_cells: int) -> EgpResult:
-    """EGP of one chain: phi = Im ln Tr[rho e^{(2 pi i / N) X}] at fixed transverse k."""
+                  n_cells: int) -> tuple[float, float]:
+    """EGP of one chain at fixed transverse k: (phase, log|z|) of z = Tr[rho e^{(2 pi i / N) X}]."""
     n_cells = _or_stored(spec, n_cells, "n_cells", direction)
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
     phase, log_magnitude = chain_traces(hfict_lines(spec, direction, [transverse_k], n_cells)[0])
     _require_amplitude(log_magnitude, transverse_k)
-    return EgpResult(phase=float(phase), log_magnitude=float(log_magnitude),
-                     n_cells=n_cells, direction=direction, transverse_k=float(transverse_k),
-                     beta=spec.beta, mu=spec.mu if spec.is_thermal else None)
+    return float(phase), float(log_magnitude)
 
 
 def egp_profile(spec: GaussianStateSpec, direction: str, n_cells: Optional[int],
@@ -275,16 +255,13 @@ def egp_windings(spec: GaussianStateSpec, n_cells: Optional[int],
     """
     cx = winding_of_phase_profile(egp_profile(spec, "x", n_cells, transverse_count))
     cy = -winding_of_phase_profile(egp_profile(spec, "y", n_cells, transverse_count))
-    error = _mismatch(cx, cy)
-    if error is not None:
-        raise error
+    if cx != cy:
+        raise _mismatch(cx, cy)
     return cx, cy
 
 
-def _mismatch(cx: int, cy: int) -> Optional[WindingMismatchError]:
-    if cx != cy:
-        return WindingMismatchError(f"EGP Chern inconsistency: C_x = {cx} != C_y = {cy}")
-    return None
+def _mismatch(cx: int, cy: int) -> WindingMismatchError:
+    return WindingMismatchError(f"EGP Chern inconsistency: C_x = {cx} != C_y = {cy}")
 
 
 def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray, mu: float,
@@ -328,8 +305,8 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
                     results[row] = exc
     for row, result in enumerate(results):
         if result is None:
-            error = _mismatch(*windings[row])
-            results[row] = tuple(windings[row]) if error is None else error
+            cx, cy = windings[row]
+            results[row] = (cx, cy) if cx == cy else _mismatch(cx, cy)
     return results
 
 

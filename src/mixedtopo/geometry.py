@@ -20,6 +20,7 @@ from .errors import PhaseUndefinedError, QuantizationError, UnderResolvedError
 OVERLAP_MIN_MODULUS = 1e-8
 JUMP_MARGIN = 0.1
 CHERN_RESIDUE_ATOL = 1e-6
+PINNED_SINE_MAX = 1e-6
 
 
 def principal_branch(x):
@@ -55,21 +56,6 @@ class PhaseProfile:
 
     def under_resolved(self) -> bool:
         return self.max_jump() >= np.pi - JUMP_MARGIN
-
-
-@dataclass
-class CurvatureField:
-    """Per-plaquette field-strength phases on an nx x ny plaquette grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("curvature values must be a 2D array")
-
-    def total(self) -> float:
-        return float(self.values.sum())
 
 
 def _first_false(mask: np.ndarray) -> list:
@@ -130,8 +116,8 @@ def zak_phase_wilson(states: np.ndarray) -> float:
     return float(principal_branch(np.angle(dets).sum()))
 
 
-def berry_curvature_plaquette(state_grid: np.ndarray) -> CurvatureField:
-    """Field strength per plaquette from states on a full periodic grid.
+def berry_curvature_plaquette(state_grid: np.ndarray) -> np.ndarray:
+    """Field strength per plaquette, an (nx, ny) array, from states on a full periodic grid.
 
     F(k) = Im ln [<u(k)|u(k+ex)><u(k+ex)|u(k+ex+ey)><u(k+ex+ey)|u(k+ey)><u(k+ey)|u(k)>]
     on the principal branch. A one-band link is the overlap itself; the links
@@ -142,19 +128,22 @@ def berry_curvature_plaquette(state_grid: np.ndarray) -> CurvatureField:
     uy = _link_determinants(frames, np.roll(frames, -1, axis=1))
     loop = (ux * np.roll(uy, -1, axis=0) *
             np.roll(ux, -1, axis=1).conj() * uy.conj())
-    return CurvatureField(values=np.angle(loop))
+    return np.angle(loop)
 
 
-def chern_number(curvature: CurvatureField) -> int:
-    """Round the plaquette sum / 2pi to an integer; large residue means trouble.
+def chern_number(curvature: np.ndarray) -> int:
+    """Round the sum / 2pi of (nx, ny) plaquette phases to an integer; large residue means trouble.
 
     A non-finite plaquette phase raises PhaseUndefinedError naming its grid index.
     """
-    finite = np.isfinite(curvature.values)
+    curvature = np.asarray(curvature, dtype=float)
+    if curvature.ndim != 2:
+        raise ValueError("curvature values must be a 2D array")
+    finite = np.isfinite(curvature)
     if not finite.all():
         raise PhaseUndefinedError(f"plaquette phase at grid index {_first_false(finite)} is "
                                   "not finite: Chern number undefined")
-    total = curvature.total() / (2 * np.pi)
+    total = float(curvature.sum()) / (2 * np.pi)
     rounded = int(np.rint(total))
     residue = abs(total - rounded)
     if residue > CHERN_RESIDUE_ATOL:
@@ -164,17 +153,32 @@ def chern_number(curvature: CurvatureField) -> int:
     return rounded
 
 
+def _pinned_error(parameters, phases, where: str, at: str) -> Optional[UnderResolvedError]:
+    """UnderResolvedError for phases pinned to {0, pi} (max |sin phi| < PINNED_SINE_MAX), which
+    step by pi on every grid, so that no grid defines their winding; None otherwise."""
+    sine = np.abs(np.sin(phases)).max()
+    if not sine < PINNED_SINE_MAX:
+        return None
+    steps = np.abs(PhaseProfile(parameters, phases).jumps())
+    worst = steps.argmax()
+    return UnderResolvedError(
+        f"{where}phase pinned to 0 or pi (max |sin phi| = {sine:.3e}), stepping by "
+        f"{steps[worst]:.3f} rad at {at}{parameters[worst]:.6f}: winding undefined")
+
+
 def winding_of_phase_profile(profile: PhaseProfile) -> int:
     """Integer winding (1/2pi) sum of principal-value steps around the loop.
 
-    A non-finite phase raises PhaseUndefinedError naming its parameter.
+    A non-finite phase raises PhaseUndefinedError naming its parameter, a step of
+    pi - JUMP_MARGIN or more UnderResolvedError (which says so if the profile is pinned).
     """
     finite = np.isfinite(profile.phases)
     if not finite.all():
         raise PhaseUndefinedError(f"phase at parameter {profile.parameters[np.argmin(finite)]:.6f} "
                                   "is not finite: winding undefined")
     if profile.under_resolved():
-        raise UnderResolvedError(
+        pinned = _pinned_error(profile.parameters, profile.phases, "", "parameter ")
+        raise pinned or UnderResolvedError(
             f"max phase step {profile.max_jump():.3f} rad >= pi - {JUMP_MARGIN}: "
             "profile under-resolved; refine the parameter grid")
     total = profile.jumps().sum() / (2 * np.pi)

@@ -1,8 +1,8 @@
-"""CSV / JSON export and re-import of result types.
+"""CSV / JSON export and re-import of curvature arrays, EGP profiles and scan reports.
 
 Floats are written with 17 significant digits so every emitted file
 re-parses into the originating in-memory values exactly; CSV bodies are
-byte-deterministic for identical inputs.
+byte-deterministic for identical inputs; each reader gives back what its writer took.
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ import csv
 import json
 import math
 import os
+from typing import Optional
 
 import numpy as np
 
-from .egp import EgpResult
-from .geometry import CurvatureField, PhaseProfile
+from .geometry import PhaseProfile
 from .uhlmann import InvariantReport
 
 
@@ -66,34 +66,30 @@ def write_json_atomic(path, payload):
 
 # ---------------------------------------------------------------- curvature
 
-def curvature_to_csv(path, field: CurvatureField, kx_values, ky_values):
-    """One "kx,ky,value" row per grid point, kx outer; the text write_csv would give.
+def curvature_to_csv(path, curvature: np.ndarray, kx_values, ky_values):
+    """One "kx,ky,value" row per (nx, ny) plaquette phase, kx outer; the text write_csv would give.
 
     Each kx block is one %-template over its row ("%.17g" % x is fmt(x)).
     """
-    if field.values.shape != (len(kx_values), len(ky_values)):
+    if np.shape(curvature) != (len(kx_values), len(ky_values)):
         raise ValueError(f"momenta ({len(kx_values)}, {len(ky_values)}) do not match "
-                         f"the curvature field {field.values.shape}")
+                         f"the curvature field {np.shape(curvature)}")
     cells = [""] + [f",{fmt(ky)},%.17g\n" for ky in ky_values]
     blocks = ["kx,ky,value\n"]
     blocks.extend(fmt(kx).join(cells) % tuple(row)
-                  for kx, row in zip(kx_values, field.values.tolist()))
+                  for kx, row in zip(kx_values, np.asarray(curvature, dtype=float).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("".join(blocks))
 
 
-def curvature_from_csv(path) -> tuple[CurvatureField, np.ndarray, np.ndarray]:
+def curvature_from_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(curvature, kx values, ky values) as `curvature_to_csv` took them, from its kx-outer rows."""
     header, rows = read_csv(path)
     if header != ["kx", "ky", "value"]:
         raise ValueError(f"{path}: not a curvature CSV (header {header})")
-    kxs = sorted({float(r[0]) for r in rows})
-    kys = sorted({float(r[1]) for r in rows})
-    values = np.empty((len(kxs), len(kys)))
-    index_x = {k: i for i, k in enumerate(kxs)}
-    index_y = {k: j for j, k in enumerate(kys)}
-    for r in rows:
-        values[index_x[float(r[0])], index_y[float(r[1])]] = float(r[2])
-    return CurvatureField(values=values), np.array(kxs), np.array(kys)
+    kx, ky, values = np.array(rows, dtype=float).reshape(-1, 3).T  # float() of each entry, in C
+    ny = len(set(ky.tolist()))
+    return values.reshape(-1, ny), kx[::ny], ky[:ny]
 
 
 # ---------------------------------------------------------------- EGP rows
@@ -108,17 +104,20 @@ def profile_to_csv(path, profile: PhaseProfile, n_cells: int, beta):
     write_csv(path, EGP_HEADER, rows)
 
 
-def egp_results_from_csv(path, direction: str = "") -> list[EgpResult]:
+def profile_from_csv(path) -> tuple[PhaseProfile, int, Optional[float]]:
+    """(profile, n_cells, beta) of a `profile_to_csv` file, bit for bit; beta is None for a
+    tabulated profile and inf for a pure state."""
     header, rows = read_csv(path)
     if header != EGP_HEADER:
         raise ValueError(f"{path}: not an EGP CSV (header {header})")
-    out = []
-    for tk, phase, log_modulus, n, beta in rows:
-        out.append(EgpResult(phase=float(phase), log_magnitude=float(log_modulus),
-                             n_cells=int(n), direction=direction,
-                             transverse_k=float(tk),
-                             beta=float(beta) if beta else None, mu=None))
-    return out
+    if len(rows) < 2:
+        raise ValueError(f"{path}: an EGP profile needs at least 2 rows, got {len(rows)}")
+    transverse, phases, log_moduli, n_cells, betas = zip(*rows)
+    if len(set(n_cells)) > 1 or len(set(betas)) > 1:
+        raise ValueError(f"{path}: rows differ in N or beta")
+    profile = PhaseProfile(*(np.array(column, dtype=float)  # float() of each entry, in C
+                             for column in (transverse, phases, log_moduli)))
+    return profile, int(n_cells[0]), float(betas[0]) if betas[0] else None
 
 
 # ---------------------------------------------------------------- scan rows

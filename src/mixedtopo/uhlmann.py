@@ -30,6 +30,7 @@ from .errors import (
 from .geometry import (
     JUMP_MARGIN,
     PhaseProfile,
+    _pinned_error,
     berry_curvature_plaquette,
     chern_number,
     winding_of_phase_profile,
@@ -342,15 +343,10 @@ def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray],
     reason = (f"max step {steps[worst]:.3f} + 2e {2 * error:.3e} rad >= pi - "
               f"{JUMP_MARGIN} at transverse_k={spectra.transverse[worst]:.6f}")
     if steps[worst] - 2 * error >= np.pi - JUMP_MARGIN:
-        where = f"Uhlmann {spectra.direction} profile at {m} points"
-        pinned = np.abs(np.sin(phases)).max()
-        if pinned < 1e-6:  # a phase quantized to {0, pi} steps by pi on every grid
-            return UnderResolvedError(
-                f"{where}: phase pinned to 0 or pi (max |sin phi| = {pinned:.3e}), stepping "
-                f"by {steps[worst]:.3f} rad at transverse_k={spectra.transverse[worst]:.6f}: "
-                "winding undefined"), ""
-        return UnderResolvedError(
-            f"{where}: {reason}, and so is max step - 2e: only a finer transverse grid can "
+        where = f"Uhlmann {spectra.direction} profile at {m} points: "
+        pinned = _pinned_error(spectra.transverse, phases, where, "transverse_k=")
+        return pinned or UnderResolvedError(
+            f"{where}{reason}, and so is max step - 2e: only a finer transverse grid can "
             "certify the winding"), ""
     return None, reason + ": winding not certified"
 
@@ -490,17 +486,22 @@ def uhlmann_temperature_scan(model: BlochModel, mu: float, temperatures,
     `egp._chain_windings`. The EGP profiles may need a finer transverse grid
     than the Uhlmann ones at the hot end of a sweep (near-pi kinks develop
     toward maximal mixing), hence the separate `egp_transverse` resolution.
-    Fewer than 2 chain cells or EGP lines raise ValueError before any work.
+    Fewer than 2 chain cells or EGP lines, and a negative, NaN or infinite
+    temperature, raise ValueError before any work; T = 0 is a beta = inf row.
     """
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
+    temperatures = np.asarray(temperatures, dtype=float)
+    for t in temperatures:
+        if not 0 <= t < np.inf:
+            raise ValueError(f"need finite temperatures >= 0, got T = {t}")
     if egp_transverse is None:
         egp_transverse = max(grid.nx, grid.ny)
     # h(k) spectra shared by every temperature, diagonalized only when first read
     chains = tuple(_LineSpectra(model, d, momentum_line(egp_transverse)) for d in "xy")
     c_ground = ground_state_chern(model, mu, grid)
-    temperatures = np.asarray(temperatures, dtype=float)
-    betas = 1.0 / temperatures
+    betas = np.divide(1.0, temperatures, out=np.full_like(temperatures, np.inf),
+                      where=temperatures > 0)
     uhlmann = _uhlmann_windings(_grid_loops(model, grid), betas, mu)
     reports = []
     for t, beta, windings, egp in zip(temperatures, betas, uhlmann,

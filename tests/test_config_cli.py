@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -337,6 +339,19 @@ def test_cli_chern(tmp_path):
     assert len(kxs) == 16
 
 
+def test_chern_recipe_matches_committed_hashes(tmp_path):
+    """scripts/chern.cfg writes chern.json as committed under tests/data/chern, and four
+    curvature CSVs whose sha256 sums are the committed curvature.sha256, bit for bit."""
+    out, data = tmp_path / "out", ROOT / "tests" / "data" / "chern"
+    assert main(["chern", "--config", str(ROOT / "scripts" / "chern.cfg"), "--out", str(out)]) == 0
+    assert (out / "chern.json").read_bytes() == (data / "chern.json").read_bytes()
+    expected = dict(reversed(line.split("  ")) for line in
+                    (data / "curvature.sha256").read_text().splitlines())
+    assert sorted(p.name for p in out.glob("curvature_*.csv")) == sorted(expected)
+    for name, digest in expected.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_cli_chern_without_state_skips_hfict(tmp_path):
     cfg = write_config(tmp_path / "c.txt", BASE)
     out = tmp_path / "out"
@@ -372,12 +387,8 @@ def test_cli_egp_profile_files_and_windings(tmp_path):
     ]
     # windings recomputed from the emitted files agree between directions
     for suffix in ("T0", "T20"):
-        res_x = serialize.egp_results_from_csv(out / f"egp_profile_x_N10_{suffix}.csv", "x")
-        res_y = serialize.egp_results_from_csv(out / f"egp_profile_y_N10_{suffix}.csv", "y")
-        prof_x = mt.PhaseProfile(np.array([r.transverse_k for r in res_x]),
-                                 np.array([r.phase for r in res_x]))
-        prof_y = mt.PhaseProfile(np.array([r.transverse_k for r in res_y]),
-                                 np.array([r.phase for r in res_y]))
+        prof_x, _, _ = serialize.profile_from_csv(out / f"egp_profile_x_N10_{suffix}.csv")
+        prof_y, _, _ = serialize.profile_from_csv(out / f"egp_profile_y_N10_{suffix}.csv")
         cx = mt.winding_of_phase_profile(prof_x)
         cy = -mt.winding_of_phase_profile(prof_y)
         assert cx == cy == 1
@@ -387,12 +398,13 @@ def test_cli_egp_profile_pure_matches_zak(tmp_path, qwz):
     cfg = write_config(tmp_path / "c.txt", BASE + "chain_cells_list = 9\ntemperature_list = 0\n")
     out = tmp_path / "out"
     assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 0
-    results = serialize.egp_results_from_csv(out / "egp_profile_x_N9_T0.csv", "x")
+    profile, n_cells, beta = serialize.profile_from_csv(out / "egp_profile_x_N9_T0.csv")
+    assert (n_cells, beta) == (9, math.inf)
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
-    for r in results:
+    for tk, phase in zip(profile.parameters, profile.phases):
         states = mt.band_systems(
-            mt.fictitious_hamiltonian(spec, mt.momentum_line(9), r.transverse_k))[1][..., 1]
-        assert abs(mt.principal_branch(r.phase - mt.zak_phase_wilson(states))) <= 1e-10
+            mt.fictitious_hamiltonian(spec, mt.momentum_line(9), tk))[1][..., 1]
+        assert abs(mt.principal_branch(phase - mt.zak_phase_wilson(states))) <= 1e-10
 
 
 def test_cli_gauge_reduction(tmp_path):
@@ -679,11 +691,10 @@ def test_cli_long_chain_profile_keeps_finite_log_modulus(tmp_path, qwz, qwz_gap)
     out = tmp_path / "out"
     assert main(["egp-profile", "--config", cfg, "--out", str(out)]) == 0
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
-    expected = np.array([mt.egp_component(spec, "x", tk, 1000).log_magnitude
+    expected = np.array([mt.egp_component(spec, "x", tk, 1000)[1]
                          for tk in mt.momentum_line(16)])
     assert expected.max() < -745  # exp() of these underflows to 0.0
-    results = serialize.egp_results_from_csv(out / "egp_profile_x_N1000_T20.csv", "x")
-    got = np.array([r.log_magnitude for r in results])
+    got = serialize.profile_from_csv(out / "egp_profile_x_N1000_T20.csv")[0].log_moduli
     assert np.isfinite(got).all()
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -730,8 +741,16 @@ def test_serialize_curvature_roundtrip(tmp_path, qwz):
     path = tmp_path / "f.csv"
     serialize.curvature_to_csv(path, field, kxs, kxs)
     back, bkx, bky = serialize.curvature_from_csv(path)
-    assert np.array_equal(back.values, field.values)
+    assert np.array_equal(back, field)
     assert np.allclose(bkx, kxs)
+    # the reader gives back the arrays the writer took, bit for bit, in their order
+    grid = mt.MomentumGrid(7, 5)
+    field = mt.berry_curvature_plaquette(mt.band_systems(qwz.matrix(*grid.mesh()))[1][..., 0])
+    field[3, :] = [-0.0, 5e-324, 1e300, -math.inf, math.inf]
+    serialize.curvature_to_csv(path, field, grid.kx_values(), grid.ky_values()[::-1])
+    back, bkx, bky = serialize.curvature_from_csv(path)
+    assert back.view(np.int64).tolist() == field.view(np.int64).tolist()
+    assert (bkx.tolist(), bky.tolist()) == (grid.kx_values().tolist(), grid.ky_values()[::-1].tolist())
 
 
 def curvature_to_csv_per_row(path, field, kx_values, ky_values):
@@ -739,7 +758,7 @@ def curvature_to_csv_per_row(path, field, kx_values, ky_values):
     rows = []
     for i, kx in enumerate(kx_values):
         for j, ky in enumerate(ky_values):
-            rows.append([serialize.fmt(kx), serialize.fmt(ky), serialize.fmt(field.values[i, j])])
+            rows.append([serialize.fmt(kx), serialize.fmt(ky), serialize.fmt(field[i, j])])
     serialize.write_csv(path, ["kx", "ky", "value"], rows)
 
 
@@ -747,10 +766,9 @@ def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
     kxs = mt.momentum_line(96)
     field = mt.berry_curvature_plaquette(
         mt.band_systems(qwz.matrix(*np.meshgrid(kxs, kxs, indexing="ij")))[1][..., 0])
-    special = field.values.copy()
+    special = field.copy()
     special[0, :6] = [0.0, -0.0, 5e-324, math.nan, math.inf, -1e300]
-    for values in (field.values, special):
-        field = mt.CurvatureField(values=values)
+    for field in (field, special):
         serialize.curvature_to_csv(tmp_path / "new.csv", field, kxs, kxs[::-1])
         curvature_to_csv_per_row(tmp_path / "old.csv", field, kxs, kxs[::-1])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -759,9 +777,8 @@ def test_curvature_csv_bytes_match_per_row_writer(tmp_path, qwz):
             serialize.curvature_to_csv(tmp_path / "bad.csv", field, kx_values, ky_values)
     # a non-square grid, the special values in a later row
     grid = mt.MomentumGrid(7, 5)
-    values = mt.berry_curvature_plaquette(mt.band_systems(qwz.matrix(*grid.mesh()))[1][..., 0]).values
-    values[3, :] = [-0.0, 5e-324, math.nan, -math.inf, 1e300]
-    field = mt.CurvatureField(values=values)
+    field = mt.berry_curvature_plaquette(mt.band_systems(qwz.matrix(*grid.mesh()))[1][..., 0])
+    field[3, :] = [-0.0, 5e-324, math.nan, -math.inf, 1e300]
     serialize.curvature_to_csv(tmp_path / "new.csv", field, grid.kx_values(), grid.ky_values())
     curvature_to_csv_per_row(tmp_path / "old.csv", field, grid.kx_values(), grid.ky_values())
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -783,17 +800,40 @@ def test_serialize_reports_roundtrip(tmp_path):
     assert back[0].uhlmann_asymmetric is True
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def test_serialize_egp_results_roundtrip(tmp_path):
-    profile = mt.PhaseProfile(parameters=[-1.2, 0.4], phases=[0.3, -2.9],
-                              log_moduli=np.array([-130.0, -1e-300]))
-    path = tmp_path / "e.csv"
+    """profile_from_csv gives back every bit profile_to_csv took, and writes the same bytes again."""
+    profile = mt.PhaseProfile(parameters=[-1.2, 0.4, 2.5], phases=[0.3, -2.9, np.pi],
+                              log_moduli=np.array([-130.0, -1e-300, -0.0]))
+    path, again = tmp_path / "e.csv", tmp_path / "again.csv"
     for beta in (5.0, math.inf, None):
         serialize.profile_to_csv(path, profile, 10, beta)
-        back = serialize.egp_results_from_csv(path, "x")
-        assert [r.transverse_k for r in back] == list(profile.parameters)
-        assert [r.phase for r in back] == list(profile.phases)
-        assert [r.log_magnitude for r in back] == list(profile.log_moduli)
-        assert {(r.n_cells, r.direction, r.beta, r.mu) for r in back} == {(10, "x", beta, None)}
+        back, n_cells, back_beta = serialize.profile_from_csv(path)
+        for name in ("parameters", "phases", "log_moduli"):
+            assert _bits(getattr(back, name)) == _bits(getattr(profile, name))
+        assert (n_cells, back_beta) == (10, beta)
+        serialize.profile_to_csv(again, back, n_cells, back_beta)
+        assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("transverse_k,phase,modulus,N,beta\n0,0,0,10,5\n1,0,0,10,5\n",
+                 "not an EGP CSV", id="header"),
+    pytest.param("transverse_k,phase,log_modulus,N,beta\n0,0,0,10,5\n",
+                 "at least 2 rows, got 1", id="one-row"),
+    pytest.param("transverse_k,phase,log_modulus,N,beta\n0,0,0,10,5\n1,0,0,12,5\n",
+                 "rows differ in N or beta", id="N"),
+    pytest.param("transverse_k,phase,log_modulus,N,beta\n0,0,0,10,5\n1,0,0,10,\n",
+                 "rows differ in N or beta", id="beta"),
+])
+def test_profile_from_csv_refuses_what_profile_to_csv_cannot_write(tmp_path, text, message):
+    path = tmp_path / "e.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{message}"):
+        serialize.profile_from_csv(path)
 
 
 def test_fmt_seventeen_digits_roundtrip():

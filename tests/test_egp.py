@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -16,6 +17,7 @@ from fock_oracle import covariance_from_g, fock_trace
 from mixedtopo import egp
 from mixedtopo.gaussian import hfict_lines
 from mixedtopo.model import _LineSpectra
+from multiband import layered_qwz
 
 
 @given(n=st.floats(0.0, 1.0), theta=st.floats(-np.pi, np.pi))
@@ -67,11 +69,11 @@ def _atomic_closed_form(occupations, n_cells):
 def test_egp_atomic_limit_parity(atomic, n_cells, expected_phase):
     beta = 1.3
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, atomic)
-    r = mt.egp_component(spec, "x", 0.7, n_cells)
-    assert r.phase == pytest.approx(expected_phase, abs=1e-12)
+    phase, log_magnitude = mt.egp_component(spec, "x", 0.7, n_cells)
+    assert phase == pytest.approx(expected_phase, abs=1e-12)
     occ = [1 / (np.exp(beta) + 1), 1 / (np.exp(-beta) + 1)]
     expected = _atomic_closed_form(occ, n_cells)
-    assert r.magnitude * np.exp(1j * r.phase) == pytest.approx(expected, abs=1e-12)
+    assert np.exp(log_magnitude + 1j * phase) == pytest.approx(expected, abs=1e-12)
 
 
 def _fict_filled_zak(spec, direction, transverse_k, m):
@@ -85,17 +87,17 @@ def _fict_filled_zak(spec, direction, transverse_k, m):
 def test_egp_pure_equals_fictitious_zak_odd_n(qwz):
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
     for tk in (0.3, np.pi / 3, -1.8):
-        r = mt.egp_component(spec, "x", tk, 11)
+        phase, _ = mt.egp_component(spec, "x", tk, 11)
         zak = _fict_filled_zak(spec, "x", tk, 11)
-        assert abs(mt.principal_branch(r.phase - zak)) <= 1e-10
+        assert abs(mt.principal_branch(phase - zak)) <= 1e-10
 
 
 def test_egp_pure_even_n_carries_parity_pi(qwz):
     """The N-fermion momentum shift contributes exactly (-1)^(N-1)."""
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
-    r = mt.egp_component(spec, "x", 0.3, 10)
+    phase, _ = mt.egp_component(spec, "x", 0.3, 10)
     zak = _fict_filled_zak(spec, "x", 0.3, 10)
-    assert abs(mt.principal_branch(r.phase - zak - np.pi)) <= 1e-10
+    assert abs(mt.principal_branch(phase - zak - np.pi)) <= 1e-10
 
 
 def test_egp_profile_pure_matches_zak_profile(qwz):
@@ -116,9 +118,9 @@ def test_egp_profile_high_temperature_approaches_pure(qwz, qwz_gap):
         devs[n] = np.abs(mt.principal_branch(thermal_prof.phases - pure_prof.phases)).max()
     assert devs[100] < devs[10]
     # near ky = pi/3 the approach is already tight at N = 100
-    r_t = mt.egp_component(spec, "x", np.pi / 3, 100)
-    r_p = mt.egp_component(pure, "x", np.pi / 3, 100)
-    assert abs(mt.principal_branch(r_t.phase - r_p.phase)) < 0.05
+    phase_t, _ = mt.egp_component(spec, "x", np.pi / 3, 100)
+    phase_p, _ = mt.egp_component(pure, "x", np.pi / 3, 100)
+    assert abs(mt.principal_branch(phase_t - phase_p)) < 0.05
 
 
 @pytest.mark.parametrize("beta", [5.0, 0.5])
@@ -279,14 +281,14 @@ def test_near_half_occupation_amplitude_is_tiny_but_defined():
     amplitude collapses with N but the phase remains computable."""
     beta = math.log(0.501 / 0.499)  # occupations 0.499 and 0.501 at d = (0, 0, 1)
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, mt.atomic_model())
-    r = mt.egp_component(spec, "x", 0.1, 4)
+    phase, log_magnitude = mt.egp_component(spec, "x", 0.1, 4)
     reference = gaussian_trace_diagonal_unitary(
         chain_correlation_matrix(spec, "x", 0.1, 4), momentum_shift_angles(4, 2))
-    assert 1e-7 < r.magnitude < 1e-5
-    assert r.magnitude * np.exp(1j * r.phase) == pytest.approx(
+    assert 1e-7 < np.exp(log_magnitude) < 1e-5
+    assert np.exp(log_magnitude + 1j * phase) == pytest.approx(
         _atomic_closed_form([0.499, 0.501], 4), rel=1e-9)
-    assert abs(mt.principal_branch(r.phase - reference.phase)) <= 1e-10
-    assert abs(r.log_magnitude - reference.log_magnitude) <= 1e-10
+    assert abs(mt.principal_branch(phase - reference.phase)) <= 1e-10
+    assert abs(log_magnitude - reference.log_magnitude) <= 1e-10
 
 
 @pytest.mark.parametrize("direction", ["x", "y"])
@@ -305,9 +307,9 @@ def test_exact_half_occupation_even_chains_are_exact_zeros(direction, n_cells):
 def test_exact_half_occupation_odd_chain_is_finite(direction):
     """At odd N the same state has z = (2^(1-N))^2 exactly, far above the floor."""
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.atomic_model((0.0, 0.0, 0.0)))
-    r = mt.egp_component(spec, direction, 0.1, 7)
-    assert r.log_magnitude == pytest.approx(-12 * math.log(2), abs=1e-12)  # -8.3178
-    assert r.phase == pytest.approx(0.0, abs=1e-12)
+    phase, log_magnitude = mt.egp_component(spec, direction, 0.1, 7)
+    assert log_magnitude == pytest.approx(-12 * math.log(2), abs=1e-12)  # -8.3178
+    assert phase == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("beta", [1.0, math.inf])
@@ -527,17 +529,17 @@ def test_egp_profile_equals_per_chain_components(qwz, direction):
         profile = mt.egp_profile(spec, direction, n_cells, count)
         assert len(profile.parameters) == (count or (10 if direction == "x" else 12))
         for tk, phase, log_modulus in zip(profile.parameters, profile.phases, profile.log_moduli):
-            r = mt.egp_component(spec, direction, tk, n_cells)
-            assert abs(mt.principal_branch(phase - r.phase)) <= 1e-12
-            assert abs(log_modulus - r.log_magnitude) <= 1e-12
+            chain_phase, log_magnitude = mt.egp_component(spec, direction, tk, n_cells)
+            assert abs(mt.principal_branch(phase - chain_phase)) <= 1e-12
+            assert abs(log_modulus - log_magnitude) <= 1e-12
 
 
 def test_egp_pure_thermodynamic_limit_equals_zak(qwz):
     """Odd N = 10001: the pure-state EGP is the Wilson-loop Zak phase."""
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
-    r = mt.egp_component(spec, "x", np.pi / 3, 10001)
+    phase, _ = mt.egp_component(spec, "x", np.pi / 3, 10001)
     zak = _fict_filled_zak(spec, "x", np.pi / 3, 10001)
-    assert abs(mt.principal_branch(r.phase - zak)) <= 1e-9
+    assert abs(mt.principal_branch(phase - zak)) <= 1e-9
 
 
 def test_gauge_reduction_falls_at_large_n(qwz, qwz_gap):
@@ -579,8 +581,8 @@ def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeyp
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
     pure = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
     expected = [(n, abs(mt.principal_branch(
-        mt.egp_component(spec, direction, 0.7, n).phase
-        - mt.egp_component(pure, direction, 0.7, n).phase))) for n in (10, 20, 25)]
+        mt.egp_component(spec, direction, 0.7, n)[0]
+        - mt.egp_component(pure, direction, 0.7, n)[0]))) for n in (10, 20, 25)]
     calls = count_eigh(monkeypatch)
     got = mt.gauge_reduction_deviation(spec, direction, 0.7, [10, 20, 25])
     assert [n for n, _ in got] == [10, 20, 25]
@@ -680,3 +682,63 @@ def test_oracle_covariance_matches_fermi_transpose():
     w, v = np.linalg.eigh(g)
     fermi = (v * (1 / (np.exp(w) + 1))) @ v.conj().T
     assert np.abs(covariance_from_g(g) - fermi.T).max() <= 1e-12
+
+
+# ---------------------------------------------------- four bands, two filled
+
+@pytest.mark.parametrize("beta", [0.3, 2.0])
+@pytest.mark.parametrize("direction", ["x", "y"])
+def test_four_band_chain_traces_match_qr_reduction(beta, direction):
+    """The p = 4 plane kernel against the LAPACK-QR reduction, 8 lines each, even and odd N."""
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, layered_qwz(mirrored=False))
+    for n_cells in (2, 3, 10):
+        lines = hfict_lines(spec, direction, mt.momentum_line(8), n_cells)
+        (phase, log_magnitude), (ref_phase, ref_log) = mt.chain_traces(lines), chain_traces_qr(lines)
+        assert np.abs(mt.principal_branch(phase - ref_phase)).max() <= 1e-12
+        assert np.abs(log_magnitude - ref_log).max() <= 1e-12
+
+
+def test_four_band_ring_matches_fock_oracle():
+    """The N = 2 ring of the C = 2 model at ky = 0.7: 8 modes, 256 Fock states."""
+    beta, n_cells, model = 0.3, 2, layered_qwz(mirrored=False)
+    spec = mt.GaussianStateSpec.thermal(beta, 0.0, model)
+    phase, log_magnitude = mt.chain_traces(hfict_lines(spec, "x", [0.7], n_cells)[0])
+    ks = mt.momentum_line(n_cells)
+    g_diag = np.zeros((8, 8), dtype=complex)
+    for i, k in enumerate(ks):
+        g_diag[i * 4:(i + 1) * 4, i * 4:(i + 1) * 4] = beta * model.matrix(k, 0.7)
+    u = np.kron(np.exp(1j * np.outer(np.arange(n_cells), ks)) / np.sqrt(n_cells), np.eye(4))
+    expected = fock_trace(u @ g_diag @ u.conj().T, momentum_shift_angles(n_cells, 4))
+    assert abs(np.exp(log_magnitude + 1j * phase) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [1.0, 20.0])
+def test_four_band_egp_windings_give_c2(temperature):
+    """Two filled bands of C = 2: the EGP windings on 128 lines at N = 10 are (2, 2)."""
+    model = layered_qwz(mirrored=False)
+    gap = mt.band_gap(model, mt.MomentumGrid(32, 32), 0.0)
+    spec = mt.GaussianStateSpec.thermal(1.0 / (temperature * gap), 0.0, model)
+    assert mt.egp_windings(spec, 10, 128) == (2, 2)
+
+
+def test_pinned_egp_profile_says_so():
+    """The time-reversed pair of layers keeps tau_x K, so z is real: at T = 20 gap and
+    N = 10 every x phase is 0 or pi, pi on the two lines at |ky| = 0.098 of 128. That
+    profile steps by pi on any grid, and the error says the winding is undefined
+    instead of asking for a finer one; N = 11 and T = 0.05 gap wind to (0, 0)."""
+    model = layered_qwz(mirrored=True)
+    gap = mt.band_gap(model, mt.MomentumGrid(32, 32), 0.0)
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * gap), 0.0, model)
+    profile = mt.egp_profile(spec, "x", 10, 128)
+    assert np.abs(np.sin(profile.phases)).max() < 1e-6
+    assert profile.parameters[np.abs(profile.phases) > 1] == pytest.approx([-np.pi / 32, np.pi / 32])
+    with pytest.raises(mt.UnderResolvedError) as exc:
+        mt.egp_windings(spec, 10, 128)
+    found = re.fullmatch(r"phase pinned to 0 or pi \(max \|sin phi\| = (\S+)\), stepping by "
+                         r"3\.142 rad at parameter (\S+): winding undefined", str(exc.value))
+    assert found, str(exc.value)
+    assert float(found[1]) < 1e-6
+    assert abs(abs(float(found[2])) - np.pi / 32) < 1e-6
+    assert mt.egp_windings(spec, 11, 128) == (0, 0)
+    cold = mt.GaussianStateSpec.thermal(1.0 / (0.05 * gap), 0.0, model)
+    assert mt.egp_windings(cold, 10, 128) == (0, 0)

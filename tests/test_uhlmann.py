@@ -709,6 +709,33 @@ def test_scan_refuses_short_chains(qwz, monkeypatch, n_cells, egp_transverse, me
     assert calls == []
 
 
+@pytest.mark.parametrize("temperatures, message", [
+    pytest.param([-1.0], "need finite temperatures >= 0, got T = -1.0", id="negative"),
+    pytest.param([math.nan, 1.0], "need finite temperatures >= 0, got T = nan", id="nan"),
+    pytest.param([math.inf, 1.0], "need finite temperatures >= 0, got T = inf", id="inf"),
+])
+def test_scan_refuses_bad_temperatures(qwz, monkeypatch, temperatures, message):
+    """A negative, NaN or infinite temperature is refused before any work, naming it."""
+    calls = count_eigh(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, mt.MomentumGrid(8, 8), n_cells=6)
+    assert calls == []
+
+
+def test_scan_takes_zero_temperature_as_pure_row(qwz):
+    """T = 0 is a beta = inf row, with no divide-by-zero warning: its Uhlmann windings are
+    refused for the rank-deficient state, and its EGP takes the projector windings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero, hot = mt.uhlmann_temperature_scan(qwz, 0.0, [0.0, 1.0], mt.MomentumGrid(8, 8),
+                                                n_cells=6)
+    assert (zero.temperature, zero.beta, zero.cx_egp, zero.cy_egp) == (0.0, math.inf, 1, 1)
+    assert (zero.cx_uhlmann, zero.cy_uhlmann, zero.c_ground) == (None, None, 1)
+    assert zero.status == "uhlmann: beta = inf gives a rank-deficient density matrix; " \
+                          "probe low temperature at large finite beta instead"
+    assert hot.beta == 1.0
+
+
 @pytest.mark.parametrize("n_cells", [4, 5])
 def test_chain_windings_match_per_temperature_route(n_cells):
     """mu at the upper level of an atomic model: at beta = inf the projector is gapless
@@ -804,6 +831,20 @@ def test_ground_state_chern_of_two_filled_bands(monkeypatch, mirrored, chern):
     monkeypatch.setattr(np.linalg, "det", counting_det)
     assert mt.ground_state_chern(layered_qwz(mirrored), 0.0, mt.MomentumGrid(32, 32)) == chern
     assert calls == [(32, 32, 2, 2)] * 2
+
+
+@pytest.mark.parametrize("mirrored, chern", [(False, 2), (True, 0)])
+def test_ground_state_chern_of_uncoupled_layers_is_their_sum(mirrored, chern):
+    """At coupling 0 the two-band frame is the direct sum of the layers' lower bands, and
+    its plaquette Chern number is the sum of theirs: 1 + 1, or 1 - 1 for h(-k)*."""
+    qwz, grid = mt.qwz_model(), mt.MomentumGrid(32, 32)
+    kxs, kys = grid.mesh()
+    second = qwz.matrix(-kxs, -kys).conj() if mirrored else qwz.matrix(kxs, kys)
+    per_layer = [mt.chern_number(mt.berry_curvature_plaquette(mt.band_systems(h)[1][..., 0]))
+                 for h in (qwz.matrix(kxs, kys), second)]
+    assert per_layer == ([1, -1] if mirrored else [1, 1])
+    model = layered_qwz(mirrored, coupling=0.0)
+    assert mt.ground_state_chern(model, 0.0, grid) == sum(per_layer) == chern
 
 
 def test_windings_say_when_the_phase_is_pinned():
