@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import serialize
 from .config import RunConfig, parse_config
-from .egp import (_line_profile, egp_profile, egp_windings, gauge_reduction_deviation,
+from .egp import (_gauge_reduction, _line_profile, egp_profile, egp_windings,
                   gauge_reduction_exponent)
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
@@ -211,11 +211,8 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
 
 def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
     cells = cfg.cells_list()
-    if len(cells) < 2:
-        raise ConfigError("gauge-reduction needs chain_cells_list with >= 2 entries",
-                          key="chain_cells_list")
-    if cells != sorted(cells):
-        raise ConfigError("gauge-reduction needs an ascending chain_cells_list",
+    if len(cells) < 2 or cells != sorted(cells):
+        raise ConfigError("gauge-reduction needs an ascending chain_cells_list of >= 2 entries",
                           key="chain_cells_list")
     beta = cfg.beta_raw()
     if math.isinf(beta):
@@ -223,22 +220,22 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
                           key="beta" if cfg.beta is not None else "temperature")
     spec = GaussianStateSpec.thermal(beta, cfg.mu, cfg.bloch_model)
 
-    def task(direction):
-        devs = gauge_reduction_deviation(spec, direction, cfg.transverse_k, cells)
-        path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
-        serialize.write_csv(path, ["n_cells", "deviation"],
-                            [[str(n), serialize.fmt(d)] for n, d in devs])
-        summary = os.path.join(out_dir, f"gauge_reduction_{direction}.json")
-        serialize.write_json(summary, {
-            "direction": direction,
-            "transverse_k": cfg.transverse_k,
-            "beta": beta,
-            "deviations": {str(n): d for n, d in devs},
-            "log_log_slope": gauge_reduction_exponent(devs),
-        })
-        return [path, summary]
+    def task():
+        files = []
+        for direction, devs in zip(cfg.directions, _gauge_reduction(
+                spec, cfg.directions, cfg.transverse_k, cells)):
+            path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
+            serialize.write_csv(path, ["n_cells", "deviation"],
+                                [[str(n), serialize.fmt(d)] for n, d in devs])
+            summary = os.path.join(out_dir, f"gauge_reduction_{direction}.json")
+            serialize.write_json(summary, {
+                "direction": direction, "transverse_k": cfg.transverse_k, "beta": beta,
+                "deviations": {str(n): d for n, d in devs},
+                "log_log_slope": gauge_reduction_exponent(devs)})
+            files += [path, summary]
+        return files
 
-    return [(f"gauge-reduction:{d}", functools.partial(task, d)) for d in cfg.directions]
+    return [("gauge-reduction", task)]
 
 
 _COMMANDS = {

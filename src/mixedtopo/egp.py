@@ -2,24 +2,16 @@
 
 The trace of rho times the collective momentum-shift unitary reduces, for any
 Gaussian state with correlation matrix M, to det[1 + M(D - 1)] with
-D = diag(e^{i theta}). `tests/chain_oracle.py` evaluates that dense form on
-the real-space chain correlation matrix as the reference for this module.
-
-A chain cut out of a translation-invariant state is diagonal in momentum:
-the Fourier transform over cells turns M into the block diagonal n of the
-covariance samples hfict(k_m) and D into the cyclic block shift
-S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. `_plane_traces` takes
-that determinant by block cyclic reduction on entry planes (p, p, N, batch),
-the layout of the line-spectrum cache and the Uhlmann transport: about
-log2 N levels of closed-form Householder reflectors applied as whole-plane
-multiply-adds, in O(N p^3) time and O(N p^2) memory per chain, with no LAPACK
-call per matrix; every chain EGP in this module goes through it. Thermal
-chains (`egp_profile`, `egp_windings`, the scan, the gauge reduction) skip the
-matrices: `_fermi_planes` writes hfict from a line-spectrum cache straight
-into planes, and the scan's chunks of temperatures reuse one set of plane and
-level buffers. The public `chain_traces` takes the stacked hfict matrices of
-tabulated specs and of `egp_component` as a strided view. Determinants are
-kept in log space (phase + log-magnitude) so long chains cannot under- or
+D = diag(e^{i theta}); `tests/chain_oracle.py` evaluates that dense form as
+the reference for this module. Fourier transformed over the cells of a chain,
+M is the block diagonal n of the covariance samples hfict(k_m) and D the
+cyclic block shift S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. Every
+chain EGP goes through `_plane_traces`, which takes that determinant by block
+cyclic reduction on entry planes (p, p, N, batch) in O(N p^3) time with no
+LAPACK call per matrix. Thermal chains skip the matrices: `_fermi_planes`
+writes hfict from a line-spectrum cache straight into planes. The public
+`chain_traces` takes stacked hfict matrices as a strided view. Determinants
+are kept in log space (phase + log-magnitude) so long chains cannot under- or
 overflow.
 """
 
@@ -125,9 +117,8 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
     two blocks. No LAPACK routine runs per matrix. The row operations are
     unitary, so the reduction is backward stable at any temperature, projector
     blocks included. A pivot |r_ii| bounds the smallest singular value from
-    above: one below PIVOT_FLOOR N p eps times the largest block norm, or an
-    exactly zero column, marks a determinant that rounding cannot tell from 0,
-    reported as log magnitude -inf and phase 0.
+    above: one below `_pivot_floor`, or an exactly zero column, marks a
+    determinant that rounding cannot tell from 0, reported as -inf and phase 0.
 
     `upper` is only read. The A blocks and each level come from
     `buffers(slot, shape)`: the A blocks and the even levels from one slot, the
@@ -140,12 +131,10 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
     size = math.prod(batch)
     upper = upper.reshape(p, p, n_cells, size)
+    floor = _pivot_floor(upper)
     diag = np.negative(upper, out=buffers("even", upper.shape))
     for i in range(p):
         diag[i, i] += 1.0
-    squares = [(np.square(blocks.real) + np.square(blocks.imag)).sum(axis=(0, 1)).max(axis=0)
-               for blocks in (diag, upper)]
-    floor = PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(np.maximum(*squares))
     factors, slots = [], ("odd", "even")
     while diag.shape[2] > 2:
         pairs, odd = divmod(diag.shape[2], 2)
@@ -169,6 +158,15 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
         [phases.prod(axis=(0, 1)) for _, phases in factors], axis=0)
     return (np.where(exact_zero, 0.0, np.angle(unit)).reshape(batch),
             np.where(exact_zero, -np.inf, log_magnitude).reshape(batch))
+
+
+def _pivot_floor(upper: np.ndarray) -> np.ndarray:
+    """PIVOT_FLOOR N p eps times the largest norm of the blocks 1 - n_i and n_i of each chain
+    of the planes `upper` (p, p, N, chains), from n alone: ||1 - n||^2 = ||n||^2 + p - 2 Re tr n."""
+    p, n_cells = upper.shape[0], upper.shape[2]
+    squares = (np.square(upper.real) + np.square(upper.imag)).sum(axis=(0, 1))
+    squares += np.maximum(p - 2 * np.trace(upper.real), 0.0)
+    return PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(squares.max(axis=0))
 
 
 def _fermi_planes(lines: _LineSpectra, n_cells: int, betas: np.ndarray, mu: float,
@@ -214,8 +212,6 @@ def egp_component(spec: GaussianStateSpec, direction: str, transverse_k: float,
                   n_cells: int) -> tuple[float, float]:
     """EGP of one chain at fixed transverse k: (phase, log|z|) of z = Tr[rho e^{(2 pi i / N) X}]."""
     n_cells = _or_stored(spec, n_cells, "n_cells", direction)
-    if n_cells < 2:
-        raise ValueError(f"need n_cells >= 2, got {n_cells}")
     phase, log_magnitude = chain_traces(hfict_lines(spec, direction, [transverse_k], n_cells)[0])
     _require_amplitude(log_magnitude, transverse_k)
     return float(phase), float(log_magnitude)
@@ -327,27 +323,41 @@ def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transvers
     it as the reference makes the deviation measure gauge reduction alone.
     Both chains of each N come from one spectrum of h(k).
     """
+    return _gauge_reduction(spec, [direction], transverse_k, n_list)[0]
+
+
+def _gauge_reduction(spec: GaussianStateSpec, directions: Sequence[str], transverse_k: float,
+                     n_list: Sequence[int]) -> list[list[tuple[int, float]]]:
+    """`gauge_reduction_deviation` in each of `directions`, one line-spectrum cache each. Per N,
+    the thermal and beta = inf chains of max(1, CHAIN_CELL_BUDGET // (N x 2)) directions share
+    one `_plane_traces` call, which works chain by chain: each keeps the bits of a lone run."""
     if not spec.is_thermal:
         raise ValueError("gauge reduction needs a thermal spec (beta = inf reference)")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
-    chains = _LineSpectra(spec.model, direction, np.array([float(transverse_k)]))
-    out = []
+    betas, transverse = np.array([spec.beta, math.inf]), np.array([float(transverse_k)])
+    caches = [_LineSpectra(spec.model, direction, transverse) for direction in directions]
+    out = [[] for _ in caches]
     for n in n_list:
-        phases, log_magnitudes = _plane_traces(
-            _fermi_planes(chains, n, np.array([spec.beta, math.inf]), spec.mu))
-        _require_amplitude(log_magnitudes, transverse_k, f", N={n}")
-        phi, phi_ref = phases[:, 0]
-        out.append((int(n), float(abs(principal_branch(phi - phi_ref)))))
+        per_call = max(1, CHAIN_CELL_BUDGET // (n * len(betas)))
+        for start in range(0, len(caches), per_call):
+            chunk = caches[start:start + per_call]
+            planes = np.empty((spec.p, spec.p, n, len(betas), len(chunk)), dtype=complex)
+            for i, lines in enumerate(chunk):  # direction i writes transverse line i of planes
+                _fermi_planes(lines, n, betas, spec.mu, lambda *_, i=i: planes[..., i:i + 1])
+            phases, log_magnitudes = _plane_traces(planes)
+            for i, lines in enumerate(chunk):
+                _require_amplitude(log_magnitudes[:, i], transverse_k,
+                                   f", direction={lines.direction}, N={n}")
+                deviation = abs(principal_branch(phases[0, i] - phases[1, i]))
+                out[start + i].append((int(n), float(deviation)))
     return out
 
 
 def gauge_reduction_exponent(deviations: Sequence[tuple[int, float]]) -> float:
     """Log-log slope of deviation vs N (reported estimate of the decay power)."""
-    ns = np.array([n for n, _ in deviations], dtype=float)
-    ds = np.array([d for _, d in deviations], dtype=float)
+    ns, ds = np.array(deviations, dtype=float).T
     if (ds <= 0).any():
         return -math.inf
-    slope = np.polyfit(np.log(ns), np.log(ds), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(ns), np.log(ds), 1)[0])
 

@@ -162,8 +162,7 @@ def g_matrix(spec: GaussianStateSpec, kx, ky) -> np.ndarray:
     if math.isinf(spec.beta):
         raise ValueError("beta = inf has no finite g; use the projector path "
                          "of fictitious_hamiltonian")
-    h = spec.model.matrix(kx, ky)
-    return spec.beta * (h - spec.mu * np.eye(spec.p))
+    return spec.beta * (spec.model.matrix(kx, ky) - spec.mu * np.eye(spec.p))
 
 
 def fictitious_hamiltonian(spec: GaussianStateSpec, kx, ky) -> np.ndarray:

@@ -26,8 +26,7 @@ PINNED_SINE_MAX = 1e-6
 def principal_branch(x):
     """Map angles to (-pi, pi]."""
     x = np.asarray(x, dtype=float)
-    out = -((-x + np.pi) % (2 * np.pi) - np.pi)
-    return out
+    return -((-x + np.pi) % (2 * np.pi) - np.pi)
 
 
 @dataclass
@@ -48,8 +47,7 @@ class PhaseProfile:
 
     def jumps(self) -> np.ndarray:
         """Principal-value increments around the closed loop (wraps last to first)."""
-        diffs = np.diff(np.append(self.phases, self.phases[0]))
-        return principal_branch(diffs)
+        return principal_branch(np.diff(np.append(self.phases, self.phases[0])))
 
     def max_jump(self) -> float:
         return float(np.abs(self.jumps()).max())
@@ -196,6 +194,4 @@ def chern_from_zak_windings(zak_x_profile: PhaseProfile,
     C_x = -winding(phi_x over ky) and C_y = +winding(phi_y over kx); the two
     must agree for any gapped pure state.
     """
-    cx = -winding_of_phase_profile(zak_x_profile)
-    cy = winding_of_phase_profile(zak_y_profile)
-    return cx, cy
+    return -winding_of_phase_profile(zak_x_profile), winding_of_phase_profile(zak_y_profile)

@@ -137,11 +137,9 @@ def reports_from_csv(path) -> list[InvariantReport]:
     header, rows = read_csv(path)
     if header != REPORT_HEADER:
         raise ValueError(f"{path}: not an invariant-report CSV (header {header})")
-    out = []
-    for t, beta, cxu, cyu, cxe, cye, cg, status in rows:
-        out.append(InvariantReport(
-            temperature=float(t), beta=float(beta),
-            cx_uhlmann=int(cxu) if cxu else None, cy_uhlmann=int(cyu) if cyu else None,
-            cx_egp=int(cxe) if cxe else None, cy_egp=int(cye) if cye else None,
-            c_ground=int(cg) if cg else None, status=status))
-    return out
+    return [InvariantReport(
+        temperature=float(t), beta=float(beta),
+        cx_uhlmann=int(cxu) if cxu else None, cy_uhlmann=int(cyu) if cyu else None,
+        cx_egp=int(cxe) if cxe else None, cy_egp=int(cye) if cye else None,
+        c_ground=int(cg) if cg else None, status=status)
+        for t, beta, cxu, cyu, cxe, cye, cg, status in rows]

@@ -420,6 +420,24 @@ def test_cli_gauge_reduction(tmp_path):
     assert summary["log_log_slope"] < 0
 
 
+def test_cli_gauge_reduction_one_task_writes_what_each_direction_writes_alone(tmp_path):
+    """Both directions are one task whose y files are byte for byte those of a y-only run,
+    here with N = 10 sharing a kernel call and N = 3000 not."""
+    outputs = {}
+    for directions in ("x,y", "y"):
+        cfg = write_config(tmp_path / f"{directions}.txt", BASE + "temperature = 20\n"
+                           f"chain_cells_list = 10,3000\ndirections = {directions}\n")
+        out = tmp_path / directions
+        assert main(["gauge-reduction", "--config", cfg, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [task["task"] for task in manifest["tasks"]] == ["gauge-reduction"]
+        outputs[directions] = {path.name: path.read_bytes() for path in out.iterdir()
+                               if path.name != "manifest.json"}
+    assert sorted(outputs["x,y"]) == [f"gauge_reduction_{d}.{ext}"
+                                      for d in "xy" for ext in ("csv", "json")]
+    assert outputs["y"] == {name: data for name, data in outputs["x,y"].items() if "_y." in name}
+
+
 def test_cli_invariant_scan_small(tmp_path):
     cfg = write_config(tmp_path / "c.txt", BASE.replace("grid_nx = 16", "grid_nx = 12")
                        .replace("grid_ny = 16", "grid_ny = 12")

@@ -627,6 +627,82 @@ def test_gauge_reduction_requires_ascending():
         mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 10])
 
 
+def _gauge_spec(model_name, qwz_gap):
+    if model_name == "qwz":
+        return mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, mt.qwz_model())
+    return mt.GaussianStateSpec.thermal(0.05, 0.0, layered_qwz(mirrored=False))
+
+
+@pytest.mark.parametrize("model_name", ["qwz", "layered_qwz"])
+def test_gauge_reduction_of_both_directions_is_bit_for_bit_each_alone(model_name, qwz_gap,
+                                                                     monkeypatch):
+    """The (x, y) core gives each direction the bits of a one-direction run, where the
+    directions share a kernel call (N <= 20 under a budget of 80 cells) and where each
+    has its own (N > 20): one call per N within the budget, one per direction above."""
+    spec = _gauge_spec(model_name, qwz_gap)
+    ns = [10, 20, 21, 30]
+    alone = [mt.gauge_reduction_deviation(spec, d, 0.7, ns) for d in "xy"]
+    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 2 * 20)
+    calls = count_plane_traces(monkeypatch)
+    both = egp._gauge_reduction(spec, ["x", "y"], 0.7, ns)
+    assert calls == [(2, 2), (2, 2), (2, 1), (2, 1), (2, 1), (2, 1)]
+    assert [[n for n, _ in devs] for devs in both] == [ns, ns]
+    assert [[d.hex() for _, d in devs] for devs in both] == [
+        [d.hex() for _, d in devs] for devs in alone]
+    assert all(d > 0 for devs in both for _, d in devs)
+
+
+def test_gauge_reduction_chunks_by_the_scan_budget(qwz, qwz_gap, monkeypatch):
+    """With CHAIN_CELL_BUDGET = 5120, both directions of N = 1000 share one call of
+    2 x 2 x 1000 cells; N = 3000 would take 12000, so each direction has its own."""
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    calls = count_plane_traces(monkeypatch)
+    egp._gauge_reduction(spec, ["x", "y"], np.pi / 3, [100, 1000, 3000])
+    assert calls == [(2, 2), (2, 2), (2, 1), (2, 1)]
+
+
+def test_gauge_reduction_zero_amplitude_names_the_direction(qwz):
+    """At transverse k = 0 an N = 2 chain is an exact zero at every temperature (see
+    `test_two_cell_chain_through_time_reversal_points_is_an_exact_zero`)."""
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
+    with pytest.raises(mt.AmplitudeZeroError, match="transverse_k=0.000000, direction=y, N=2:"):
+        mt.gauge_reduction_deviation(spec, "y", 0.0, [2, 4])
+    with pytest.raises(mt.AmplitudeZeroError, match="direction=x, N=2:"):
+        egp._gauge_reduction(spec, ["x", "y"], 0.0, [2, 4])
+
+
+def _two_pass_floor(upper):
+    """The pivot floor from the norms of the blocks 1 - n and n, each summed entry by entry."""
+    p, n_cells = upper.shape[0], upper.shape[2]
+    diag = -upper
+    for i in range(p):
+        diag[i, i] += 1.0
+    squares = [(np.abs(blocks) ** 2).sum(axis=(0, 1)).max(axis=0) for blocks in (diag, upper)]
+    return egp.PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(np.maximum(*squares))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n_cells", [2, 5, 64])
+def test_pivot_floor_in_one_pass_matches_two_passes(qwz, p, n_cells):
+    """The floor from the norms of n alone equals the one from both block sets to 1e-12
+    relative, on random Gaussian lines (a third of their blocks exact projectors), on
+    qwz projector lines, and on the zero-column lines of
+    `test_chain_traces_zero_column_is_an_exact_zero`."""
+    rng = np.random.default_rng(100 * p + n_cells)
+    stacks = [np.stack([_gapped_line(rng, n_cells, p, filled) for filled in range(p + 1)])]
+    if p == 2:
+        pure = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
+        stacks.append(hfict_lines(pure, "x", mt.momentum_line(8) + 0.1, n_cells))
+        zero_column = np.zeros((1, n_cells, 2, 2), dtype=complex)
+        zero_column[0, :, 0, 0], zero_column[0, :, 1, 1] = np.arange(n_cells) % 2, 0.3
+        stacks.append(zero_column)
+    for lines in stacks:
+        upper = lines.transpose(2, 3, 1, 0)  # the planes `chain_traces` hands the kernel
+        got, expected = egp._pivot_floor(upper), _two_pass_floor(upper)
+        assert got.shape == (len(lines),)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 # A Thouless pump is a 2D model whose ky is the pump parameter, t = (ky + pi) / 2pi;
 # its winding is that of the x-direction EGP profile over ky.
 
