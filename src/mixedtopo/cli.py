@@ -1,12 +1,12 @@
-"""Command-line driver: each subcommand reproduces one figure/claim recipe.
+"""Command-line driver: each command of `_COMMANDS` reproduces one figure/claim recipe.
 
-    mixedtopo <subcommand> --config cfg.txt [--out DIR]
+    mixedtopo <command> --config cfg.txt [--out DIR]
 
-Subcommands: spectrum | egp-profile | egp-winding | invariant-scan | chern |
-gauge-reduction. Exit codes: 0 success, 2 configuration error, 3 numerical
-error. Tasks run one after another; a failed task is recorded and the rest
-still run. Outputs land in --out with a manifest.json that describes the run
-and times each task; identical configs produce byte-identical data files.
+Options may come before or after the command. Exit codes: 0 success, 2
+configuration error, 3 numerical error. Tasks run one after another; a failed
+task is recorded and the rest still run. Outputs land in --out with a
+manifest.json that describes the run and times each task; identical configs
+produce byte-identical data files.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .geometry import berry_curvature_plaquette, chern_number
 from .model import _gap_at, _LineSpectra, band_systems, momentum_line
 from .uhlmann import uhlmann_temperature_scan
 
-SUBCOMMANDS = ("spectrum", "egp-profile", "egp-winding", "invariant-scan",
-               "chern", "gauge-reduction")
-
 
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -50,6 +47,11 @@ def _config_echo(cfg: RunConfig) -> dict:
 
 def _has_state(cfg: RunConfig) -> bool:
     return any(k in cfg.raw_items for k in ("beta", "temperature", "hfict_path"))
+
+
+def _refuse_hfict(cfg: RunConfig, command: str):
+    if "hfict_path" in cfg.raw_items:
+        raise ConfigError(f"{command} runs on the model and reads no hfict_path", key="hfict_path")
 
 
 def _profile_suffix(label, beta) -> str:
@@ -77,6 +79,7 @@ def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
 # tasks only compute and write.
 
 def cmd_spectrum(cfg: RunConfig, out_dir: str):
+    _refuse_hfict(cfg, "spectrum")
     model, grid = cfg.bloch_model, cfg.momentum_grid()
 
     def task():
@@ -179,6 +182,7 @@ def cmd_egp_winding(cfg: RunConfig, out_dir: str):
 
 
 def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
+    _refuse_hfict(cfg, "invariant-scan")
     if cfg.model == "tabulated":
         raise ConfigError("invariant-scan needs an analytic model: the Uhlmann paths refine "
                           "past the samples of a tabulated grid", key="model")
@@ -210,6 +214,7 @@ def cmd_invariant_scan(cfg: RunConfig, out_dir: str):
 
 
 def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
+    _refuse_hfict(cfg, "gauge-reduction")
     cells = cfg.cells_list()
     if len(cells) < 2 or cells != sorted(cells):
         raise ConfigError("gauge-reduction needs an ascending chain_cells_list of >= 2 entries",
@@ -251,13 +256,11 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mixedtopo",
                                      description="Topological invariants of Gaussian mixed states")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="flat key = value config file")
-        p.add_argument("--out", default="out", help="output directory")
-        # tasks run in order; perfbench still passes --jobs 1, so 1 parses and does nothing
-        p.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="flat key = value config file")
+    parser.add_argument("--out", default="out", help="output directory")
+    # tasks run in order; perfbench still passes --jobs 1, so 1 parses and does nothing
+    parser.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     return parser
 
 

@@ -1,37 +1,14 @@
 """Run configuration: a flat UTF-8 key = value file.
 
-Schema (all keys optional unless a command needs them; unknown keys are
-rejected):
-
-    model            qwz | atomic | tabulated          (default qwz;
-                     invariant-scan needs qwz or atomic)
-    alpha            qwz sin(kx) coefficient           (default 1.0)
-    gamma            qwz sin(ky) coefficient           (default 3.0)
-    mass             qwz mass term                     (default 1.0)
-    atomic_d         atomic-model d-vector, e.g. 0,0,1
-    model_path       matrix-grid file for model = tabulated; fixes the grid
-    hfict_path       matrix-grid file of a tabulated (non-equilibrium) state
-    beta             inverse temperature, raw energy units; 'inf' allowed
-    temperature      temperature in t_units (exclusive with beta; 0 = pure)
-    t_units          gap | raw: unit of temperature-like inputs (default gap)
-    mu               chemical potential                (default 0.0)
-    grid_nx, grid_ny Brillouin-zone grid               (default 64, 64; with
-                     model_path or hfict_path the file's grid, which they
-                     must match, as the two files must match each other)
-    chain_cells      chain length N                    (default 10)
-    chain_cells_list comma list of N values; strictly ascending for
-                     gauge-reduction
-    temperature_list comma list of temperatures in t_units (0 = pure state)
-    directions       x | y | x,y                       (default x,y)
-    transverse_k     transverse momentum for gauge-reduction (default pi/3)
-    scan_t_min       scan lower temperature in t_units (default 0.01)
-    scan_t_max       scan upper temperature in t_units (default 100)
-    scan_points      log-spaced scan points            (default 48)
-    egp_transverse   transverse samples for scan EGP windings
-                     (default: max grid dimension)
-    path_points      retired: parses and must be >= 2, but sets nothing;
-                     the Uhlmann windings pick their own path
-
+README "Config file" lists every key with its meaning and default. Every key
+is optional unless a command needs it; unknown keys are rejected.
+invariant-scan needs model qwz or atomic, and gauge-reduction a strictly
+ascending chain_cells_list. A model_path or hfict_path file fixes the grid:
+grid_nx and grid_ny, if given, must match it, as the two files must match
+each other. A hfict_path state fixes its own chains and has no temperature,
+so beside it beta, temperature, temperature_list, chain_cells and
+chain_cells_list are refused. path_points is retired: it parses and must be
+>= 2, but sets nothing.
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
 Every number must be finite; only beta may be inf. No entry of directions,
 chain_cells_list or temperature_list may repeat.
@@ -150,6 +127,11 @@ class RunConfig:
 
     def build_state(self) -> GaussianStateSpec:
         if self.hfict_path:
+            for key in ("beta", "temperature", "temperature_list", "chain_cells",
+                        "chain_cells_list"):
+                if key in self.raw_items:
+                    raise ConfigError("a hfict_path state fixes its own chains and has no "
+                                      f"temperature: {key} would be ignored", key=key)
             try:
                 grid, values = load_matrix_grid(self.hfict_path)
                 spec = GaussianStateSpec.from_grid(FictitiousHamiltonianGrid(grid, values))

@@ -330,7 +330,9 @@ def _gauge_reduction(spec: GaussianStateSpec, directions: Sequence[str], transve
                      n_list: Sequence[int]) -> list[list[tuple[int, float]]]:
     """`gauge_reduction_deviation` in each of `directions`, one line-spectrum cache each. Per N,
     the thermal and beta = inf chains of max(1, CHAIN_CELL_BUDGET // (N x 2)) directions share
-    one `_plane_traces` call, which works chain by chain: each keeps the bits of a lone run."""
+    one `_plane_traces` call. Between batches of two or more chains, as every call here is, the
+    kernel works chain by chain, so each direction keeps the bits of a one-direction run; a
+    one-chain batch sums its log norms and multiplies its phases in another order."""
     if not spec.is_thermal:
         raise ValueError("gauge reduction needs a thermal spec (beta = inf reference)")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):

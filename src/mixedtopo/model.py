@@ -17,6 +17,7 @@ from .errors import GapError, NonHermitianError, RankDeficiencyError
 
 HERMITICITY_ATOL = 1e-12
 FERMI_DEGENERACY_ATOL = 1e-9
+GRID_SAMPLE_ATOL = 1e-12
 
 
 def wrap_momentum(k):
@@ -139,7 +140,7 @@ def tabulated_model(grid: MomentumGrid, values: np.ndarray, name: str = "tabulat
     return BlochModel(p=p, evaluator=evaluate, name=name)
 
 
-def _grid_index(k, n: int, axis: str, atol: float = 1e-12) -> np.ndarray:
+def _grid_index(k, n: int, axis: str) -> np.ndarray:
     """Indices of momenta among the n uniform samples -pi + 2pi j/n along `axis`.
 
     Raises ValueError naming the axis, the first off-grid (or non-finite)
@@ -147,7 +148,7 @@ def _grid_index(k, n: int, axis: str, atol: float = 1e-12) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     j = np.rint((k + np.pi) * n / (2 * np.pi)) % n
-    off = ~(np.abs(wrap_momentum(k - (-np.pi + 2 * np.pi * j / n))) <= atol)
+    off = ~(np.abs(wrap_momentum(k - (-np.pi + 2 * np.pi * j / n))) <= GRID_SAMPLE_ATOL)
     if off.any():
         raise ValueError(f"{axis} = {float(k[off][0])!r} is not a grid sample: the stored "
                          f"grid has {n} samples along {axis}")
@@ -159,21 +160,21 @@ def grid_lookup(grid: MomentumGrid, values: np.ndarray, kx, ky) -> np.ndarray:
     return values[_grid_index(kx, grid.nx, "kx"), _grid_index(ky, grid.ny, "ky")]
 
 
-def _check_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL, what: str = "matrix",
-                     momenta=None):
-    """Raise NonHermitianError at the first stacked matrix off by more than atol (or NaN).
+def _check_hermitian(h: np.ndarray, what: str = "matrix", momenta=None):
+    """Raise NonHermitianError at the first stacked matrix off by more than HERMITICITY_ATOL
+    (or NaN).
 
     `momenta` = (kx, ky) arrays of the stack shape name the offending k.
     """
     dev = np.abs(h - np.swapaxes(h, -1, -2).conj()).max(axis=(-2, -1))
-    bad = ~(dev <= atol)
+    bad = ~(dev <= HERMITICITY_ATOL)
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
         where = f" at index {idx}" if idx else ""
         if momenta is not None:
             where = f" at k=({momenta[0][idx]:.6f}, {momenta[1][idx]:.6f})"
-        raise NonHermitianError(
-            f"{what} is not Hermitian{where}: max |h - h^dagger| = {dev[idx]:.3e} > {atol:.0e}")
+        raise NonHermitianError(f"{what} is not Hermitian{where}: max |h - h^dagger| = "
+                                f"{dev[idx]:.3e} > {HERMITICITY_ATOL:.0e}")
 
 
 def _gauge_fix(vectors: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 import mixedtopo as mt
 from mixedtopo import config, serialize, uhlmann
-from mixedtopo.cli import SUBCOMMANDS, main
+from mixedtopo.cli import _COMMANDS, build_parser, main
 from mixedtopo.config import parse_config
 from conftest import count_eigh
 from per_k_oracle import frames_per_k
@@ -224,7 +224,7 @@ def _save_model(tmp_path, qwz, n):
 
 @pytest.mark.parametrize("command,missing,key", [
     *[(command, "model_path", "model" if command == "invariant-scan" else "model_path")
-      for command in SUBCOMMANDS],
+      for command in _COMMANDS],
     *[(command, "temperature", "beta")
       for command in ("egp-profile", "egp-winding", "gauge-reduction")],
 ])
@@ -536,6 +536,62 @@ def test_cli_jobs_flag(tmp_path, capsys):
     assert not (tmp_path / "o2").exists()
 
 
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+def test_cli_options_before_the_command_give_the_same_run(tmp_path):
+    """One flat parser: options parse the same before, around and after the command."""
+    argvs = [["egp-winding", "--config", "c.txt", "--out", "o", "--jobs", "1"],
+             ["--config", "c.txt", "--out", "o", "--jobs", "1", "egp-winding"],
+             ["--out=o", "egp-winding", "--jobs=1", "--config=c.txt"]]
+    assert len({repr(vars(build_parser().parse_args(argv))) for argv in argvs}) == 1
+    cfg = write_config(tmp_path / "c.txt", BASE + "temperature = 0\nchain_cells = 9\n")
+    after, before = tmp_path / "after", tmp_path / "before"
+    assert main(["egp-winding", "--config", cfg, "--out", str(after)]) == 0
+    assert main(["--config", cfg, "--out", str(before), "egp-winding"]) == 0
+    for name in ("egp_windings.csv", "egp_windings.json"):
+        assert (before / name).read_bytes() == (after / name).read_bytes()
+    first, second = [json.loads((out / "manifest.json").read_text()) for out in (after, before)]
+    assert first["command"] == second["command"] == "egp-winding"
+    assert first["config"] == second["config"]
+
+
+_IGNORED_KEYS = [
+    ("spectrum", {"hfict_path": "missing.dat"}, "hfict_path"),
+    ("invariant-scan", {"hfict_path": "missing.dat"}, "hfict_path"),
+    ("gauge-reduction", {"hfict_path": "state.dat", "temperature": "20",
+                         "chain_cells_list": "4,8"}, "hfict_path"),
+    ("egp-winding", {"hfict_path": "state.dat", "chain_cells": "5", "temperature": "3"},
+     "temperature"),
+    ("egp-winding", {"hfict_path": "state.dat", "beta": "2"}, "beta"),
+    ("egp-winding", {"hfict_path": "state.dat", "chain_cells": "5"}, "chain_cells"),
+    ("egp-profile", {"hfict_path": "state.dat", "chain_cells_list": "5,7",
+                     "temperature_list": "0,20"}, "temperature_list"),
+    ("egp-profile", {"hfict_path": "state.dat", "chain_cells_list": "5,7"}, "chain_cells_list"),
+    ("chern", {"hfict_path": "state.dat", "temperature": "3"}, "temperature"),
+]
+
+
+@pytest.mark.parametrize("command,items,key", _IGNORED_KEYS,
+                         ids=[f"{command}-{key}" for command, _, key in _IGNORED_KEYS])
+def test_cli_refuses_keys_the_command_would_ignore(tmp_path, capsys, qwz, command, items, key):
+    """spectrum, invariant-scan and gauge-reduction run on the model and refuse hfict_path;
+    a hfict_path state fixes its chains and has no temperature, so it refuses the keys that
+    set them. Each exits 2 naming the key before any task runs."""
+    _save_state(tmp_path, qwz, 8, 8)
+    text = "".join(f"{k} = {tmp_path / v if k == 'hfict_path' else v}\n" for k, v in items.items())
+    cfg = write_config(tmp_path / "c.txt", "model = qwz\ngrid_nx = 8\ngrid_ny = 8\n" + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"(key: {key})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_failed_task_leaves_later_tasks_running(tmp_path, capsys):
     """The N = 2 pure chain has zero amplitude; the N = 10 task still writes its file."""
     cfg = write_config(tmp_path / "c.txt",
@@ -551,7 +607,7 @@ def test_cli_failed_task_leaves_later_tasks_running(tmp_path, capsys):
                                                      "manifest.json"]
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_cli_manifest_times_every_task(tmp_path, command):
     cfg = write_config(tmp_path / "c.txt",
                        BASE + "temperature = 1\nchain_cells_list = 8,16\npath_points = 16\n"
@@ -742,7 +798,7 @@ def test_write_json_writes_non_finite_floats_as_strings(tmp_path):
         "e": None, "f": 3}
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_cli_every_subcommand_rejects_format(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "c.txt", BASE + "beta = 5\n")
     with pytest.raises(SystemExit) as exc:

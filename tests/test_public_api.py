@@ -1,5 +1,5 @@
-"""The README names exactly what the package exports and the config keys it accepts, and
-its Python examples give the values their comments state."""
+"""The README names exactly what the package exports, the commands of its CLI and the config
+keys it accepts, and its Python examples give the values their comments state."""
 
 import ast
 import inspect
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mixedtopo as mt
-from mixedtopo import config, errors
+from mixedtopo import cli, config, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,6 +44,14 @@ def test_readme_config_keys_match_parser():
     section = readme.split("### Config file", 1)[1].split("### Matrix-grid files", 1)[0]
     key_cells = re.findall(r"^\| ([^|]*) \|", section, flags=re.MULTILINE)
     assert {name for cell in key_cells for name in re.findall(r"`(\w+)`", cell)} == config._ALL_KEYS
+
+
+def test_readme_subcommands_match_cli():
+    """The command column of README "Subcommands" lists the commands of cli._COMMANDS."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\nSubcommands\n", 1)[1].split("\nExit codes", 1)[0]
+    commands = re.findall(r"^\| `([\w-]+)`", section, flags=re.MULTILINE)
+    assert commands == list(cli._COMMANDS)
 
 
 def _expected(lines: list, node: ast.stmt):
