@@ -59,7 +59,7 @@ from .egp import (
     egp_component,
     egp_profile,
     egp_windings,
-    gauge_reduction_deviation,
+    gauge_reduction_deviations,
     gauge_reduction_exponent,
 )
 from .uhlmann import (

@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import serialize
 from .config import RunConfig, parse_config
-from .egp import (_gauge_reduction, _line_profile, egp_profile, egp_windings,
+from .egp import (_line_profile, egp_profile, egp_windings, gauge_reduction_deviations,
                   gauge_reduction_exponent)
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
@@ -227,7 +227,7 @@ def cmd_gauge_reduction(cfg: RunConfig, out_dir: str):
 
     def task():
         files = []
-        for direction, devs in zip(cfg.directions, _gauge_reduction(
+        for direction, devs in zip(cfg.directions, gauge_reduction_deviations(
                 spec, cfg.directions, cfg.transverse_k, cells)):
             path = os.path.join(out_dir, f"gauge_reduction_{direction}.csv")
             serialize.write_csv(path, ["n_cells", "deviation"],

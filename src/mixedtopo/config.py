@@ -11,7 +11,9 @@ chain_cells_list are refused. path_points is retired: it parses and must be
 >= 2, but sets nothing.
 Temperatures in 'gap' units are multiplied by the model's band gap at mu.
 Every number must be finite; only beta may be inf. No entry of directions,
-chain_cells_list or temperature_list may repeat.
+chain_cells_list or temperature_list may repeat. A value beside its list,
+chain_cells beside chain_cells_list or beta or temperature beside
+temperature_list, is refused, as the list would override it.
 A RunConfig builds its Bloch model and that gap at most once.
 """
 
@@ -242,5 +244,9 @@ def _validate(cfg: RunConfig):
         values = getattr(cfg, key)
         if values is not None and len(set(values)) != len(values):
             raise ConfigError(f"{key} repeats an entry", key=key)
+    for key, list_key in (("chain_cells", "chain_cells_list"), ("beta", "temperature_list"),
+                          ("temperature", "temperature_list")):
+        if key in cfg.raw_items and list_key in cfg.raw_items:
+            raise ConfigError(f"{key} beside {list_key}: the list would override it", key=key)
     if not 0 < cfg.scan_t_min < cfg.scan_t_max:
         raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min")

@@ -8,9 +8,10 @@ M is the block diagonal n of the covariance samples hfict(k_m) and D the
 cyclic block shift S: k_m -> k_{m+1}, so the trace is det[1 - n + n S]. Every
 chain EGP goes through `_plane_traces`, which takes that determinant by block
 cyclic reduction on entry planes (p, p, N, batch) in O(N p^3) time with no
-LAPACK call per matrix. Thermal chains skip the matrices: `_fermi_planes`
-writes hfict from a line-spectrum cache straight into planes. The public
-`chain_traces` takes stacked hfict matrices as a strided view. Determinants
+LAPACK call per matrix. Thermal chains skip the matrices: `_thermal_traces`
+writes hfict from line-spectrum caches straight into planes, for the scan,
+the profiles and the gauge reduction alike. The public `chain_traces` takes
+stacked hfict matrices as a strided view. Determinants
 are kept in log space (phase + log-magnitude) so long chains cannot under- or
 overflow.
 """
@@ -28,7 +29,7 @@ from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
 from .model import _LineSpectra, _projector_gap, fermi_weights, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
-CHAIN_CELL_BUDGET = 5120  # chain cells (N times chains) per `chain_traces` call of a scan
+CHAIN_CELL_BUDGET = 5120  # chain cells (N times chains) per kernel call of `_thermal_traces`
 
 
 def _reflect(work: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +131,8 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
     if n_cells < 2:
         raise ValueError(f"need n_cells >= 2, got {n_cells}")
     size = math.prod(batch)
-    upper = upper.reshape(p, p, n_cells, size)
+    width = 2 if size == 1 else size  # paired with itself, a lone chain reduces as in any batch
+    upper = np.broadcast_to(upper.reshape(p, p, n_cells, size), (p, p, n_cells, width))
     floor = _pivot_floor(upper)
     diag = np.negative(upper, out=buffers("even", upper.shape))
     for i in range(p):
@@ -139,7 +141,7 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
     while diag.shape[2] > 2:
         pairs, odd = divmod(diag.shape[2], 2)
         # column blocks [B_{j-1} A_{j-1} 0; A_j 0 B_j], and the unpaired row in a last slot
-        work = buffers(slots[len(factors) % 2], (2 * p, 3 * p, pairs + odd, size))
+        work = buffers(slots[len(factors) % 2], (2 * p, 3 * p, pairs + odd, width))
         work[:p, :p, :pairs], work[p:, :p, :pairs] = upper[:, :, :-1:2], diag[:, :, 1::2]
         work[:p, p:2 * p, :pairs], work[p:, 2 * p:, :pairs] = diag[:, :, :-1:2], upper[:, :, 1::2]
         work[p:, p:2 * p, :pairs] = work[:p, 2 * p:, :pairs] = 0.0
@@ -147,7 +149,7 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
             work[p:, p:2 * p, pairs], work[p:, 2 * p:, pairs] = diag[:, :, -1], upper[:, :, -1]
         diag, upper = work[p:, p:2 * p], work[p:, 2 * p:]  # drops the previous level before the reflectors
         factors.append(_reflect(work[:, :, :pairs], p))
-    closing = buffers(slots[len(factors) % 2], (2 * p, 2 * p, 1, size))
+    closing = buffers(slots[len(factors) % 2], (2 * p, 2 * p, 1, width))
     closing[:p, :p], closing[:p, p:] = diag[:, :, :1], upper[:, :, :1]
     closing[p:, :p], closing[p:, p:] = upper[:, :, 1:], diag[:, :, 1:]
     factors.append(_reflect(closing, 2 * p))
@@ -156,8 +158,8 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
         log_magnitude = np.sum([np.log(norms).sum(axis=(0, 1)) for norms, _ in factors], axis=0)
     unit = (-1.0) ** (p * n_cells) * np.prod(  # (-1)^p per pair, N - 2 pairs
         [phases.prod(axis=(0, 1)) for _, phases in factors], axis=0)
-    return (np.where(exact_zero, 0.0, np.angle(unit)).reshape(batch),
-            np.where(exact_zero, -np.inf, log_magnitude).reshape(batch))
+    return (np.where(exact_zero, 0.0, np.angle(unit))[:size].reshape(batch),
+            np.where(exact_zero, -np.inf, log_magnitude)[:size].reshape(batch))
 
 
 def _pivot_floor(upper: np.ndarray) -> np.ndarray:
@@ -169,24 +171,33 @@ def _pivot_floor(upper: np.ndarray) -> np.ndarray:
     return PIVOT_FLOOR * n_cells * p * np.finfo(float).eps * np.sqrt(squares.max(axis=0))
 
 
-def _fermi_planes(lines: _LineSpectra, n_cells: int, betas: np.ndarray, mu: float,
-                  buffers=_fresh) -> np.ndarray:
-    """Thermal hfict on the n_cells-sample chains of a line-spectrum cache, as the entry
-    planes (p, p, n_cells, len(betas), T) that `_plane_traces` reads, from one spectrum.
+def _thermal_traces(caches: Sequence[_LineSpectra], n_cells: int, betas: np.ndarray, mu: float,
+                    buffers=_fresh) -> tuple[np.ndarray, np.ndarray]:
+    """(phase, log magnitude), each (len(betas), lines), of the thermal n_cells-cell chains
+    on every transverse line of the line-spectrum caches `caches`, lines in cache order.
 
-    hfict[a, b] = sum_j V[b, j] f_j conj(V[a, j]) is [V f V^dag]^T, summed in the
-    order of `gaussian.fictitious_hamiltonian`, so the planes hold its bits; the
-    transpose is in the subscripts, not in a copy. The einsum writes through a
-    view whose axes follow its inputs' (temperature, transverse, cell) order:
-    with the cells innermost it runs about 8 times faster on the gauge
-    reduction's one transverse line than when the planes' own order drives it.
+    hfict[a, b] = sum_j V[b, j] f_j conj(V[a, j]) is [V f V^dag]^T, summed in the order
+    of `gaussian.fictitious_hamiltonian`, so the planes hold its bits; the transpose is
+    in the subscripts, not in a copy. Per chunk of max(1, CHAIN_CELL_BUDGET // (n_cells x
+    lines)) temperatures, one einsum per cache writes its lines of one plane array
+    (p, p, n_cells, temperatures, lines) from `buffers`, through a view whose axes follow
+    its inputs' (temperature, transverse, cell) order (with the cells innermost it runs
+    about 8 times faster on the gauge reduction's one line than in the planes' order),
+    and one `_plane_traces` call reduces them, so the working set does not grow with
+    the number of temperatures.
     """
-    energies, vectors = lines(n_cells)
-    p, transverse = energies.shape[:2]
-    planes = buffers("planes", (p, p, n_cells, len(betas), transverse))
-    np.einsum("bjtm,sjtm,ajtm->abstm", vectors, fermi_weights(energies, betas, mu),
-              vectors.conj(), out=planes.transpose(0, 1, 3, 4, 2))
-    return planes
+    spectra = [lines(n_cells) for lines in caches]
+    p, bounds = spectra[0][0].shape[0], np.cumsum([0] + [e.shape[1] for e, _ in spectra])
+    per_call = max(1, CHAIN_CELL_BUDGET // (n_cells * bounds[-1]))
+    phases, log_magnitudes = np.empty((2, len(betas), bounds[-1]))
+    for start in range(0, len(betas), per_call):
+        chunk = slice(start, start + per_call)
+        planes = buffers("planes", (p, p, n_cells, len(betas[chunk]), bounds[-1]))
+        for (energies, vectors), lo, hi in zip(spectra, bounds, bounds[1:]):
+            np.einsum("bjtm,sjtm,ajtm->abstm", vectors, fermi_weights(energies, betas[chunk], mu),
+                      vectors.conj(), out=planes[..., lo:hi].transpose(0, 1, 3, 4, 2))
+        phases[chunk], log_magnitudes[chunk] = _plane_traces(planes, buffers)
+    return phases, log_magnitudes
 
 
 def _require_amplitude(log_magnitudes, transverse_ks, context: str = ""):
@@ -266,11 +277,8 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
     of the x and y line-spectrum caches `chains`, or the MixedTopoError that stops them.
 
     The x windings of every temperature are taken together, then the y windings
-    of those whose x windings were. In each direction the hfict planes of a
-    chunk of temperatures come from one `_fermi_planes` call and go through one
-    `_plane_traces` call, and every chunk builds its planes and levels in the
-    same buffers. A chunk holds max(1, CHAIN_CELL_BUDGET // (n_cells x transverse))
-    temperatures, so the working set does not grow with their number. Each
+    of those whose x windings were, each direction in one `_thermal_traces` call
+    whose chunks build their planes and levels in the same buffers. Each
     temperature gets the error it would get alone: at beta = inf the GapError
     of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
     then the errors of its winding, then WindingMismatchError.
@@ -287,18 +295,14 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
                     results[row] = gap
             rows = [row for row in rows if results[row] is None]
         sign = 1 if lines.direction == "x" else -1
-        per_call = max(1, CHAIN_CELL_BUDGET // (n_cells * len(lines.transverse)))
-        for start in range(0, len(rows), per_call):
-            chunk = rows[start:start + per_call]
-            traces = _plane_traces(_fermi_planes(lines, n_cells, betas[chunk], mu, buffers),
-                                   buffers)
-            for row, phases, log_magnitudes in zip(chunk, *traces):
-                try:
-                    _require_amplitude(log_magnitudes, lines.transverse)
-                    windings[row].append(
-                        sign * winding_of_phase_profile(PhaseProfile(lines.transverse, phases)))
-                except MixedTopoError as exc:
-                    results[row] = exc
+        for row, phases, log_magnitudes in zip(
+                rows, *_thermal_traces([lines], n_cells, betas[rows], mu, buffers)):
+            try:
+                _require_amplitude(log_magnitudes, lines.transverse)
+                windings[row].append(
+                    sign * winding_of_phase_profile(PhaseProfile(lines.transverse, phases)))
+            except MixedTopoError as exc:
+                results[row] = exc
     for row, result in enumerate(results):
         if result is None:
             cx, cy = windings[row]
@@ -308,51 +312,40 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
 
 def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) -> PhaseProfile:
     """egp_profile of a thermal spec on the chains of a line-spectrum cache."""
-    phases, log_magnitudes = _plane_traces(
-        _fermi_planes(lines, n_cells, np.array([spec.beta]), spec.mu))
+    phases, log_magnitudes = _thermal_traces([lines], n_cells, np.array([spec.beta]), spec.mu)
     return _profile(lines.transverse, phases[0], log_magnitudes[0])
 
 
-def gauge_reduction_deviation(spec: GaussianStateSpec, direction: str, transverse_k: float,
-                              n_list: Sequence[int]) -> list[tuple[int, float]]:
-    """|phi_EGP(N) - phi_EGP(beta=inf, N)| for strictly ascending chain lengths.
+def gauge_reduction_deviations(spec: GaussianStateSpec, directions: Sequence[str],
+                               transverse_k: float,
+                               n_list: Sequence[int]) -> list[list[tuple[int, float]]]:
+    """Per direction of `directions`, [(N, |phi_EGP(N) - phi_EGP(beta=inf, N)|)] for strictly
+    ascending chain lengths N.
 
     The pure-state value at the same N is the polarization phase of the
     fictitious-Hamiltonian ground state, i.e. its Wilson-loop Zak phase up to
     the exact (-1)^(N-1) closure factor of the N-fermion momentum shift; using
     it as the reference makes the deviation measure gauge reduction alone.
-    Both chains of each N come from one spectrum of h(k).
+    Each direction has one line-spectrum cache, so both chains of each N come
+    from one spectrum of h(k); per N, the chains of every direction go through
+    one `_thermal_traces` call. A zero amplitude raises AmplitudeZeroError
+    naming the direction and N.
     """
-    return _gauge_reduction(spec, [direction], transverse_k, n_list)[0]
-
-
-def _gauge_reduction(spec: GaussianStateSpec, directions: Sequence[str], transverse_k: float,
-                     n_list: Sequence[int]) -> list[list[tuple[int, float]]]:
-    """`gauge_reduction_deviation` in each of `directions`, one line-spectrum cache each. Per N,
-    the thermal and beta = inf chains of max(1, CHAIN_CELL_BUDGET // (N x 2)) directions share
-    one `_plane_traces` call. Between batches of two or more chains, as every call here is, the
-    kernel works chain by chain, so each direction keeps the bits of a one-direction run; a
-    one-chain batch sums its log norms and multiplies its phases in another order."""
     if not spec.is_thermal:
         raise ValueError("gauge reduction needs a thermal spec (beta = inf reference)")
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be strictly ascending")
+    if not directions:
+        raise ValueError("gauge reduction needs at least one direction")
     betas, transverse = np.array([spec.beta, math.inf]), np.array([float(transverse_k)])
     caches = [_LineSpectra(spec.model, direction, transverse) for direction in directions]
     out = [[] for _ in caches]
     for n in n_list:
-        per_call = max(1, CHAIN_CELL_BUDGET // (n * len(betas)))
-        for start in range(0, len(caches), per_call):
-            chunk = caches[start:start + per_call]
-            planes = np.empty((spec.p, spec.p, n, len(betas), len(chunk)), dtype=complex)
-            for i, lines in enumerate(chunk):  # direction i writes transverse line i of planes
-                _fermi_planes(lines, n, betas, spec.mu, lambda *_, i=i: planes[..., i:i + 1])
-            phases, log_magnitudes = _plane_traces(planes)
-            for i, lines in enumerate(chunk):
-                _require_amplitude(log_magnitudes[:, i], transverse_k,
-                                   f", direction={lines.direction}, N={n}")
-                deviation = abs(principal_branch(phases[0, i] - phases[1, i]))
-                out[start + i].append((int(n), float(deviation)))
+        phases, log_magnitudes = _thermal_traces(caches, n, betas, spec.mu)
+        for i, lines in enumerate(caches):  # direction i holds transverse line i
+            _require_amplitude(log_magnitudes[:, i], transverse_k,
+                               f", direction={lines.direction}, N={n}")
+            out[i].append((int(n), float(abs(principal_branch(phases[0, i] - phases[1, i])))))
     return out
 
 

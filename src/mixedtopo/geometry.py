@@ -181,7 +181,7 @@ def winding_of_phase_profile(profile: PhaseProfile) -> int:
             "profile under-resolved; refine the parameter grid")
     total = profile.jumps().sum() / (2 * np.pi)
     rounded = int(np.rint(total))
-    if abs(total - rounded) > 1e-6:
+    if abs(total - rounded) > CHERN_RESIDUE_ATOL:
         raise QuantizationError(f"winding sum {total:.9f} is not an integer")
     return rounded
 

@@ -75,7 +75,7 @@ def test_acceptance_4_gauge_reduction(qwz):
     t0 = time.time()
     beta = 1.0 / (20.0 * GAP)
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    devs = mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [10, 50, 100])
+    devs = mt.gauge_reduction_deviations(spec, ["x"], np.pi / 3, [10, 50, 100])[0]
     values = [d for _, d in devs]
     windings = {n: mt.egp_windings(spec, n, 64) for n in (10, 50, 100)}
     elapsed = time.time() - t0

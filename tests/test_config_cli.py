@@ -174,22 +174,23 @@ def test_cli_numerical_error_while_resolving_exit_3(tmp_path, capsys):
     ("egp-winding", "atomic_d", "0,nan,1", {"model": "atomic"}),
     ("egp-winding", "temperature", "nan", {}),
     ("egp-winding", "temperature", "inf", {}),
-    ("egp-profile", "temperature_list", "0,inf", {}),
-    ("egp-profile", "temperature_list", "nan", {}),
+    ("egp-profile", "temperature_list", "0,inf", {"temperature": None}),
+    ("egp-profile", "temperature_list", "nan", {"temperature": None}),
     ("invariant-scan", "scan_t_max", "inf", {}),
     ("gauge-reduction", "transverse_k", "nan", {"chain_cells_list": "4,8"}),
     ("gauge-reduction", "chain_cells_list", "8,4", {}),
     ("gauge-reduction", "chain_cells_list", "100,100", {}),
     ("gauge-reduction", "directions", "x,x", {"chain_cells_list": "4,8"}),
     ("egp-profile", "directions", "x,x", {}),
-    ("egp-profile", "temperature_list", "20,20", {}),
+    ("egp-profile", "temperature_list", "20,20", {"temperature": None}),
     ("egp-profile", "chain_cells_list", "8,8", {}),
-    ("egp-profile", "temperature_list", "20,20.0000001", {}),  # one file name, T20
+    ("egp-profile", "temperature_list", "20,20.0000001",  # one file name, T20
+     {"temperature": None}),
     ("egp-winding", "model", "wibble", {}),
     ("egp-winding", "t_units", "kelvin", {}),
     ("egp-winding", "beta", "-1", {}),
     ("egp-winding", "temperature", "-1", {}),
-    ("egp-profile", "temperature_list", "-1", {}),
+    ("egp-profile", "temperature_list", "-1", {"temperature": None}),
     ("egp-profile", "chain_cells_list", "1,4", {}),
     ("invariant-scan", "scan_t_min", "5", {"scan_t_max": "1"}),
     ("egp-winding", "grid_nx", "2.5", {}),
@@ -256,10 +257,11 @@ def test_cli_tabulated_model_read_once(tmp_path, monkeypatch, qwz, command):
 
     monkeypatch.setattr(config, "load_matrix_grid", counting_load)
     on_grid_k = -np.pi + 2 * np.pi * 3 / 16  # tabulated chains run on stored momenta
+    chains = "chain_cells = 8" if command == "egp-winding" else "chain_cells_list = 8,16"
     cfg = write_config(tmp_path / "c.txt",
                        f"model = tabulated\nmodel_path = {model_path}\ngrid_nx = 16\n"
-                       "grid_ny = 16\ntemperature = 1\nchain_cells = 8\n"
-                       f"chain_cells_list = 8,16\ntransverse_k = {on_grid_k!r}\n")
+                       f"grid_ny = 16\ntemperature = 1\n{chains}\n"
+                       f"transverse_k = {on_grid_k!r}\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert reads == [str(model_path)]
 
@@ -574,6 +576,12 @@ _IGNORED_KEYS = [
                      "temperature_list": "0,20"}, "temperature_list"),
     ("egp-profile", {"hfict_path": "state.dat", "chain_cells_list": "5,7"}, "chain_cells_list"),
     ("chern", {"hfict_path": "state.dat", "temperature": "3"}, "temperature"),
+    ("egp-profile", {"temperature": "5", "temperature_list": "0,20", "chain_cells": "7",
+                     "chain_cells_list": "10"}, "chain_cells"),
+    ("egp-profile", {"temperature": "5", "temperature_list": "0,20"}, "temperature"),
+    ("egp-profile", {"beta": "2", "temperature_list": "0,20"}, "beta"),
+    ("gauge-reduction", {"temperature": "20", "chain_cells": "7", "chain_cells_list": "4,8"},
+     "chain_cells"),
 ]
 
 
@@ -582,7 +590,9 @@ _IGNORED_KEYS = [
 def test_cli_refuses_keys_the_command_would_ignore(tmp_path, capsys, qwz, command, items, key):
     """spectrum, invariant-scan and gauge-reduction run on the model and refuse hfict_path;
     a hfict_path state fixes its chains and has no temperature, so it refuses the keys that
-    set them. Each exits 2 naming the key before any task runs."""
+    set them; chain_cells_list overrides chain_cells, and temperature_list beta and
+    temperature, so a value beside its list is refused. Each exits 2 naming the key before
+    any task runs."""
     _save_state(tmp_path, qwz, 8, 8)
     text = "".join(f"{k} = {tmp_path / v if k == 'hfict_path' else v}\n" for k, v in items.items())
     cfg = write_config(tmp_path / "c.txt", "model = qwz\ngrid_nx = 8\ngrid_ny = 8\n" + text)

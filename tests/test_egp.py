@@ -428,24 +428,41 @@ def _three_band_model() -> mt.BlochModel:
 @pytest.mark.parametrize("n_cells", [2, 3, 6, 7, 10])
 @pytest.mark.parametrize("p", [2, 3])
 def test_plane_route_equals_chain_traces_of_fermi_lines(qwz, p, n_cells):
-    """The scan's route, hfict planes straight from the line-spectrum cache into the
-    plane kernel, gives bit for bit `chain_traces` of the hfict lines the oracle builds
-    from the same cache: at finite beta and at beta = inf, for p = 2 (closed-form
-    eigensolver) and p = 3 (LAPACK), in one call and in chunks of 1, 3 and 1
-    temperatures that share one set of buffers, growing and shrinking them."""
+    """The thermal route, hfict planes straight from line-spectrum caches into the plane
+    kernel (`egp._thermal_traces`), gives bit for bit `chain_traces` of the hfict lines the
+    oracle builds from the same caches: at finite beta and at beta = inf, for p = 2
+    (closed-form eigensolver) and p = 3 (LAPACK), for one cache in one call and in chunks
+    of 1, 3 and 1 temperatures that share one set of buffers, growing and shrinking them,
+    and for the x and y caches together, their lines side by side."""
     model, mu = (qwz, 0.0) if p == 2 else (_three_band_model(), 2.0)
     betas = np.array([0.2, 1.0, math.inf, 5.0, 30.0])
-    for direction in "xy":
-        lines = _LineSpectra(model, direction, mt.momentum_line(9) + 0.1)
-        expected = mt.chain_traces(_fermi_lines(lines, n_cells, betas, mu))
-        assert expected[0].shape == (5, 9)
-        one_call = egp._plane_traces(egp._fermi_planes(lines, n_cells, betas, mu))
+    caches = [_LineSpectra(model, direction, mt.momentum_line(9) + 0.1) for direction in "xy"]
+    expected = [mt.chain_traces(_fermi_lines(lines, n_cells, betas, mu)) for lines in caches]
+    for lines, want in zip(caches, expected):
+        assert want[0].shape == (5, 9)
+        one_call = egp._thermal_traces([lines], n_cells, betas, mu)
         buffers = egp._Buffers()
-        chunks = [egp._plane_traces(egp._fermi_planes(lines, n_cells, betas[rows], mu, buffers),
-                                    buffers)
+        chunks = [egp._thermal_traces([lines], n_cells, betas[rows], mu, buffers)
                   for rows in (slice(0, 1), slice(1, 4), slice(4, 5))]
         for got in (one_call, [np.concatenate(parts) for parts in zip(*chunks)]):
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    both = egp._thermal_traces(caches, n_cells, betas, mu)
+    assert [a.tobytes() for a in both] == [
+        np.concatenate(parts, axis=1).tobytes() for parts in zip(*expected)]
+
+
+@pytest.mark.parametrize("n_cells", [100, 3000])
+def test_lone_chain_has_the_bits_it_has_in_a_batch(qwz, qwz_gap, n_cells):
+    """A chain alone gives bit for bit what it gives beside another chain, in either slot:
+    the kernel pairs a lone chain with itself, so its log norms and phases reduce in the
+    same order."""
+    spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
+    lines = hfict_lines(spec, "x", mt.momentum_line(8), n_cells)
+    alone = [[a.tobytes() for a in mt.chain_traces(line)] for line in lines]
+    for i in range(8):
+        pair = mt.chain_traces(lines[[i, (i + 1) % 8]])
+        assert [a[0].tobytes() for a in pair] == alone[i]
+        assert [a[1].tobytes() for a in pair] == alone[(i + 1) % 8]
 
 
 @given(batch=st.lists(st.integers(0, 3), max_size=3), n_cells=st.integers(2, 9),
@@ -544,28 +561,29 @@ def test_egp_pure_thermodynamic_limit_equals_zak(qwz):
 
 def test_gauge_reduction_falls_at_large_n(qwz, qwz_gap):
     spec = mt.GaussianStateSpec.thermal(1.0 / (20.0 * qwz_gap), 0.0, qwz)
-    devs = [d for _, d in mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [1000, 3000, 10000])]
+    devs = [d for _, d in mt.gauge_reduction_deviations(spec, ["x"], np.pi / 3,
+                                                         [1000, 3000, 10000])[0]]
     assert devs[0] > devs[1] > devs[2] > 0
 
 
 def test_gauge_reduction_thermodynamic_limit_exponent(qwz, qwz_gap):
     """The EGP at T = 20 gap approaches the pure-state phase as N^-2."""
     spec = mt.GaussianStateSpec.thermal(1.0 / (20.0 * qwz_gap), 0.0, qwz)
-    devs = mt.gauge_reduction_deviation(spec, "x", 1.3, [1000, 3000, 10000])
+    devs = mt.gauge_reduction_deviations(spec, ["x"], 1.3, [1000, 3000, 10000])[0]
     assert devs[0][1] > devs[1][1] > devs[2][1] > 0
     assert -2.02 <= mt.gauge_reduction_exponent(devs) <= -1.98
 
 
 def test_gauge_reduction_pure_reference_is_exact(qwz):
     spec = mt.GaussianStateSpec.thermal(math.inf, 0.0, qwz)
-    devs = mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [6, 10, 11])
+    devs = mt.gauge_reduction_deviations(spec, ["x"], np.pi / 3, [6, 10, 11])[0]
     assert all(d < 1e-10 for _, d in devs)
 
 
 def test_gauge_reduction_monotone(qwz, qwz_gap):
     beta = 1.0 / (20.0 * qwz_gap)
     spec = mt.GaussianStateSpec.thermal(beta, 0.0, qwz)
-    devs = mt.gauge_reduction_deviation(spec, "x", np.pi / 3, [10, 30])
+    devs = mt.gauge_reduction_deviations(spec, ["x"], np.pi / 3, [10, 30])[0]
     assert devs[0][1] > devs[1][1] > 0
     assert mt.gauge_reduction_exponent(devs) < 0
 
@@ -584,7 +602,7 @@ def test_gauge_reduction_diagonalizes_each_chain_mesh_once(qwz, qwz_gap, monkeyp
         mt.egp_component(spec, direction, 0.7, n)[0]
         - mt.egp_component(pure, direction, 0.7, n)[0]))) for n in (10, 20, 25)]
     calls = count_eigh(monkeypatch)
-    got = mt.gauge_reduction_deviation(spec, direction, 0.7, [10, 20, 25])
+    got = mt.gauge_reduction_deviations(spec, [direction], 0.7, [10, 20, 25])[0]
     assert [n for n, _ in got] == [10, 20, 25]
     assert [d for _, d in got] == pytest.approx([d for _, d in expected], rel=1e-10, abs=1e-15)
     assert [math.prod(shape) for shape in calls] == [10, 10, 25]
@@ -595,9 +613,9 @@ def test_gauge_reduction_closed_form_matches_lapack_route(qwz, qwz_gap, monkeypa
     """The recipe's N = 10^3 and 10^4 at T = 20 gap and k = pi/3: closed-form spectra give
     the deviations of LAPACK spectra within 1e-13 and their log-log slope within 1e-6."""
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
-    closed = mt.gauge_reduction_deviation(spec, direction, np.pi / 3, [1000, 10000])
+    closed = mt.gauge_reduction_deviations(spec, [direction], np.pi / 3, [1000, 10000])[0]
     lapack_eigh(monkeypatch)
-    lapack = mt.gauge_reduction_deviation(spec, direction, np.pi / 3, [1000, 10000])
+    lapack = mt.gauge_reduction_deviations(spec, [direction], np.pi / 3, [1000, 10000])[0]
     assert [n for n, _ in closed] == [n for n, _ in lapack] == [1000, 10000]
     assert max(abs(a - b) for (_, a), (_, b) in zip(closed, lapack)) <= 1e-13
     assert abs(mt.gauge_reduction_exponent(closed) - mt.gauge_reduction_exponent(lapack)) <= 1e-6
@@ -622,9 +640,15 @@ def test_egp_profile_closed_form_matches_lapack_route(qwz, qwz_gap, monkeypatch,
 def test_gauge_reduction_requires_ascending():
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.qwz_model())
     with pytest.raises(ValueError):
-        mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 6])
+        mt.gauge_reduction_deviations(spec, ["x"], 0.0, [10, 6])
     with pytest.raises(ValueError, match="strictly ascending"):  # one N fits no slope
-        mt.gauge_reduction_deviation(spec, "x", 0.0, [10, 10])
+        mt.gauge_reduction_deviations(spec, ["x"], 0.0, [10, 10])
+
+
+def test_gauge_reduction_requires_a_direction():
+    spec = mt.GaussianStateSpec.thermal(1.0, 0.0, mt.qwz_model())
+    with pytest.raises(ValueError, match="at least one direction"):
+        mt.gauge_reduction_deviations(spec, [], 0.0, [10, 20])
 
 
 def _gauge_spec(model_name, qwz_gap):
@@ -636,29 +660,37 @@ def _gauge_spec(model_name, qwz_gap):
 @pytest.mark.parametrize("model_name", ["qwz", "layered_qwz"])
 def test_gauge_reduction_of_both_directions_is_bit_for_bit_each_alone(model_name, qwz_gap,
                                                                      monkeypatch):
-    """The (x, y) core gives each direction the bits of a one-direction run, where the
-    directions share a kernel call (N <= 20 under a budget of 80 cells) and where each
-    has its own (N > 20): one call per N within the budget, one per direction above."""
+    """Each direction gets the bits of a one-direction run, in either order of the
+    directions, where a kernel call holds both temperatures (N <= 20 under a budget of 80
+    cells for two directions, of 40 for one) and where each temperature has its own
+    (N > 20), one chain alone in a one-direction run."""
     spec = _gauge_spec(model_name, qwz_gap)
     ns = [10, 20, 21, 30]
-    alone = [mt.gauge_reduction_deviation(spec, d, 0.7, ns) for d in "xy"]
-    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 2 * 20)
+    alone = [mt.gauge_reduction_deviations(spec, [d], 0.7, ns)[0] for d in "xy"]
     calls = count_plane_traces(monkeypatch)
-    both = egp._gauge_reduction(spec, ["x", "y"], 0.7, ns)
-    assert calls == [(2, 2), (2, 2), (2, 1), (2, 1), (2, 1), (2, 1)]
+    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 20)
+    lone = [mt.gauge_reduction_deviations(spec, [d], 0.7, ns)[0] for d in "xy"]
+    assert calls == [(2, 1), (2, 1), (1, 1), (1, 1), (1, 1), (1, 1)] * 2
+    calls.clear()
+    monkeypatch.setattr(egp, "CHAIN_CELL_BUDGET", 2 * 2 * 20)
+    both = mt.gauge_reduction_deviations(spec, ["x", "y"], 0.7, ns)
+    assert calls == [(2, 2), (2, 2), (1, 2), (1, 2), (1, 2), (1, 2)]
+    reversed_both = mt.gauge_reduction_deviations(spec, ["y", "x"], 0.7, ns)[::-1]
     assert [[n for n, _ in devs] for devs in both] == [ns, ns]
-    assert [[d.hex() for _, d in devs] for devs in both] == [
-        [d.hex() for _, d in devs] for devs in alone]
+    for got in (lone, both, reversed_both):
+        assert [[d.hex() for _, d in devs] for devs in got] == [
+            [d.hex() for _, d in devs] for devs in alone]
     assert all(d > 0 for devs in both for _, d in devs)
 
 
 def test_gauge_reduction_chunks_by_the_scan_budget(qwz, qwz_gap, monkeypatch):
-    """With CHAIN_CELL_BUDGET = 5120, both directions of N = 1000 share one call of
-    2 x 2 x 1000 cells; N = 3000 would take 12000, so each direction has its own."""
+    """With CHAIN_CELL_BUDGET = 5120, both temperatures of both directions of N = 1000
+    share one call of 2 x 2 x 1000 cells; N = 3000 would take 12000, so each temperature
+    has its own call of both directions."""
     spec = mt.GaussianStateSpec.thermal(1.0 / (20 * qwz_gap), 0.0, qwz)
     calls = count_plane_traces(monkeypatch)
-    egp._gauge_reduction(spec, ["x", "y"], np.pi / 3, [100, 1000, 3000])
-    assert calls == [(2, 2), (2, 2), (2, 1), (2, 1)]
+    mt.gauge_reduction_deviations(spec, ["x", "y"], np.pi / 3, [100, 1000, 3000])
+    assert calls == [(2, 2), (2, 2), (1, 2), (1, 2)]
 
 
 def test_gauge_reduction_zero_amplitude_names_the_direction(qwz):
@@ -666,9 +698,9 @@ def test_gauge_reduction_zero_amplitude_names_the_direction(qwz):
     `test_two_cell_chain_through_time_reversal_points_is_an_exact_zero`)."""
     spec = mt.GaussianStateSpec.thermal(1.0, 0.0, qwz)
     with pytest.raises(mt.AmplitudeZeroError, match="transverse_k=0.000000, direction=y, N=2:"):
-        mt.gauge_reduction_deviation(spec, "y", 0.0, [2, 4])
+        mt.gauge_reduction_deviations(spec, ["y"], 0.0, [2, 4])
     with pytest.raises(mt.AmplitudeZeroError, match="direction=x, N=2:"):
-        egp._gauge_reduction(spec, ["x", "y"], 0.0, [2, 4])
+        mt.gauge_reduction_deviations(spec, ["x", "y"], 0.0, [2, 4])
 
 
 def _two_pass_floor(upper):

@@ -1,8 +1,11 @@
-"""The README names exactly what the package exports, the commands of its CLI and the config
-keys it accepts, and its Python examples give the values their comments state."""
+"""The README names exactly what the package exports, the commands of its CLI, the config
+keys it accepts and the module constants with their values, and its Python examples give
+the values their comments state."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -52,6 +55,31 @@ def test_readme_subcommands_match_cli():
     section = readme.split("\nSubcommands\n", 1)[1].split("\nExit codes", 1)[0]
     commands = re.findall(r"^\| `([\w-]+)`", section, flags=re.MULTILINE)
     assert commands == list(cli._COMMANDS)
+
+
+def _module_constants() -> dict:
+    """(module, NAME) -> value of every uppercase numeric constant a package module assigns."""
+    constants = {}
+    for info in pkgutil.iter_modules(mt.__path__):
+        module = importlib.import_module(f"mixedtopo.{info.name}")
+        for node in ast.parse(inspect.getsource(module)).body:
+            for target in node.targets if isinstance(node, ast.Assign) else ():
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    value = getattr(module, target.id)
+                    if isinstance(value, (int, float)) and not isinstance(value, bool):
+                        constants[(info.name, target.id)] = value
+    return constants
+
+
+def test_readme_tolerances_match_module_constants():
+    """Each row of README "Tolerances" names a constant of its module with the stated
+    value, once, and every uppercase numeric module constant has a row."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+) \|", section, flags=re.MULTILINE)
+    table = {(module, name): float(value) for name, module, value in rows}
+    assert len(table) == len(rows) >= 1
+    assert table == _module_constants()
 
 
 def _expected(lines: list, node: ast.stmt):
