@@ -38,19 +38,12 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d.pop("raw_items")
-    d["atomic_d"] = list(d["atomic_d"])
-    return d
-
-
 def _has_state(cfg: RunConfig) -> bool:
-    return any(k in cfg.raw_items for k in ("beta", "temperature", "hfict_path"))
+    return any(k in cfg.given_keys for k in ("beta", "temperature", "hfict_path"))
 
 
 def _refuse_hfict(cfg: RunConfig, command: str):
-    if "hfict_path" in cfg.raw_items:
+    if "hfict_path" in cfg.given_keys:
         raise ConfigError(f"{command} runs on the model and reads no hfict_path", key="hfict_path")
 
 
@@ -66,7 +59,7 @@ def _write_manifest(out_dir, cfg, command, started, statuses, outputs):
         "version": __version__,
         "started": started,
         "finished": _timestamp(),
-        "config": _config_echo(cfg),
+        "config": dataclasses.asdict(cfg),
         "tasks": statuses,
         "outputs": sorted(outputs),
     })

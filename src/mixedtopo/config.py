@@ -1,26 +1,17 @@
 """Run configuration: a flat UTF-8 key = value file.
 
-README "Config file" lists every key with its meaning and default. Every key
-is optional unless a command needs it; unknown keys are rejected.
-invariant-scan needs model qwz or atomic, and gauge-reduction a strictly
-ascending chain_cells_list. A model_path or hfict_path file fixes the grid:
-grid_nx and grid_ny, if given, must match it, as the two files must match
-each other. A hfict_path state fixes its own chains and has no temperature,
-so beside it beta, temperature, temperature_list, chain_cells and
-chain_cells_list are refused. path_points is retired: it parses and must be
->= 2, but sets nothing.
-Temperatures in 'gap' units are multiplied by the model's band gap at mu.
-Every number must be finite; only beta may be inf. No entry of directions,
-chain_cells_list or temperature_list may repeat. A value beside its list,
-chain_cells beside chain_cells_list or beta or temperature beside
-temperature_list, is refused, as the list would override it.
-A RunConfig builds its Bloch model and that gap at most once.
+Each key is one RunConfig field holding its default, its parser and the check of its parsed
+value; README "Config file" lists the keys. parse_config checks each value on the line that sets
+it, so of several bad lines it reports the first, then refuses two keys that set one quantity
+(the temperature, or the chain length) and an empty scan range. The commands check the rest as
+they resolve their inputs: a model or state file fixes the grid, invariant-scan needs model qwz
+or atomic, and gauge-reduction an ascending chain_cells_list.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -30,41 +21,89 @@ from .errors import ConfigError
 from .gaussian import FictitiousHamiltonianGrid, GaussianStateSpec, load_matrix_grid
 from .model import BlochModel, MomentumGrid, atomic_model, band_gap, qwz_model, tabulated_model
 
-_FLOAT_KEYS = {"alpha", "gamma", "mass", "beta", "temperature", "mu", "transverse_k",
-               "scan_t_min", "scan_t_max"}
-_INT_KEYS = {"grid_nx", "grid_ny", "chain_cells", "scan_points", "path_points",
-             "egp_transverse"}
-_STR_KEYS = {"model", "model_path", "hfict_path", "t_units", "directions"}
-_LIST_KEYS = {"atomic_d", "chain_cells_list", "temperature_list"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+
+def _finite(x):
+    return None if math.isfinite(x) else "must be finite"
+
+
+def _positive(x):
+    return None if x > 0 else "must be positive (or inf)"
+
+
+def _non_negative(x):
+    return None if 0 <= x < math.inf else "must be finite and >= 0"
+
+
+def _at_least_2(n):
+    return None if n >= 2 else "must be >= 2"
+
+
+def _one_of(*choices):
+    def check(value):
+        return None if value in choices else f"must be one of {', '.join(choices)}, got {value!r}"
+    return check
+
+
+def _each(check):
+    """Check of a sequence: `check` on every entry."""
+    def check_each(values):
+        problem = next(filter(None, map(check, values)), None)
+        return problem and f"entries {problem}"
+    return check_each
+
+
+def _list_of(parse):
+    """Parser of a comma list; empty entries are skipped, and none may repeat."""
+    def parse_list(text):
+        entries = [parse(part.strip()) for part in text.split(",") if part.strip()]
+        if not entries or len(set(entries)) != len(entries):
+            raise ValueError("needs one entry or more, none repeated")
+        return entries
+    return parse_list
+
+
+def _three_floats(text):
+    x, y, z = text.split(",")  # ValueError unless three components
+    return float(x), float(y), float(z)
+
+
+def _key(default, parse, check=None, sets=None):
+    """A config key: its default, its parser (ValueError on bad text), the check of its value
+    (returns what is wrong, or None) and the quantity it sets, which no other key may."""
+    meta = {"parse": parse, "check": check, "sets": sets}
+    if isinstance(default, list):  # each config gets its own copy
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    model: str = "qwz"
-    alpha: float = 1.0
-    gamma: float = 3.0
-    mass: float = 1.0
-    atomic_d: tuple = (0.0, 0.0, 1.0)
-    model_path: Optional[str] = None
-    hfict_path: Optional[str] = None
-    beta: Optional[float] = None
-    temperature: Optional[float] = None
-    t_units: str = "gap"
-    mu: float = 0.0
-    grid_nx: int = 64
-    grid_ny: int = 64
-    chain_cells: int = 10
-    chain_cells_list: Optional[list] = None
-    temperature_list: Optional[list] = None
-    directions: list = field(default_factory=lambda: ["x", "y"])
-    transverse_k: float = np.pi / 3
-    scan_t_min: float = 0.01
-    scan_t_max: float = 100.0
-    scan_points: int = 48
-    path_points: Optional[int] = None  # retired: validated, sets nothing
-    egp_transverse: Optional[int] = None
-    raw_items: dict = field(default_factory=dict)
+    model: str = _key("qwz", str, _one_of("qwz", "atomic", "tabulated"))
+    alpha: float = _key(1.0, float, _finite)
+    gamma: float = _key(3.0, float, _finite)
+    mass: float = _key(1.0, float, _finite)
+    atomic_d: tuple = _key((0.0, 0.0, 1.0), _three_floats, _each(_finite))
+    model_path: Optional[str] = _key(None, str)
+    hfict_path: Optional[str] = _key(None, str)
+    beta: Optional[float] = _key(None, float, _positive, sets="temperature")
+    temperature: Optional[float] = _key(None, float, _non_negative, sets="temperature")
+    t_units: str = _key("gap", str, _one_of("gap", "raw"))
+    mu: float = _key(0.0, float, _finite)
+    grid_nx: int = _key(64, int, _at_least_2)
+    grid_ny: int = _key(64, int, _at_least_2)
+    chain_cells: int = _key(10, int, _at_least_2, sets="chain length")
+    chain_cells_list: Optional[list] = _key(None, _list_of(int), _each(_at_least_2),
+                                            sets="chain length")
+    temperature_list: Optional[list] = _key(None, _list_of(float), _each(_non_negative),
+                                            sets="temperature")
+    directions: list = _key(["x", "y"], _list_of(str), _each(_one_of("x", "y")))
+    transverse_k: float = _key(np.pi / 3, float, _finite)
+    scan_t_min: float = _key(0.01, float, _finite)
+    scan_t_max: float = _key(100.0, float, _finite)
+    scan_points: int = _key(48, int, _at_least_2)
+    path_points: Optional[int] = _key(None, int, _at_least_2)  # retired: checked, sets nothing
+    egp_transverse: Optional[int] = _key(None, int, _at_least_2)
+    given_keys = frozenset()  # the keys the file sets; unannotated, so not a config key
 
     @cached_property
     def bloch_model(self) -> BlochModel:
@@ -89,7 +128,7 @@ class RunConfig:
 
     def _check_grid_keys(self, grid: MomentumGrid, path_key: str):
         for key, stored in (("grid_nx", grid.nx), ("grid_ny", grid.ny)):
-            if key in self.raw_items and getattr(self, key) != stored:
+            if key in self.given_keys and getattr(self, key) != stored:
                 raise ConfigError(f"{key} = {getattr(self, key)} disagrees with the "
                                   f"{stored} samples stored in {path_key}", key=key)
 
@@ -110,30 +149,27 @@ class RunConfig:
 
     def beta_raw(self) -> float:
         """Inverse temperature in raw units from beta/temperature keys."""
-        if self.beta is not None and self.temperature is not None:
-            raise ConfigError("beta and temperature are mutually exclusive", key="beta")
-        if self.beta is not None:
-            return self.beta
-        if self.temperature is not None:
-            if self.temperature == 0:
-                return math.inf
-            return 1.0 / (self.temperature * self.temperature_scale())
-        raise ConfigError("this command needs beta or temperature", key="beta")
+        if self.beta is None and self.temperature is None:
+            raise ConfigError("this command needs beta or temperature", key="beta")
+        return self.beta if self.beta is not None else self._beta_of(self.temperature)
 
     def betas_from_list(self) -> list:
         """(label, beta) pairs from temperature_list, falling back to the single state."""
         if self.temperature_list is None:
             return [(None, self.beta_raw())]
-        scale = self.temperature_scale()
-        return [(t, math.inf if t == 0 else 1.0 / (t * scale)) for t in self.temperature_list]
+        return [(t, self._beta_of(t)) for t in self.temperature_list]
+
+    def _beta_of(self, temperature: float) -> float:
+        return math.inf if temperature == 0 else 1.0 / (temperature * self.temperature_scale())
 
     def build_state(self) -> GaussianStateSpec:
         if self.hfict_path:
-            for key in ("beta", "temperature", "temperature_list", "chain_cells",
-                        "chain_cells_list"):
-                if key in self.raw_items:
-                    raise ConfigError("a hfict_path state fixes its own chains and has no "
-                                      f"temperature: {key} would be ignored", key=key)
+            for quantity in ("temperature", "chain length"):
+                for spec in fields(self):
+                    if spec.metadata["sets"] == quantity and spec.name in self.given_keys:
+                        raise ConfigError("a hfict_path state fixes its own chains and has no "
+                                          f"temperature: {spec.name} would be ignored",
+                                          key=spec.name)
             try:
                 grid, values = load_matrix_grid(self.hfict_path)
                 spec = GaussianStateSpec.from_grid(FictitiousHamiltonianGrid(grid, values))
@@ -147,31 +183,15 @@ class RunConfig:
         return GaussianStateSpec.thermal(self.beta_raw(), self.mu, self.bloch_model)
 
     def cells_list(self) -> list:
-        if self.chain_cells_list is not None:
-            return [int(n) for n in self.chain_cells_list]
-        return [self.chain_cells]
+        return self.chain_cells_list or [self.chain_cells]
 
 
-def _parse_float(text: str, key: str, line: int) -> float:
-    try:
-        if text.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse {text!r} as a number", key=key, line=line) from None
-
-
-def _parse_int(text: str, key: str, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse {text!r} as an integer", key=key, line=line) from None
+_ALL_KEYS = {spec.name for spec in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
-    """Parse and validate a flat key = value configuration file."""
-    cfg = RunConfig()
-    seen = {}
+    """Parse a flat key = value file, checking each value on the line that sets it."""
+    values, lines = {}, {}
     with open(path, encoding="utf-8") as f:
         for line_no, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -179,74 +199,32 @@ def parse_config(path) -> RunConfig:
                 continue
             if "=" not in line:
                 raise ConfigError("expected 'key = value'", line=line_no)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+            key, _, text = (part.strip() for part in line.partition("="))
             if key not in _ALL_KEYS:
                 raise ConfigError(f"unknown key {key!r}", key=key, line=line_no)
-            if key in seen:
-                raise ConfigError(f"duplicate key {key!r} (first on line {seen[key]})",
+            if key in lines:
+                raise ConfigError(f"duplicate key {key!r} (first on line {lines[key]})",
                                   key=key, line=line_no)
-            seen[key] = line_no
-            cfg.raw_items[key] = value
-            if key in _FLOAT_KEYS:
-                setattr(cfg, key, _parse_float(value, key, line_no))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, _parse_int(value, key, line_no))
-            elif key == "directions":
-                dirs = [d.strip() for d in value.split(",") if d.strip()]
-                if not dirs or any(d not in ("x", "y") for d in dirs):
-                    raise ConfigError(f"directions must be x, y or x,y, got {value!r}",
-                                      key=key, line=line_no)
-                cfg.directions = dirs
-            elif key == "atomic_d":
-                parts = [p.strip() for p in value.split(",")]
-                if len(parts) != 3:
-                    raise ConfigError("atomic_d needs three components", key=key, line=line_no)
-                cfg.atomic_d = tuple(_parse_float(p, key, line_no) for p in parts)
-            elif key == "chain_cells_list":
-                cfg.chain_cells_list = [_parse_int(p.strip(), key, line_no)
-                                        for p in value.split(",") if p.strip()]
-            elif key == "temperature_list":
-                cfg.temperature_list = [_parse_float(p.strip(), key, line_no)
-                                        for p in value.split(",") if p.strip()]
-            else:
-                setattr(cfg, key, value)
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig):
-    for key in sorted(_FLOAT_KEYS - {"beta"}):  # beta = inf is the pure state; checked below
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite", key=key)
-    for key in ("atomic_d", "temperature_list"):
-        values = getattr(cfg, key)
-        if values is not None and not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{key} entries must be finite", key=key)
-    if cfg.model not in ("qwz", "atomic", "tabulated"):
-        raise ConfigError(f"unknown model {cfg.model!r}", key="model")
-    if cfg.t_units not in ("gap", "raw"):
-        raise ConfigError(f"t_units must be 'gap' or 'raw', got {cfg.t_units!r}", key="t_units")
-    for key in ("grid_nx", "grid_ny", "chain_cells", "scan_points", "path_points",
-                "egp_transverse"):
-        if getattr(cfg, key) is not None and getattr(cfg, key) < 2:
-            raise ConfigError(f"{key} must be >= 2", key=key)
-    if cfg.beta is not None and not cfg.beta > 0:
-        raise ConfigError("beta must be positive (or inf)", key="beta")
-    if cfg.temperature is not None and cfg.temperature < 0:
-        raise ConfigError("temperature must be >= 0", key="temperature")
-    if cfg.temperature_list is not None and any(t < 0 for t in cfg.temperature_list):
-        raise ConfigError("temperature_list entries must be >= 0", key="temperature_list")
-    if cfg.chain_cells_list is not None and any(n < 2 for n in cfg.chain_cells_list):
-        raise ConfigError("chain_cells_list entries must be >= 2", key="chain_cells_list")
-    for key in ("directions", "chain_cells_list", "temperature_list"):
-        values = getattr(cfg, key)
-        if values is not None and len(set(values)) != len(values):
-            raise ConfigError(f"{key} repeats an entry", key=key)
-    for key, list_key in (("chain_cells", "chain_cells_list"), ("beta", "temperature_list"),
-                          ("temperature", "temperature_list")):
-        if key in cfg.raw_items and list_key in cfg.raw_items:
-            raise ConfigError(f"{key} beside {list_key}: the list would override it", key=key)
+            lines[key] = line_no
+            meta = RunConfig.__dataclass_fields__[key].metadata
+            try:
+                values[key] = meta["parse"](text)
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {text!r}: {exc}", key=key, line=line_no) from None
+            problem = meta["check"] and meta["check"](values[key])
+            if problem:
+                raise ConfigError(f"{key} {problem}", key=key, line=line_no)
+    first_setter = {}
+    for spec in fields(RunConfig):  # of two keys that set one quantity, name the first
+        quantity = spec.metadata["sets"]
+        if quantity and spec.name in lines:
+            first = first_setter.setdefault(quantity, spec.name)
+            if first != spec.name:
+                raise ConfigError(f"{first} and {spec.name} both set the {quantity}; give one",
+                                  key=first, line=lines[first])
+    cfg = RunConfig(**values)
+    cfg.given_keys = frozenset(lines)
     if not 0 < cfg.scan_t_min < cfg.scan_t_max:
-        raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min")
+        raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min",
+                          line=lines.get("scan_t_min", lines.get("scan_t_max")))
+    return cfg

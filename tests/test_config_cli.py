@@ -62,9 +62,9 @@ def test_parse_rejects_duplicate_key(tmp_path):
 
 
 def test_parse_rejects_beta_and_temperature(tmp_path):
-    cfg = parse_config(write_config(tmp_path / "c.txt", BASE + "beta = 1\ntemperature = 2\n"))
-    with pytest.raises(mt.ConfigError):
-        cfg.beta_raw()
+    with pytest.raises(mt.ConfigError) as err:
+        parse_config(write_config(tmp_path / "c.txt", BASE + "beta = 1\ntemperature = 2\n"))
+    assert err.value.key == "beta" and err.value.line == 10
 
 
 def test_parse_beta_inf(tmp_path):
@@ -84,12 +84,15 @@ def test_temperature_gap_units(tmp_path):
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name, command", [("egp_profiles.cfg", "egp-profile"),
-                                           ("invariant_scan.cfg", "invariant-scan"),
-                                           ("gauge_reduction.cfg", "gauge-reduction"),
-                                           ("egp_winding.cfg", "egp-winding")])
+# every recipe config with the command of its own usage line
+_RECIPES = [(path.name, re.search(r"mixedtopo (\S+) --config", path.read_text()).group(1))
+            for path in sorted((ROOT / "scripts").glob("*.cfg"))]
+
+
+@pytest.mark.parametrize("name, command", _RECIPES)
 def test_experiment_configs_parse(name, command):
-    """The experiment configs under scripts/ parse, and README runs each of them."""
+    """Every experiment config under scripts/ parses, and README runs each of them."""
+    assert command in _COMMANDS
     cfg = parse_config(ROOT / "scripts" / name)
     assert cfg.model == "qwz"
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -200,20 +203,42 @@ def test_cli_numerical_error_while_resolving_exit_3(tmp_path, capsys):
     ("gauge-reduction", "chain_cells_list", "8", {}),
     ("gauge-reduction", "temperature", "0", {"chain_cells_list": "4,8"}),
     ("gauge-reduction", "beta", "inf", {"temperature": None, "chain_cells_list": "4,8"}),
+    ("egp-profile", "chain_cells_list", "", {}),
+    ("egp-profile", "chain_cells_list", ",", {}),
+    ("egp-profile", "temperature_list", "", {"temperature": None}),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
-    """A non-finite, negative or unparsable number, an unknown name, a repeated or
-    too short list, a descending gauge-reduction list or a pure gauge-reduction
+    """A non-finite, negative or unparsable number, an unknown name, an empty, repeated
+    or too short list, a descending gauge-reduction list or a pure gauge-reduction
     state exits 2 naming its key, as does a key that is needed but missing (value
-    None, not written); a line without '=' (key None) exits 2 naming its line."""
+    None, not written); a line without '=' (key None) exits 2 naming its line. A value
+    that parse_config refuses names the line that sets it after its key."""
     items = {"model": "qwz", "grid_nx": "8", "grid_ny": "8", "temperature": "20", **extra,
              key: value}
+    written = [k for k, v in items.items() if v is not None]
     cfg = write_config(tmp_path / "c.txt", "".join(
-        f"{v}\n" if k is None else f"{k} = {v}\n" for k, v in items.items() if v is not None))
+        f"{items[k]}\n" if k is None else f"{k} = {items[k]}\n" for k in written))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert (f"(key: {key})" if key else f"(line {len(items)})") in err
     assert not (tmp_path / "out").exists()
+    try:
+        parse_config(cfg)
+    except mt.ConfigError:  # refused as it is read, not as the command resolves it
+        assert err.rstrip().endswith(f"(key: {key}) (line {written.index(key) + 1})"
+                                     if key else f"(line {len(items)})")
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_cli_refuses_beta_beside_temperature(tmp_path, capsys, command):
+    """beta and temperature both set the temperature: every command refuses the pair as
+    the file is read, naming beta, before any output."""
+    cfg = write_config(tmp_path / "c.txt", "grid_nx = 8\ngrid_ny = 8\nchain_cells_list = 4,8\n"
+                       "beta = 1\ntemperature = 2\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "(key: beta)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _save_model(tmp_path, qwz, n):

@@ -867,6 +867,22 @@ def test_windings_say_when_the_phase_is_pinned():
     assert abs(profile.jumps()[worst]) > np.pi - JUMP_MARGIN
 
 
+@pytest.mark.parametrize("direction", ["x", "y"])
+@pytest.mark.parametrize("t_over_gap", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_four_band_profile_matches_matmul_oracle(mirrored, t_over_gap, direction):
+    """p = 4 loops take the LAPACK eigensolver and the SVD polar factor; their phases equal
+    the matmul oracle's on np.linalg.eigh spectra, 8 lines of 32 points."""
+    model = layered_qwz(mirrored)
+    beta = 1.0 / (t_over_gap * mt.band_gap(model, mt.MomentumGrid(32, 32), 0.0))
+    transverse, along = mt.momentum_line(8)[:, None], mt.momentum_line(32)[None, :]
+    profile = mt.uhlmann_phase_profile(model, beta, 0.0, direction, transverse[:, 0], 32)
+    kx, ky = (along, transverse) if direction == "x" else (transverse, along)
+    energies, vectors = np.linalg.eigh(model.matrix(kx, ky))
+    _, phases, _, _ = transport(vectors, mt.boltzmann_weights(energies, beta, 0.0))
+    assert np.abs(mt.principal_branch(profile.phases - phases)).max() <= 1e-10
+
+
 def test_ground_state_chern_rejects_metal(qwz):
     # mu = 2 cuts the upper band: the filled count changes across the grid
     with pytest.raises(mt.GapError, match=r"occupation count changes at k=\("):
