@@ -30,7 +30,7 @@ from .egp import (_line_profile, egp_profile, egp_windings, gauge_reduction_devi
 from .errors import ConfigError, MixedTopoError
 from .gaussian import GaussianStateSpec, fictitious_grid
 from .geometry import berry_curvature_plaquette, chern_number
-from .model import _gap_at, _LineSpectra, band_systems, momentum_line
+from .model import _gap_at, _LineSpectra, band_systems
 from .uhlmann import uhlmann_temperature_scan
 
 
@@ -138,8 +138,8 @@ def cmd_egp_profile(cfg: RunConfig, out_dir: str):
                               key="temperature_list")
         grid = cfg.momentum_grid()
         # one cache of h(k) spectra per direction serves every N and temperature
-        caches = {d: _LineSpectra(cfg.bloch_model, d, momentum_line(grid.ny if d == "x" else grid.nx))
-                  for d in cfg.directions}
+        transverse = {"x": grid.ky_values(), "y": grid.kx_values()}
+        caches = {d: _LineSpectra(cfg.bloch_model, d, transverse[d]) for d in cfg.directions}
         profiles = [(d, n, spec, suffix, caches[d])
                     for d in cfg.directions for n in cfg.cells_list() for spec, suffix in states]
 

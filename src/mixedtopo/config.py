@@ -216,15 +216,15 @@ def parse_config(path) -> RunConfig:
                 raise ConfigError(f"{key} {problem}", key=key, line=line_no)
     first_setter = {}
     for spec in fields(RunConfig):  # of two keys that set one quantity, name the first
-        quantity = spec.metadata["sets"]
-        if quantity and spec.name in lines:
+        if (quantity := spec.metadata["sets"]) and spec.name in lines:
             first = first_setter.setdefault(quantity, spec.name)
             if first != spec.name:
                 raise ConfigError(f"{first} and {spec.name} both set the {quantity}; give one",
                                   key=first, line=lines[first])
     cfg = RunConfig(**values)
     cfg.given_keys = frozenset(lines)
-    if not 0 < cfg.scan_t_min < cfg.scan_t_max:
-        raise ConfigError("need 0 < scan_t_min < scan_t_max", key="scan_t_min",
-                          line=lines.get("scan_t_min", lines.get("scan_t_max")))
+    if not 0 < cfg.scan_t_min < cfg.scan_t_max:  # a t_min <= 0, else the later of the two
+        key = "scan_t_min" if cfg.scan_t_min <= 0 else max(
+            {"scan_t_min", "scan_t_max"} & lines.keys(), key=lines.get)
+        raise ConfigError("need 0 < scan_t_min < scan_t_max", key=key, line=lines[key])
     return cfg

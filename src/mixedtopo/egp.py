@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AmplitudeZeroError, MixedTopoError, WindingMismatchError
 from .gaussian import GaussianStateSpec, hfict_lines
-from .geometry import PhaseProfile, principal_branch, winding_of_phase_profile
+from .geometry import PhaseProfile, _xy_windings, principal_branch, winding_of_phase_profile
 from .model import _LineSpectra, _projector_gap, fermi_weights, momentum_line
 
 PIVOT_FLOOR = 10.0  # pivot floor of `chain_traces`, in units of N p eps times the largest block
@@ -147,7 +147,7 @@ def _plane_traces(upper: np.ndarray, buffers=_fresh) -> tuple[np.ndarray, np.nda
         work[p:, p:2 * p, :pairs] = work[:p, 2 * p:, :pairs] = 0.0
         if odd:
             work[p:, p:2 * p, pairs], work[p:, 2 * p:, pairs] = diag[:, :, -1], upper[:, :, -1]
-        diag, upper = work[p:, p:2 * p], work[p:, 2 * p:]  # drops the previous level before the reflectors
+        diag, upper = work[p:, p:2 * p], work[p:, 2 * p:]  # the previous level is dropped first
         factors.append(_reflect(work[:, :, :pairs], p))
     closing = buffers(slots[len(factors) % 2], (2 * p, 2 * p, 1, width))
     closing[:p, :p], closing[:p, p:] = diag[:, :, :1], upper[:, :, :1]
@@ -276,44 +276,43 @@ def _chain_windings(chains: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray
     """Per beta of `betas`: the thermal `egp_windings` (C_x, C_y) on the n_cells-cell chains
     of the x and y line-spectrum caches `chains`, or the MixedTopoError that stops them.
 
-    The x windings of every temperature are taken together, then the y windings
-    of those whose x windings were, each direction in one `_thermal_traces` call
-    whose chunks build their planes and levels in the same buffers. Each
-    temperature gets the error it would get alone: at beta = inf the GapError
-    of a gapless projector, then the AmplitudeZeroError naming its transverse_k,
-    then the errors of its winding, then WindingMismatchError.
+    `geometry._xy_windings` winds the `_chain_profiles` of both directions, which build
+    their planes and levels in one set of buffers. Each temperature gets the error it
+    would get alone: that of its profiles, then of its windings, then WindingMismatchError.
     """
-    results = [None] * len(betas)
-    windings = [[] for _ in betas]
     buffers = _Buffers()
-    for lines in chains:
-        rows = [row for row, result in enumerate(results) if result is None]
-        gap = _projector_gap(lines(n_cells)[0], mu) if np.isinf(betas[rows]).any() else None
-        if gap is not None:  # refuses the beta = inf rows alone
-            for row in rows:
-                if np.isinf(betas[row]):
-                    results[row] = gap
-            rows = [row for row in rows if results[row] is None]
-        sign = 1 if lines.direction == "x" else -1
-        for row, phases, log_magnitudes in zip(
-                rows, *_thermal_traces([lines], n_cells, betas[rows], mu, buffers)):
-            try:
-                _require_amplitude(log_magnitudes, lines.transverse)
-                windings[row].append(
-                    sign * winding_of_phase_profile(PhaseProfile(lines.transverse, phases)))
-            except MixedTopoError as exc:
-                results[row] = exc
-    for row, result in enumerate(results):
-        if result is None:
-            cx, cy = windings[row]
-            results[row] = (cx, cy) if cx == cy else _mismatch(cx, cy)
+    results = _xy_windings(chains, betas,
+                           lambda lines, betas: _chain_profiles(lines, n_cells, betas, mu, buffers))
+    return [result if isinstance(result, MixedTopoError)
+            else result[0] if result[0][0] == result[0][1] else _mismatch(*result[0])
+            for result in results]
+
+
+def _chain_profiles(lines: _LineSpectra, n_cells: int, betas: np.ndarray, mu: float,
+                    buffers=_fresh) -> list:
+    """Per beta of `betas`: (phases, log magnitudes) of the thermal n_cells-cell chains on the
+    lines of the cache `lines`, from one `_thermal_traces` call, or the error refusing them:
+    at beta = inf the GapError of a gapless projector, else the AmplitudeZeroError naming
+    the first transverse_k whose amplitude vanished."""
+    gap = _projector_gap(lines(n_cells)[0], mu) if np.isinf(betas).any() else None
+    results = [gap if np.isinf(beta) else None for beta in betas]
+    rows = [row for row, result in enumerate(results) if result is None]
+    for row, phases, log_magnitudes in zip(
+            rows, *_thermal_traces([lines], n_cells, betas[rows], mu, buffers)):
+        try:
+            _require_amplitude(log_magnitudes, lines.transverse)
+            results[row] = phases, log_magnitudes
+        except AmplitudeZeroError as exc:
+            results[row] = exc
     return results
 
 
 def _line_profile(spec: GaussianStateSpec, lines: _LineSpectra, n_cells: int) -> PhaseProfile:
     """egp_profile of a thermal spec on the chains of a line-spectrum cache."""
-    phases, log_magnitudes = _thermal_traces([lines], n_cells, np.array([spec.beta]), spec.mu)
-    return _profile(lines.transverse, phases[0], log_magnitudes[0])
+    [profile] = _chain_profiles(lines, n_cells, np.array([spec.beta]), spec.mu)
+    if isinstance(profile, MixedTopoError):
+        raise profile
+    return PhaseProfile(lines.transverse, *profile)
 
 
 def gauge_reduction_deviations(spec: GaussianStateSpec, directions: Sequence[str],

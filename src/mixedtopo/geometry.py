@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PhaseUndefinedError, QuantizationError, UnderResolvedError
+from .errors import MixedTopoError, PhaseUndefinedError, QuantizationError, UnderResolvedError
 
 OVERLAP_MIN_MODULUS = 1e-8
 JUMP_MARGIN = 0.1
@@ -195,3 +195,31 @@ def chern_from_zak_windings(zak_x_profile: PhaseProfile,
     must agree for any gapped pure state.
     """
     return -winding_of_phase_profile(zak_x_profile), winding_of_phase_profile(zak_y_profile)
+
+
+def _xy_windings(lines, betas: np.ndarray, profiles) -> list:
+    """Per beta of `betas`: ((C_x, C_y), (a_x, a_y)), the winding of the x profile over ky and
+    minus that of the y profile over kx, with the values their profiles came with; or the
+    first MixedTopoError of the row.
+
+    `lines` are the x and the y line caches, each with its `transverse` momenta, and
+    `profiles(cache, betas)` gives per beta of `betas` (phases over the cache's transverse
+    momenta, an opaque value a), or the error that refuses them. The y profiles are taken
+    only for the rows whose x winding passed, in one call.
+    """
+    results = [[] for _ in betas]  # per row, its (winding, a) so far, or its error
+    for cache, sign in zip(lines, (1, -1)):
+        rows = [row for row, result in enumerate(results) if isinstance(result, list)]
+        if not rows:
+            break
+        for row, profile in zip(rows, profiles(cache, betas[rows])):
+            try:
+                if isinstance(profile, MixedTopoError):
+                    raise profile
+                phases, value = profile
+                winding = winding_of_phase_profile(PhaseProfile(cache.transverse, phases))
+                results[row].append((sign * winding, value))
+            except MixedTopoError as exc:
+                results[row] = exc
+    return [result if isinstance(result, MixedTopoError) else tuple(zip(*result))
+            for result in results]

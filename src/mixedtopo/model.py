@@ -132,7 +132,8 @@ def tabulated_model(grid: MomentumGrid, values: np.ndarray, name: str = "tabulat
     values = np.asarray(values, dtype=complex)
     p = values.shape[-1]
     if values.shape != (grid.nx, grid.ny, p, p):
-        raise ValueError(f"expected values of shape ({grid.nx}, {grid.ny}, p, p), got {values.shape}")
+        raise ValueError(f"expected values of shape ({grid.nx}, {grid.ny}, p, p), "
+                         f"got {values.shape}")
 
     def evaluate(kx, ky):
         return grid_lookup(grid, values, kx, ky)
@@ -310,37 +311,36 @@ def boltzmann_weights(energies: np.ndarray, beta, mu: float) -> np.ndarray:
     """Normalized e^{-beta (e - mu)} over the last axis; finite beta only.
 
     `beta` may also be a 1-d array of inverse temperatures, broadcast along a
-    new leading axis of the weights. A weight that underflows to zero raises
-    RankDeficiencyError, for the first beta where one does: the state is
-    numerically pure and its density matrix rank deficient.
+    new leading axis of the weights. beta = inf, and a weight that underflows
+    to zero, raise RankDeficiencyError for the first beta where one does: the
+    state is numerically pure and its density matrix rank deficient.
     """
     weights, pure = _boltzmann(energies, np.atleast_1d(beta), mu)
     if pure.any():
-        raise _underflow(np.atleast_1d(beta)[pure.argmax()])
+        raise _pure_state(np.atleast_1d(beta)[pure.argmax()])
     return weights if np.ndim(beta) else weights[0]
-
-
-def _require_finite_beta(beta: float) -> None:
-    if math.isinf(beta):
-        raise RankDeficiencyError("beta = inf gives a rank-deficient density matrix; "
-                                  "probe low temperature at large finite beta instead")
-    if not beta > 0:
-        raise ValueError(f"need beta > 0, got {beta}")
 
 
 def _boltzmann(energies: np.ndarray, betas: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
     """(weights, pure): boltzmann_weights of each beta of `betas` along a new leading axis,
-    with `pure` flagging, instead of raising for, the betas whose weights underflow."""
-    for beta in betas:
-        _require_finite_beta(beta)
-    logw = -betas.reshape(betas.shape + (1,) * np.ndim(energies)) * (energies - mu)
+    with `pure` flagging, instead of raising for, beta = inf (its weights are void) and the
+    betas whose weights underflow. A beta not above 0 raises ValueError."""
+    if not (betas > 0).all():
+        raise ValueError(f"need beta > 0, got {betas[np.argmin(betas > 0)]}")
+    cold = np.isinf(betas)
+    finite = np.where(cold, 1.0, betas)
+    logw = -finite.reshape(finite.shape + (1,) * np.ndim(energies)) * (energies - mu)
     logw -= logw.max(axis=-1, keepdims=True)
     weights = np.exp(logw)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return weights, (weights <= 0.0).any(axis=tuple(range(1, weights.ndim)))
+    return weights, cold | (weights <= 0.0).any(axis=tuple(range(1, weights.ndim)))
 
 
-def _underflow(beta: float) -> RankDeficiencyError:
+def _pure_state(beta: float) -> RankDeficiencyError:
+    """The RankDeficiencyError of a numerically pure thermal state at `beta`."""
+    if math.isinf(beta):
+        return RankDeficiencyError("beta = inf gives a rank-deficient density matrix; "
+                                   "probe low temperature at large finite beta instead")
     return RankDeficiencyError(
         f"Boltzmann weight underflowed at beta = {beta:g}: state numerically pure")
 

@@ -24,16 +24,15 @@ from .egp import _chain_windings
 from .errors import (
     MixedTopoError,
     PhaseUndefinedError,
-    RankDeficiencyError,
     UnderResolvedError,
 )
 from .geometry import (
     JUMP_MARGIN,
     PhaseProfile,
     _pinned_error,
+    _xy_windings,
     berry_curvature_plaquette,
     chern_number,
-    winding_of_phase_profile,
 )
 from .model import (
     BlochModel,
@@ -41,8 +40,7 @@ from .model import (
     _boltzmann,
     _LineSpectra,
     _matrices,
-    _require_finite_beta,
-    _underflow,
+    _pure_state,
     band_systems,
     bands_below,
     momentum_line,
@@ -241,10 +239,9 @@ def _transport_error(deviations: np.ndarray, moduli: np.ndarray,
     return None
 
 
-def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int,
-               step: int = 1) -> list:
-    """Per beta of `betas`: the Uhlmann phases of the loops through every `step`-th point of
-    the m-point lines, or the error refusing them.
+def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int) -> list:
+    """Per beta of `betas`: the Uhlmann phases of the loops through the m-point lines, or the
+    error refusing them.
 
     One `_transport` call takes the loops of every temperature, batched over
     (temperature, transverse, path). The spectra keep their exact Boltzmann
@@ -252,14 +249,15 @@ def _phases_at(spectra: _LineSpectra, betas: np.ndarray, mu: float, m: int,
     weights come from one call of the `boltzmann_weights` core on a (T, M, p)
     view of the energy planes (p, T, M), with beta along a new leading axis,
     and are taken as planes (p, n_T, T, M); the cached eigenvector planes are
-    broadcast over the temperature axis, not copied. A temperature whose
-    weights underflow gets the RankDeficiencyError `boltzmann_weights` would
-    raise and stays out of the transport; each other one gets what
-    `_transport_error` finds on its own loops, or its phases.
+    broadcast over the temperature axis, not copied. A temperature whose state
+    is numerically pure (beta = inf, or weights that underflow) gets the
+    RankDeficiencyError `boltzmann_weights` would raise and stays out of the
+    transport; each other one gets what `_transport_error` finds on its own
+    loops, or its phases.
     """
-    energies, vectors = (planes[..., ::step] for planes in spectra(m))
+    energies, vectors = spectra(m)
     weights, pure = _boltzmann(np.moveaxis(energies, 0, -1), betas, mu)
-    results = [_underflow(beta) if underflowed else None for beta, underflowed in zip(betas, pure)]
+    results = [_pure_state(beta) if is_pure else None for beta, is_pure in zip(betas, pure)]
     mixed = np.flatnonzero(~pure)
     if len(mixed):
         if len(mixed) < len(betas):
@@ -278,12 +276,12 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float) -> list:
     once the winding of the profile is certified, or the MixedTopoError that stops them.
 
     Each pass makes one `_phases_at` call for every temperature still open,
-    and m doubles from PATH_POINTS_START until the certificate holds. The path
-    error of the m-point phases falls as m^-2, so it is estimated as
-    e = max |phi_m - phi_c| / ((m/c)^2 - 1) from a coarse pass of c = m / 2
-    points: every second point of the m-point loops on the first pass, the
-    previous pass after that. The profile of the exact path then steps by
-    less than max step + 2e, and the winding is certified when that is below
+    and m doubles from PATH_POINTS_START / 2, each pass reading the new odd
+    points from the line cache, until the certificate holds. The path error
+    of the m-point phases falls as m^-2, so it is estimated as
+    e = max |phi_m - phi_c| / ((m/c)^2 - 1) from the previous pass of
+    c = m / 2 points. The profile of the exact path then steps by less than
+    max step + 2e, and the winding is certified when that is below
     pi - JUMP_MARGIN, the bound `winding_of_phase_profile` enforces. Where
     max step - 2e is not below it, no path can certify the winding, and
     UnderResolvedError stops the temperature at once. This is the only stop
@@ -297,13 +295,7 @@ def _refinement(spectra: _LineSpectra, betas: np.ndarray, mu: float) -> list:
     """
     results = [None] * len(betas)
     previous = [None] * len(betas)  # per temperature, the phases of m / 2 points
-    m = PATH_POINTS_START
-    for row, phases in enumerate(_phases_at(spectra, betas, mu, m, step=2)):
-        if not isinstance(phases, MixedTopoError):
-            previous[row] = phases
-        elif not isinstance(phases, UnderResolvedError):  # a failed link check only doubles
-            results[row] = phases
-    rows = [row for row, result in enumerate(results) if result is None]
+    rows, m = list(range(len(betas))), PATH_POINTS_START // 2
     while rows:
         doubling = []
         for row, phases in zip(rows, _phases_at(spectra, betas[rows], mu, m)):
@@ -332,7 +324,7 @@ def _stop_rule(spectra: _LineSpectra, phases, previous: Optional[np.ndarray],
         return None, str(phases)
     if isinstance(phases, MixedTopoError):
         return phases, ""
-    if previous is None:
+    if previous is None:  # also the first pass, which stays below the cap
         return None, f"the {m // 2}-point pass failed the link check"
     change = np.abs((phases - previous + np.pi) % (2 * np.pi) - np.pi).max()
     error = change / 3  # (m / c)^2 - 1 at c = m / 2
@@ -401,34 +393,11 @@ def _grid_loops(model: BlochModel, grid: MomentumGrid) -> tuple[_LineSpectra, _L
 def _uhlmann_windings(loops: tuple[_LineSpectra, _LineSpectra], betas: np.ndarray,
                       mu: float) -> list:
     """Per beta of `betas`: (C_x^U, C_y^U, path points of the more refined direction), or
-    the MixedTopoError that stops them.
-
-    The x windings of every temperature are certified together, then the y
-    windings of those whose x windings were.
+    the MixedTopoError that stops them, from the certified profiles of `_refinement`.
     """
-    results = [None] * len(betas)
-    for row, beta in enumerate(betas):
-        try:
-            _require_finite_beta(beta)
-        except RankDeficiencyError as exc:  # beta = inf
-            results[row] = exc
-    certified = {}
-    for spectra in loops:
-        rows = [row for row, result in enumerate(results) if result is None]
-        if not rows:
-            break
-        for row, result in zip(rows, _refinement(spectra, betas[rows], mu)):
-            if isinstance(result, MixedTopoError):
-                results[row] = result
-            else:
-                certified.setdefault(row, []).append(result)
-    for row, result in enumerate(results):
-        if result is None:
-            (phases_x, m_x), (phases_y, m_y) = certified[row]
-            results[row] = (winding_of_phase_profile(PhaseProfile(loops[0].transverse, phases_x)),
-                            -winding_of_phase_profile(PhaseProfile(loops[1].transverse, phases_y)),
-                            max(m_x, m_y))
-    return results
+    results = _xy_windings(loops, betas, lambda spectra, betas: _refinement(spectra, betas, mu))
+    return [result if isinstance(result, MixedTopoError) else (*result[0], max(result[1]))
+            for result in results]
 
 
 @dataclass(frozen=True)

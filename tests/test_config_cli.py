@@ -206,6 +206,8 @@ def test_cli_numerical_error_while_resolving_exit_3(tmp_path, capsys):
     ("egp-profile", "chain_cells_list", "", {}),
     ("egp-profile", "chain_cells_list", ",", {}),
     ("egp-profile", "temperature_list", "", {"temperature": None}),
+    ("invariant-scan", "scan_t_max", "0.001", {}),  # below the default scan_t_min
+    ("invariant-scan", "scan_t_max", "1", {"scan_t_min": "5"}),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, command, key, value, extra):
     """A non-finite, negative or unparsable number, an unknown name, an empty, repeated

@@ -216,9 +216,14 @@ def test_thermal_egp_windings_refuse_short_chains(qwz, n_cells):
 
 
 def test_scan_row_records_egp_winding_mismatch(qwz, qwz_gap, monkeypatch):
-    """Every EGP profile winding 1 gives C_x = 1 and C_y = -1: the row says so in its
-    status, and keeps its Uhlmann windings."""
-    monkeypatch.setattr(egp, "winding_of_phase_profile", lambda profile: 1)
+    """Chains whose phases are their transverse momenta wind 1 in both directions, so
+    C_x = 1 and C_y = -1: the row says so in its status, and keeps its Uhlmann windings."""
+    def traces(caches, n_cells, betas, mu, buffers):
+        [lines] = caches
+        phases = np.tile(lines.transverse, (len(betas), 1))
+        return phases, np.zeros_like(phases)
+
+    monkeypatch.setattr(egp, "_thermal_traces", traces)
     [report] = mt.uhlmann_temperature_scan(qwz, 0.0, [0.05 * qwz_gap], mt.MomentumGrid(8, 8),
                                            n_cells=6)
     assert report.status == "egp: EGP Chern inconsistency: C_x = 1 != C_y = -1"

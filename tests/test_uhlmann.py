@@ -162,16 +162,17 @@ def _matrices_per_call(calls: list) -> list:
 @pytest.mark.parametrize("direction", ["x", "y"])
 def test_profile_refinement_diagonalizes_each_point_once(qwz, qwz_gap, monkeypatch, direction):
     """The certified winding over 32 lines at T = 0.05 gap, from 8 path points: x doubles
-    to 16 points and y to 32, and each doubling diagonalizes only its new odd points."""
+    to 16 points and y to 32. The passes start at 4 points, and each doubling
+    diagonalizes only its new odd points."""
     monkeypatch.setattr(uhlmann, "PATH_POINTS_START", 8)
     counts = _count_uhlmann_eigh(monkeypatch)
     spectra = _LineSpectra(qwz, direction, mt.momentum_line(32))
     [(_, used)] = uhlmann._refinement(spectra, np.array([1.0 / (0.05 * qwz_gap)]), 0.0)
     assert used == {"x": 16, "y": 32}[direction]
-    # the 4-point coarse loops are a strided view of the 8-point ones; then each of the
-    # 32 x `used` points once
-    assert _matrices_per_call(counts) == {"x": [32 * 8, 32 * 8],
-                                          "y": [32 * 8, 32 * 8, 32 * 16]}[direction]
+    # the 4-point loops, then 4, 8 (and 16) new odd points: each of the 32 x `used` points once
+    assert _matrices_per_call(counts) == {"x": [32 * 4, 32 * 4, 32 * 8],
+                                          "y": [32 * 4, 32 * 4, 32 * 8, 32 * 16]}[direction]
+    assert sum(_matrices_per_call(counts)) == 32 * used
 
 
 def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch):
@@ -185,8 +186,8 @@ def test_temperature_scan_diagonalizes_each_loop_once(qwz, qwz_gap, monkeypatch)
                                               n_cells=6)
         assert all(r.status == "ok" and r.uhlmann_path_points == 32 for r in reports)
         per_scan.append(sum(_matrices_per_call(counts)))
-    # each direction: 12 lines of 32 points, once; the certificate compares them with
-    # their 16-point strided view, and every row is certified at 32 points
+    # each direction: 12 lines of 16 points, then their 16 new odd points, once; every row
+    # is certified at 32 points
     assert per_scan == [2 * 12 * 32, 2 * 12 * 32]
 
 
@@ -763,13 +764,13 @@ def test_chain_windings_match_per_temperature_route(n_cells):
 
 def test_scan_certifies_at_the_configured_path(qwz, qwz_gap, monkeypatch):
     """A 32^2 scan: cold, split and hot rows are certified at PATH_POINTS_START = 32
-    points, so each direction diagonalizes its 32 lines of 32 points once; the 16-point
-    coarse loops are a strided view of them and no 64-point pass is made."""
+    points, so each direction diagonalizes its 32 lines of 32 points once: 16 points for
+    the first pass, then the 16 new odd points, and no 64-point pass is made."""
     counts = _count_uhlmann_eigh(monkeypatch)
     reports = mt.uhlmann_temperature_scan(qwz, 0.0, np.array([0.02, 0.5, 5.0]) * qwz_gap,
                                           mt.MomentumGrid(32, 32), n_cells=6)
     assert [(r.status, r.uhlmann_path_points) for r in reports] == [("ok", 32)] * 3
-    assert _matrices_per_call(counts) == [32 * 32, 32 * 32]
+    assert _matrices_per_call(counts) == [32 * 16] * 4
 
 
 def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
@@ -793,14 +794,32 @@ def test_scan_row_says_why_the_certificate_failed(qwz, qwz_gap, monkeypatch):
 
 def test_windings_stop_where_only_the_transverse_grid_can_certify(qwz, qwz_gap, monkeypatch):
     """On 5 lines at T = 0.478 gap the y profile steps 3.094 rad: no path can certify it, so
-    the winding raises at its first 32 points instead of doubling to the cap."""
+    the winding raises at its first 32 points instead of doubling to the cap; each
+    direction diagonalizes its 5 x 32 points once, 16 and 16 new odd points."""
     counts = _count_uhlmann_eigh(monkeypatch)
     beta = 1.0 / (np.geomspace(0.15, 0.8, 14)[9] * qwz_gap)
     with pytest.raises(mt.UnderResolvedError,
                        match=r"^Uhlmann y profile at 32 points: max step 3\.094 .* "
                              r"only a finer transverse grid can certify the winding$"):
         mt.uhlmann_windings(qwz, beta, 0.0, mt.MomentumGrid(5, 5))
-    assert _matrices_per_call(counts) == [5 * 32, 5 * 32]
+    assert _matrices_per_call(counts) == [5 * 16] * 4
+
+
+def test_scan_windings_do_not_depend_on_the_start_path(qwz, monkeypatch):
+    """The recipe's 48 temperatures on a 32^2 grid: starting the certificate at 16, 32 or 64
+    path points gives the same Uhlmann windings and row statuses, each row certified at the
+    start or, from 16 points, one doubling later."""
+    grid = mt.MomentumGrid(32, 32)
+    temperatures = np.geomspace(0.01, 100, 48) * mt.band_gap(qwz, grid, 0.0)
+    rows = {}
+    for start in (16, 32, 64):
+        monkeypatch.setattr(uhlmann, "PATH_POINTS_START", start)
+        reports = mt.uhlmann_temperature_scan(qwz, 0.0, temperatures, grid, n_cells=10,
+                                              egp_transverse=128)
+        rows[start] = [(r.cx_uhlmann, r.cy_uhlmann, r.status) for r in reports]
+        assert {r.uhlmann_path_points for r in reports} <= {start, 2 * start}
+    assert rows[16] == rows[32] == rows[64]
+    assert all(status == "ok" for _, _, status in rows[32])
 
 
 def test_windings_refine_past_a_failed_link_check(qwz, qwz_gap, monkeypatch):
@@ -881,6 +900,23 @@ def test_four_band_profile_matches_matmul_oracle(mirrored, t_over_gap, direction
     energies, vectors = np.linalg.eigh(model.matrix(kx, ky))
     _, phases, _, _ = transport(vectors, mt.boltzmann_weights(energies, beta, 0.0))
     assert np.abs(mt.principal_branch(profile.phases - phases)).max() <= 1e-10
+
+
+def test_four_band_scan():
+    """The C = 2 pair of layers through the scan: LAPACK eigensolver, SVD polar factor and
+    two-band `det` links. The Uhlmann windings tend to the lowest band's C = 1 when cold
+    and vanish when hot, each row certified at 32 points; the EGP on 128 lines gives
+    C_ground = 2 on every row. On the default 32 EGP lines the profiles are under-resolved
+    between their samples: a row may fail, but may not report another EGP integer."""
+    model, grid = layered_qwz(mirrored=False), mt.MomentumGrid(32, 32)
+    temperatures = np.array([0.05, 0.2, 1.0, 20.0]) * mt.band_gap(model, grid, 0.0)
+    reports = mt.uhlmann_temperature_scan(model, 0.0, temperatures, grid, n_cells=10,
+                                          egp_transverse=128)
+    assert [(r.cx_uhlmann, r.cy_uhlmann) for r in reports] == [(1, 1), (1, 1), (0, 0), (0, 0)]
+    assert [(r.cx_egp, r.cy_egp, r.c_ground) for r in reports] == [(2, 2, 2)] * 4
+    assert [(r.status, r.uhlmann_path_points) for r in reports] == [("ok", 32)] * 4
+    coarse = mt.uhlmann_temperature_scan(model, 0.0, temperatures, grid, n_cells=10)
+    assert all((r.cx_egp, r.cy_egp) in {(2, 2), (None, None)} for r in coarse)
 
 
 def test_ground_state_chern_rejects_metal(qwz):
